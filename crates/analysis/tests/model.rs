@@ -548,6 +548,106 @@ mod tier {
 }
 
 // ---------------------------------------------------------------------------
+// service: ConnRegistry (the server's live connections)
+// ---------------------------------------------------------------------------
+
+mod connections {
+    use super::*;
+    use foss_check::thread::JoinHandle;
+    use foss_common::sync::{Condvar, Mutex};
+    use foss_service::http::ConnRegistry;
+
+    /// A connection as its thread sees it: blocked in `read` until the
+    /// registry's `close` shuts it.
+    #[derive(Default)]
+    struct Conn {
+        shut: Mutex<bool>,
+        wake: Condvar,
+    }
+
+    impl Conn {
+        fn shut(&self) {
+            *self.shut.lock() = true;
+            self.wake.notify_all();
+        }
+
+        fn read_until_shut(&self) {
+            let mut shut = self.shut.lock();
+            while !*shut {
+                shut = self.wake.wait(shut);
+            }
+        }
+    }
+
+    /// An accept loop registering `idle` connections that park until shut
+    /// and `brief` ones whose peer hangs up at once, reaping as it goes,
+    /// races a shutdown. In every interleaving: a connection registered
+    /// before the close is shut by it (a missed one never returns from
+    /// `read_until_shut`, which the checker reports as a deadlock), one
+    /// arriving after is refused, and every started thread's handle comes
+    /// out of `reap` or `close` exactly once — `join` consumes it, so twice
+    /// cannot compile, and the count catches a lost one.
+    fn accept_vs_shutdown(idle: usize, brief: usize) {
+        let registry: Arc<ConnRegistry<Arc<Conn>, JoinHandle<()>>> = Arc::default();
+        let acceptor = {
+            let registry = Arc::clone(&registry);
+            foss_check::thread::spawn(move || {
+                let (mut started, mut joined) = (0, 0);
+                for i in 0..idle + brief {
+                    for done in registry.reap() {
+                        done.join();
+                        joined += 1;
+                    }
+                    let conn = Arc::new(Conn::default());
+                    let thread_conn = Arc::clone(&conn);
+                    let thread_registry = Arc::clone(&registry);
+                    started += usize::from(registry.spawn(conn, move |id| {
+                        foss_check::thread::spawn(move || {
+                            if i < idle {
+                                thread_conn.read_until_shut();
+                            }
+                            thread_registry.finish(id);
+                        })
+                    }));
+                }
+                (started, joined)
+            })
+        };
+        let mut joined = 0;
+        for handle in registry.close(|conn| conn.shut()) {
+            handle.join();
+            joined += 1;
+        }
+        let (started, reaped) = acceptor.join();
+        assert_eq!(joined + reaped, started, "a connection thread was lost");
+        assert_eq!(registry.open(), 0, "a connection outlived the close");
+        assert!(registry.reap().is_empty(), "a handle surfaced after close");
+        assert!(
+            !registry.spawn(Arc::default(), |_| unreachable!("closed")),
+            "a closed registry took a connection"
+        );
+    }
+
+    #[test]
+    fn exhaustive_shutdown_closes_and_joins_every_connection() {
+        // One parked connection, then one whose peer already hung up: the
+        // two ways a handle travels (close, finish-then-reap). Two
+        // connections at once exceed any exhaustive budget; the random pass
+        // below covers them.
+        for (idle, brief) in [(1, 0), (0, 1)] {
+            let report = check_exhaustive(100_000, move || accept_vs_shutdown(idle, brief));
+            report.assert_ok();
+            assert!(report.complete, "exhaustive budget too small");
+        }
+    }
+
+    #[test]
+    fn random_shutdown_closes_and_joins_every_connection() {
+        check_random(0xF055_0007, 1_000, || accept_vs_shutdown(2, 2)).assert_ok();
+    }
+}
+
+// ---------------------------------------------------------------------------
 // executor: CachingExecutor single-flight
 // ---------------------------------------------------------------------------
 

@@ -19,8 +19,12 @@
 //!   `--save-snapshot <path>` it writes the trained snapshot for such a
 //!   process to boot from.
 //! * **load**: closed-loop load generator against a running `serve`
-//!   process — N threads, one in-flight request each — reporting QPS,
-//!   p50/p95/p99 round-trip latency, shed counts and the fallback mix.
+//!   process — N threads, one in-flight request each, each thread on one
+//!   persistent connection — reporting QPS, p50/p95/p99 round-trip
+//!   latency, shed counts and the fallback mix. The latencies are those of
+//!   a request on a warm connection: connect, thread spawn and teardown are
+//!   paid once per thread (N shows as `connections_accepted` in the
+//!   server's `GET /metrics`), not once per request.
 //!
 //! Flag reference lives in [`foss_bench::cli`]. Robustness flags
 //! (`--faults`, `--priority-mix`, `--deadline-us`) follow the
@@ -215,7 +219,7 @@ fn run_serve(args: ServeArgs) {
         pool.len(),
         server.addr()
     );
-    // Serve until killed; connections are handled on their own threads.
+    // Serve until killed; each connection has a thread of its own.
     loop {
         std::thread::park();
     }

@@ -30,7 +30,8 @@ use foss_workloads::{Workload, WorkloadSpec};
 use std::time::Duration;
 
 /// Benchmarks the regression gate guards: the FOSS serving hot path (AAM
-/// inference and end-to-end PlanDoctor submits) plus the chunked executor
+/// inference, end-to-end PlanDoctor submits and the warm round trip over a
+/// reused loopback connection) plus the chunked executor
 /// operators — including the heavy-tail skewed hash join, its
 /// morsel-driven parallel twins and the tier-2 fused pipeline — and the
 /// bounded-cache eviction path.
@@ -44,6 +45,7 @@ const GUARDED: &[&str] = &[
     "exec/hash_join_partitioned",
     "cache/eviction",
     "service/submit_throughput",
+    "service/wire_roundtrip",
 ];
 
 struct BenchArgs {

@@ -10,7 +10,8 @@
 //!   ([`foss_service::PlanServer`]), either training first or booting
 //!   serving-only from a saved snapshot (`--snapshot`).
 //! * `load` — closed-loop load generator driving a running `serve`
-//!   process over the socket.
+//!   process over the socket, one persistent connection per thread (it
+//!   measures requests on a warm connection, not connection set-up).
 //!
 //! Every flag takes exactly one value (`--flag value`). Shared flags
 //! (`--workload`, `--scale`, `--rounds`, `--budget-us`, `--max-in-flight`,
@@ -160,7 +161,7 @@ impl Default for ServeArgs {
 pub struct LoadArgs {
     /// Target server (`--addr`).
     pub addr: String,
-    /// Closed-loop client threads (`--threads`).
+    /// Closed-loop client threads, one connection each (`--threads`).
     pub threads: usize,
     /// Total requests to issue (`--requests`).
     pub requests: usize,

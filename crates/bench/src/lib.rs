@@ -25,7 +25,9 @@ use foss_harness::table1::RunConfig;
 use foss_nn::{Graph, Linear, Matrix, ParamSet};
 use foss_optimizer::{AccessPath, Icp, JoinMethod, PhysicalPlan, PlanNode};
 use foss_query::{Predicate, Query, QueryBuilder};
-use foss_service::{PlanDoctor, QueryRequest, ServiceConfig, TierConfig, TierMode};
+use foss_service::{
+    PlanDoctor, PlanRequest, PlanServer, QueryRequest, ServiceConfig, TierConfig, TierMode,
+};
 use foss_workloads::{joblite, skewstress, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -250,11 +252,11 @@ pub fn micro_suite(c: &mut Criterion) {
     );
     let serve_train: Vec<Query> = wl.train.iter().take(6).cloned().collect();
     foss.bootstrap(&serve_train, 1).expect("service bootstrap");
-    let doctor = PlanDoctor::new(
+    let doctor = Arc::new(PlanDoctor::new(
         foss.snapshot(),
         caching_for_service,
         ServiceConfig::default(),
-    );
+    ));
     let serve_queries: Vec<Query> = wl.train.iter().take(8).cloned().collect();
     // Warm the latency cache so both benches measure planning throughput,
     // not first-touch execution.
@@ -272,7 +274,7 @@ pub fn micro_suite(c: &mut Criterion) {
         b.iter(|| {
             std::thread::scope(|scope| {
                 for chunk in serve_queries.chunks(serve_queries.len().div_ceil(4)) {
-                    let doctor = &doctor;
+                    let doctor = doctor.as_ref();
                     scope.spawn(move || {
                         for q in chunk {
                             black_box(doctor.submit(QueryRequest::new(q.clone())).unwrap());
@@ -282,6 +284,20 @@ pub fn micro_suite(c: &mut Criterion) {
             })
         })
     });
+
+    // One warm submit as a remote caller pays it: `PlanClient::plan` over
+    // loopback on the connection the warm-up call parked. Against a single
+    // `service/submit_throughput_1t` submit (that bench ÷ 8) the difference
+    // is the wire: JSON both ways, two socket writes and reads, a wake-up.
+    let server = PlanServer::start(doctor.clone(), serve_queries.clone(), "127.0.0.1:0")
+        .expect("loopback server");
+    let client = server.client();
+    let wire_request = PlanRequest::for_index(0);
+    client.plan(&wire_request).expect("wire warmup");
+    c.bench_function("service/wire_roundtrip", |b| {
+        b.iter(|| black_box(client.plan(&wire_request).unwrap()))
+    });
+    server.shutdown();
 
     // Tiered serving A/B: the same repeated-template batch with the latency
     // cache cleared every pass so each submission actually executes.

@@ -29,8 +29,8 @@ use crate::advantage::AdvantageScale;
 use crate::agent::{FrozenPolicy, PlanPolicy};
 use crate::config::FossConfig;
 use crate::encoding::{EncodedPlan, PlanEncoder};
-use crate::envs::SimEnv;
-use crate::episode::run_episode_greedy;
+use crate::envs::RewardOracle;
+use crate::episode::{run_episode_greedy, PlanCtx};
 use crate::execbuf::ExecutionBuffer;
 use crate::selector::select_best;
 use crate::trainer::Inference;
@@ -143,8 +143,6 @@ impl PlannerSnapshot {
         infer(
             &policies,
             &self.aam,
-            &self.buffer,
-            &self.scale,
             &self.optimizer,
             &self.encoder,
             &self.space,
@@ -251,6 +249,25 @@ impl PlannerSnapshot {
     }
 }
 
+/// The reward oracle of inference: none. `infer` reads an episode's plans,
+/// never its rewards, and the greedy trajectory depends on the policy alone,
+/// so the episode loop runs without a single AAM call.
+struct NoReward;
+
+impl RewardOracle for NoReward {
+    fn prepare(&mut self, _: &Query, _: &PlanCtx) -> Result<()> {
+        Ok(())
+    }
+
+    fn advantage(&mut self, _: &Query, _: &PlanCtx, _: &PlanCtx) -> usize {
+        0
+    }
+
+    fn references(&mut self, _: &Query) -> Vec<(PlanCtx, f64)> {
+        Vec::new()
+    }
+}
+
 /// The shared greedy-inference pipeline: per-policy greedy episodes, a
 /// per-policy AAM tournament, then a final tournament among champions.
 ///
@@ -262,8 +279,6 @@ impl PlannerSnapshot {
 pub(crate) fn infer(
     policies: &[&dyn PlanPolicy],
     aam: &AdvantageModel,
-    buffer: &ExecutionBuffer,
-    scale: &AdvantageScale,
     optimizer: &TraditionalOptimizer,
     encoder: &PlanEncoder,
     space: &ActionSpace,
@@ -273,10 +288,17 @@ pub(crate) fn infer(
 ) -> Result<Inference> {
     // Per-policy greedy episode → per-policy champion.
     let mut champions = Vec::with_capacity(policies.len());
+    let mut expert_encoded = None;
     for policy in policies {
-        let mut env = SimEnv::new(aam, buffer, scale.clone());
         let res = run_episode_greedy(
-            *policy, optimizer, encoder, space, query, original, &mut env, cfg,
+            *policy,
+            optimizer,
+            encoder,
+            space,
+            query,
+            original,
+            &mut NoReward,
+            cfg,
         )?;
         let mut cands: Vec<&EncodedPlan> = vec![&res.original.encoded];
         for v in &res.visited {
@@ -289,6 +311,7 @@ pub(crate) fn infer(
             res.visited[idx - 1].clone()
         };
         champions.push((ctx, idx));
+        expert_encoded = Some(res.original.encoded);
     }
     // Multi-agent: final tournament among champions.
     let encs: Vec<&EncodedPlan> = champions.iter().map(|(c, _)| &c.encoded).collect();
@@ -298,10 +321,9 @@ pub(crate) fn infer(
     // Confidence: the AAM's advantage score of the selected plan over the
     // expert plan (0 when the expert plan was kept — there is nothing to be
     // confident about).
-    let aam_confidence = if step == 0 {
-        0
-    } else {
-        aam.predict(&encoder.encode(query, original, 0.0), &ctx.encoded)
+    let aam_confidence = match expert_encoded {
+        Some(expert) if step != 0 => aam.predict(&expert, &ctx.encoded),
+        _ => 0,
     };
     Ok(Inference {
         plan: ctx.plan,
@@ -394,6 +416,41 @@ mod tests {
         assert_eq!(live.selected_step, frozen.selected_step);
         assert_eq!(live.candidates, frozen.candidates);
         assert_eq!(live.aam_confidence, frozen.aam_confidence);
+    }
+
+    #[test]
+    fn inference_episodes_visit_the_same_plans_without_a_reward_oracle() {
+        // What `infer` reads from an episode (the expert plan and the visited
+        // plans, with their encodings) must not depend on the oracle it
+        // dropped: same trajectory under the simulated environment training
+        // uses and under `NoReward`.
+        let world = TestWorld::new(24);
+        let snap = trained_foss(&world, 24).snapshot();
+        let original = snap.expert_plan(&world.query).unwrap();
+        for policy in snap.policies.iter() {
+            let run = |oracle: &mut dyn RewardOracle| {
+                run_episode_greedy(
+                    policy,
+                    &snap.optimizer,
+                    &snap.encoder,
+                    &snap.space,
+                    &world.query,
+                    &original,
+                    oracle,
+                    &snap.cfg,
+                )
+                .unwrap()
+            };
+            let mut sim = crate::envs::SimEnv::new(&snap.aam, &snap.buffer, snap.scale.clone());
+            let with_rewards = run(&mut sim);
+            let without = run(&mut NoReward);
+            assert_eq!(with_rewards.original.encoded, without.original.encoded);
+            assert_eq!(with_rewards.visited.len(), without.visited.len());
+            for (a, b) in with_rewards.visited.iter().zip(&without.visited) {
+                assert_eq!(a.plan.fingerprint(), b.plan.fingerprint());
+                assert_eq!(a.encoded, b.encoded);
+            }
+        }
     }
 
     #[test]

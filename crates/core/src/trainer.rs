@@ -502,8 +502,6 @@ impl Foss {
         crate::snapshot::infer(
             &policies,
             &self.aam,
-            &self.buffer,
-            &self.scale,
             &self.optimizer,
             &self.encoder,
             &self.space,

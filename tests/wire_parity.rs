@@ -152,3 +152,159 @@ fn snapshot_survives_save_load_serve_round_trip() {
     );
     server.shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// Persistent connections: one socket, many requests
+// ---------------------------------------------------------------------------
+
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::OnceLock;
+
+use foss_repro::service::Json;
+use proptest::prelude::*;
+
+/// One server for every keep-alive case below (training it is the slow part).
+fn shared_server() -> &'static (PlanServer, Vec<PlanDecision>) {
+    static SERVER: OnceLock<(PlanServer, Vec<PlanDecision>)> = OnceLock::new();
+    SERVER.get_or_init(|| {
+        let t = train_tiny(17);
+        let doctor = |t: &Trained| {
+            PlanDoctor::new(
+                t.snapshot.clone(),
+                t.exp.executor.clone(),
+                ServiceConfig::default(),
+            )
+        };
+        let pool = t.exp.workload.all_queries();
+        let direct = doctor(&t);
+        let local = pool
+            .iter()
+            .take(4)
+            .map(|q| direct.submit(QueryRequest::new(q.clone())).unwrap())
+            .collect();
+        let server = PlanServer::start(Arc::new(doctor(&t)), pool, "127.0.0.1:0").unwrap();
+        (server, local)
+    })
+}
+
+/// One HTTP response cut off the front of `raw`: (status, `connection`
+/// header, body), or `None` when `raw` is exhausted.
+fn next_response(raw: &mut &[u8]) -> Option<(u16, String, String)> {
+    let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n")?;
+    let head = std::str::from_utf8(&raw[..head_end])
+        .unwrap()
+        .to_lowercase();
+    let status = head.split_whitespace().nth(1).unwrap().parse().unwrap();
+    let header = |name: &str| {
+        head.lines()
+            .find_map(|l| l.strip_prefix(name))
+            .map(|v| v.trim().to_string())
+    };
+    let len: usize = header("content-length:").unwrap().parse().unwrap();
+    let body = &raw[head_end + 4..head_end + 4 + len];
+    let out = (
+        status,
+        header("connection:").unwrap(),
+        String::from_utf8(body.to_vec()).unwrap(),
+    );
+    *raw = &raw[head_end + 4 + len..];
+    Some(out)
+}
+
+/// Write `stream` to the server in the pieces `cuts` delimit and collect
+/// every response until the server closes. A reply's `planning_us` is wall
+/// time; it is zeroed so that replies compare.
+fn replies_to(stream: &[u8], cuts: &[usize]) -> Vec<(u16, String, String)> {
+    let (server, _) = shared_server();
+    let mut socket = TcpStream::connect(server.addr()).unwrap();
+    socket.set_nodelay(true).unwrap();
+    let mut cuts: Vec<usize> = cuts.iter().map(|c| c % stream.len()).collect();
+    cuts.sort_unstable();
+    let mut from = 0;
+    for to in cuts.into_iter().chain([stream.len()]) {
+        socket.write_all(&stream[from..to]).unwrap();
+        // Let the piece arrive on its own (a nicety, not a synchronisation:
+        // coalesced pieces are just another split).
+        std::thread::sleep(std::time::Duration::from_micros(300));
+        from = to;
+    }
+    let mut raw = Vec::new();
+    socket.read_to_end(&mut raw).unwrap();
+    let mut rest = raw.as_slice();
+    let mut replies = Vec::new();
+    while let Some((status, connection, body)) = next_response(&mut rest) {
+        let mut body = Json::parse(&body).unwrap();
+        if let Json::Obj(fields) = &mut body {
+            for (key, value) in fields {
+                if key == "planning_us" {
+                    *value = Json::num(0.0);
+                }
+            }
+        }
+        let body = body.to_string();
+        replies.push((status, connection, body));
+    }
+    assert!(rest.is_empty(), "trailing bytes after the last response");
+    replies
+}
+
+/// Plans, a health check, a request that frames but does not parse, an
+/// unknown route, and a final `connection: close`.
+fn request_stream() -> Vec<u8> {
+    let plan = |idx: usize, extra: &str| {
+        let body = format!(r#"{{"query":{idx}}}"#);
+        format!(
+            "POST /plan HTTP/1.1\r\nhost: x\r\n{extra}content-length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    };
+    [
+        plan(0, ""),
+        plan(1, ""),
+        "GET /healthz HTTP/1.1\r\n\r\n".to_string(),
+        "POST /plan HTTP/1.1\r\ncontent-length: 5\r\n\r\n{nope".to_string(),
+        plan(2, "x-foss-priority: high\r\n"),
+        "GET /nowhere HTTP/1.1\r\n\r\n".to_string(),
+        plan(3, "connection: close\r\n"),
+    ]
+    .concat()
+    .into_bytes()
+}
+
+#[test]
+fn one_connection_serves_a_request_stream_like_in_process_submit() {
+    let (_, local) = shared_server();
+    let replies = replies_to(&request_stream(), &[]);
+    let statuses: Vec<u16> = replies.iter().map(|r| r.0).collect();
+    assert_eq!(statuses, [200, 200, 200, 400, 200, 404, 200]);
+    // Every reply but the one to `connection: close` keeps the connection.
+    let connections: Vec<&str> = replies.iter().map(|r| r.1.as_str()).collect();
+    assert_eq!(connections[..6], ["keep-alive"; 6]);
+    assert_eq!(connections[6], "close");
+    // The four plans, in request order, are what in-process submit decides.
+    for (reply, local) in [0, 1, 4, 6].into_iter().zip(local) {
+        let reply = PlanReply::from_json(&Json::parse(&replies[reply].2).unwrap());
+        let reply = reply.unwrap();
+        assert_eq!(reply.fingerprint, local.plan.fingerprint());
+        assert_eq!(reply.fallback, local.fallback);
+        assert_eq!(reply.reason, reason_str(local.reason));
+        assert_eq!(reply.selected_step, local.selected_step);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// However the bytes of a valid request stream are split across writes,
+    /// the replies are the same.
+    #[test]
+    fn replies_do_not_depend_on_where_the_stream_is_split(
+        cuts in prop::collection::vec(0usize..100_000, 0..8),
+    ) {
+        let stream = request_stream();
+        let whole = replies_to(&stream, &[]);
+        prop_assert_eq!(whole.len(), 7);
+        prop_assert_eq!(replies_to(&stream, &cuts), whole);
+    }
+}
