@@ -1,14 +1,12 @@
 //! Benchmark crate: criterion micro-benchmarks (`benches/micro.rs`) and one
 //! binary per paper table/figure (`src/bin/*`).
 //!
-//! Binaries read three environment variables so the same targets serve both
+//! Binaries read two environment variables so the same targets serve both
 //! smoke runs and fuller reproductions:
 //!
 //! * `FOSS_SCALE` — workload row-count multiplier (default 1.0, the full
 //!   generator size; the chunked executor makes this the practical default);
-//! * `FOSS_ROUNDS` — training rounds / iterations (default 3);
-//! * `FOSS_EXEC` — executor engine: `chunked` (default) or `scalar` (the
-//!   row-at-a-time differential-testing reference).
+//! * `FOSS_ROUNDS` — training rounds / iterations (default 3).
 
 pub mod cli;
 pub mod lint;
@@ -18,9 +16,7 @@ use criterion::Criterion;
 use foss_common::QueryId;
 use foss_core::encoding::PlanEncoder;
 use foss_core::{AdvantageModel, Foss, FossConfig};
-use foss_executor::{
-    CachingExecutor, EvictionPolicy, ExecMode, Executor, FusedPipeline, ParallelConfig,
-};
+use foss_executor::{CachingExecutor, EvictionPolicy, ExecMode, Executor, FusedPipeline};
 use foss_harness::table1::RunConfig;
 use foss_nn::{Graph, Linear, Matrix, ParamSet};
 use foss_optimizer::{AccessPath, Icp, JoinMethod, PhysicalPlan, PlanNode};
@@ -44,19 +40,11 @@ pub fn run_config_from_env() -> RunConfig {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(3);
-    let exec_mode = match std::env::var("FOSS_EXEC").ok().as_deref() {
-        None | Some("") | Some("chunked") => ExecMode::Chunked,
-        Some("scalar") => ExecMode::Scalar,
-        // Fail loudly: silently falling back would make a differential
-        // replay compare two identical chunked runs.
-        Some(other) => panic!("FOSS_EXEC must be `chunked` or `scalar`, got `{other}`"),
-    };
     RunConfig {
         spec: WorkloadSpec { seed: 42, scale },
         baseline_rounds: rounds,
         foss_iterations: rounds,
         foss_episodes: 30 * rounds,
-        exec_mode,
     }
 }
 
@@ -194,26 +182,6 @@ pub fn micro_suite(c: &mut Criterion) {
     let (skew_query, skew_plan) = hash_join_skewed_case(&skew);
     c.bench_function("exec/hash_join_skewed", |b| {
         b.iter(|| black_box(skew_exec.execute(&skew_query, &skew_plan, None).unwrap()))
-    });
-
-    // Morsel-driven parallel twins: the same filtered scan and skewed hash
-    // join on a 4-worker executor. Results and metered latency are
-    // bit-identical to the single-threaded runs above by construction, so
-    // wall-clock is the only thing these can move; the ratio to their
-    // single-threaded counterparts is the intra-query scaling figure
-    // (≈1× on a single-core host, grows with available cores). The
-    // partitioned join keeps the Zipf hot keys on the broadcast path.
-    let par4 = ParallelConfig {
-        workers: 4,
-        ..ParallelConfig::sequential()
-    };
-    let par_scan = Executor::new(&full.db, cost).with_parallelism(par4);
-    c.bench_function("exec/parallel_scan", |b| {
-        b.iter(|| black_box(par_scan.execute(&scan_query, &scan_plan, None).unwrap()))
-    });
-    let par_skew = Executor::new(&skew.db, skew_cost).with_parallelism(par4);
-    c.bench_function("exec/hash_join_partitioned", |b| {
-        b.iter(|| black_box(par_skew.execute(&skew_query, &skew_plan, None).unwrap()))
     });
 
     // Eviction-policy overhead on a skewed serving-style stream: a 4-plan
@@ -522,13 +490,11 @@ mod tests {
     fn env_config_defaults() {
         std::env::remove_var("FOSS_SCALE");
         std::env::remove_var("FOSS_ROUNDS");
-        std::env::remove_var("FOSS_EXEC");
         let cfg = run_config_from_env();
         assert_eq!(cfg.baseline_rounds, 3);
         assert!(
             (cfg.spec.scale - 1.0).abs() < 1e-9,
             "generators default to full scale"
         );
-        assert_eq!(cfg.exec_mode, ExecMode::Chunked);
     }
 }

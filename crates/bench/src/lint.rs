@@ -3,9 +3,10 @@
 //! Three rules, each encoding an invariant this repo actually relies on:
 //!
 //! * **panic-habits** (`A`) — no `.unwrap()` / `.expect(` / `panic!(` in
-//!   `crates/service` or `crates/executor/src/fused.rs` non-test code.
-//!   The serving layer (and the tier-2 fused engine it dispatches to) must
-//!   degrade (fallback, shed, wire error), never abort a worker thread.
+//!   `crates/service` or `crates/executor/src/{fused,probe}.rs` non-test
+//!   code. The serving layer (and the tier-2 fused engine it dispatches to,
+//!   with the join kernels that engine runs) must degrade (fallback, shed,
+//!   wire error), never abort a worker thread.
 //! * **sync-facade** (`B`) — no direct `std::sync` lock/atomic imports and
 //!   no `parking_lot` anywhere outside the `foss_common::sync` facade, the
 //!   `crates/analysis` checker (which implements the shims) and the vendor
@@ -195,10 +196,13 @@ const PANIC_PATTERNS: &[(&str, &str)] = &[
 ];
 
 /// Paths rule A covers: the whole serving layer, plus the tier-2 fused
-/// engine — it runs inside serving threads on the latency path, so it must
-/// degrade (decline to compile, return `FossError`) rather than abort.
+/// engine and the join kernels it drives — they run inside serving threads
+/// on the latency path, so they must degrade (decline to compile, return
+/// `FossError`) rather than abort.
 fn panic_rule_applies(rel_path: &str) -> bool {
-    rel_path.starts_with("crates/service/") || rel_path == "crates/executor/src/fused.rs"
+    rel_path.starts_with("crates/service/")
+        || rel_path == "crates/executor/src/fused.rs"
+        || rel_path == "crates/executor/src/probe.rs"
 }
 
 /// Rule A: panic habits in `crates/service` (and the fused tier-2 engine)
@@ -450,12 +454,14 @@ mod tests {
         let found = scan_panic_habits("crates/service/src/lib.rs", src);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].line, 2);
-        // The fused tier-2 engine is in scope too; the rest of the
-        // executor crate is not.
-        assert_eq!(
-            scan_panic_habits("crates/executor/src/fused.rs", src).len(),
-            1
-        );
+        // The fused tier-2 engine and its join kernels are in scope too;
+        // the rest of the executor crate is not.
+        for path in [
+            "crates/executor/src/fused.rs",
+            "crates/executor/src/probe.rs",
+        ] {
+            assert_eq!(scan_panic_habits(path, src).len(), 1, "{path}");
+        }
         assert!(scan_panic_habits("crates/executor/src/exec.rs", src).is_empty());
         // Same source outside crates/service is out of scope for rule A.
         assert!(scan_panic_habits("crates/core/src/lib.rs", src).is_empty());

@@ -20,6 +20,6 @@ pub use error::{FossError, Result};
 pub use faults::{FaultPlan, FaultPlanBuilder, FaultRule, FaultSite, FaultStats, FAULT_SITES};
 pub use hash::{fx_hash_one, FxHashMap, FxHashSet};
 pub use ids::{ColumnId, QueryId, TableId};
-pub use par::{env_workers, run_morsels, run_sharded};
+pub use par::run_sharded;
 pub use rng::SeedStream;
 pub use stats::percentile;

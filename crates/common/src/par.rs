@@ -5,6 +5,7 @@
 //! depend only on the input size — never on the host's core count — run the
 //! shards on scoped threads, and consume the results **in shard order** so
 //! the merged outcome is bit-for-bit reproducible regardless of scheduling.
+//! Plan execution is not one of them: an operator never fans out.
 
 /// Run `work(0..shards)` on scoped worker threads and return the results in
 /// shard order. With zero or one shard no thread is spawned — the closure
@@ -33,73 +34,6 @@ where
     })
 }
 
-/// Run `work(0..count)` on a pool of at most `workers` scoped threads fed by
-/// a shared atomic morsel counter, and return the results in **morsel
-/// order** regardless of which worker picked up which morsel.
-///
-/// This extends [`run_sharded`]'s discipline to the morsel-driven executor:
-/// morsel boundaries come from the input size alone, workers race only over
-/// *which* morsel they grab next, and the index-ordered merge makes the
-/// collected output independent of scheduling. With one worker (or one
-/// morsel) everything runs inline on the caller's thread.
-pub fn run_morsels<T, F>(workers: usize, count: usize, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if workers <= 1 || count <= 1 {
-        return (0..count).map(&work).collect();
-    }
-    use crate::sync::atomic::{AtomicUsize, Ordering};
-    let next = AtomicUsize::new(0);
-    let spawn = workers.min(count);
-    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..spawn)
-            .map(|_| {
-                let work = &work;
-                let next = &next;
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        done.push((i, work(i)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, value) in h.join().expect("morsel worker panicked") {
-                slots[i] = Some(value);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("morsel result missing"))
-        .collect()
-}
-
-/// Worker count for the parallel executor paths, from the `FOSS_WORKERS`
-/// environment variable. Defaults to 1 (sequential) when unset or
-/// unparsable; the value is read once and cached for the process lifetime
-/// so concurrent readers always agree.
-pub fn env_workers() -> usize {
-    use std::sync::OnceLock;
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        std::env::var("FOSS_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&w| w >= 1)
-            .unwrap_or(1)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,25 +48,5 @@ mod tests {
     fn zero_and_single_shard_run_inline() {
         assert_eq!(run_sharded(0, |si| si), Vec::<usize>::new());
         assert_eq!(run_sharded(1, |si| si + 5), vec![5]);
-    }
-
-    #[test]
-    fn morsel_results_arrive_in_morsel_order() {
-        for workers in [1, 2, 3, 8] {
-            let out = run_morsels(workers, 37, |i| i * 3);
-            assert_eq!(out, (0..37).map(|i| i * 3).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn morsel_pool_caps_threads_at_count() {
-        // More workers than morsels must not panic or drop results.
-        let out = run_morsels(16, 3, |i| i + 1);
-        assert_eq!(out, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn zero_morsels_yield_empty() {
-        assert_eq!(run_morsels(4, 0, |i| i), Vec::<usize>::new());
     }
 }

@@ -9,9 +9,9 @@
 //! [`Executor::execute_agg`]) and folding them into per-group accumulators.
 //!
 //! The aggregation is engine-independent: it runs over the final tuple set,
-//! which both [`crate::exec::ExecMode`]s (and every worker count) produce
-//! byte-identically, and its meter charges accrue in one fixed order — so
-//! latency stays bit-identical across engines with the aggregate attached.
+//! which both [`crate::exec::ExecMode`]s produce byte-identically, and its
+//! meter charges accrue in one fixed order — so latency stays bit-identical
+//! across engines with the aggregate attached.
 
 use foss_common::{FxHashMap, Result};
 use foss_query::{AggFunc, AggSpec, ColRef, Query};

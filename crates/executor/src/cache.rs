@@ -289,17 +289,6 @@ impl CachingExecutor {
         }
     }
 
-    /// Replace the executor engine (chainable), so the cache-shape
-    /// constructors compose with the engine choice — e.g. a bounded LRU
-    /// cache over the scalar reference:
-    /// `CachingExecutor::with_capacity_policy(db, cost, 16, EvictionPolicy::Lru)
-    ///     .with_exec_mode(ExecMode::Scalar)`.
-    #[must_use]
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// The executor engine misses run on.
     pub fn mode(&self) -> ExecMode {
         self.mode
@@ -774,14 +763,13 @@ mod tests {
         let (db, opt, q) = setup();
         let plan = opt.optimize(&q).unwrap();
         let chunked = CachingExecutor::new(Arc::new(db.clone()), *opt.cost_model());
-        let cx = CachingExecutor::with_capacity_policy(
+        let mut cx = CachingExecutor::with_capacity_policy(
             Arc::new(db.clone()),
             *opt.cost_model(),
             4,
             EvictionPolicy::Lru,
-        )
-        .with_exec_mode(ExecMode::Scalar);
-        assert_eq!(cx.mode(), ExecMode::Scalar);
+        );
+        cx.mode = ExecMode::Scalar;
         // The engines are bit-identical, so a scalar miss fills the cache
         // with exactly what the chunked engine would have produced.
         assert_eq!(

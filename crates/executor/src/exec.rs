@@ -7,7 +7,9 @@
 //!   predicates column-at-a-time over contiguous slices and refine a
 //!   selection vector; joins hoist key columns out of the loop, gather probe
 //!   keys into chunk-local buffers, and emit (project) matched tuples in
-//!   bulk. The `COUNT(*)` aggregate at the root is the chunk count folded in
+//!   bulk. The hash build+probe and index nested-loop loops are the shared
+//!   kernels in `crate::probe`, which the fused tier runs too. The
+//!   `COUNT(*)` aggregate at the root is the chunk count folded in
 //!   [`Executor::execute`].
 //! * **Scalar** — the reference row-at-a-time interpreter, kept for
 //!   differential testing (see the chunked-vs-scalar property tests).
@@ -21,6 +23,7 @@
 use foss_common::{FossError, Result};
 use foss_optimizer::{AccessPath, CostModel, JoinMethod, PhysicalPlan, PlanNode};
 use foss_query::{JoinEdge, Predicate, Query};
+use foss_storage::{HashIndex, Table};
 
 use crate::database::Database;
 
@@ -35,57 +38,6 @@ pub enum ExecMode {
     Chunked,
     /// Row-at-a-time reference interpreter (differential-testing flag).
     Scalar,
-}
-
-/// Intra-query parallelism knobs for the chunked engine.
-///
-/// Worker threads pull [`CHUNK_SIZE`]-aligned morsels off a shared queue;
-/// morsel boundaries depend only on the input size (never on host cores), and
-/// a shard-ordered merge replays the sequential engine's exact floating-point
-/// charge sequence, so results **and** metered latency are bit-identical for
-/// every worker count — including timeouts. `workers == 1` (the default
-/// unless `FOSS_WORKERS` is set) keeps every operator on the caller's thread.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ParallelConfig {
-    /// Worker threads for parallel operators (1 = sequential).
-    pub workers: usize,
-    /// Chunks per morsel; the queue hands out `morsel_chunks * CHUNK_SIZE`
-    /// rows at a time.
-    pub morsel_chunks: usize,
-    /// Build-side keys owning at least this fraction of the build rows are
-    /// broadcast to every probe worker instead of hashed into one partition.
-    pub hot_key_fraction: f64,
-    /// Absolute row-count floor for hot-key broadcast (small builds never
-    /// pay the replication bookkeeping).
-    pub hot_key_min: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        Self {
-            workers: foss_common::env_workers(),
-            morsel_chunks: 8,
-            hot_key_fraction: 1.0 / 64.0,
-            hot_key_min: 64,
-        }
-    }
-}
-
-impl ParallelConfig {
-    /// A config that keeps execution on the calling thread regardless of
-    /// `FOSS_WORKERS`.
-    pub fn sequential() -> Self {
-        Self {
-            workers: 1,
-            ..Self::default()
-        }
-    }
-
-    /// Rows per morsel (always a multiple of [`CHUNK_SIZE`], so morsel
-    /// boundaries coincide with the sequential engine's chunk boundaries).
-    pub fn morsel_rows(&self) -> usize {
-        self.morsel_chunks.max(1) * CHUNK_SIZE
-    }
 }
 
 /// Result of executing a plan.
@@ -165,7 +117,6 @@ pub struct Executor<'a> {
     db: &'a Database,
     pub(crate) cost: CostModel,
     mode: ExecMode,
-    pub(crate) par: ParallelConfig,
 }
 
 pub(crate) struct WorkMeter {
@@ -192,6 +143,11 @@ impl WorkMeter {
 /// the loop, and rows are written branchlessly (unconditional store, the
 /// cursor advances by the predicate bit) so selectivity near 50% doesn't
 /// stall the pipeline on mispredictions.
+///
+/// Out of line on purpose, like [`refine_selection`]: each has one hot caller,
+/// so LLVM would inline them into `exec_scan`, where the same loops compile
+/// about 40% slower (`exec/scan_filter` 33 → 47 µs on the 2-core box).
+#[inline(never)]
 pub(crate) fn filter_chunk(
     pred: &Predicate,
     col: &[i64],
@@ -261,7 +217,9 @@ impl BatchCharge {
 }
 
 /// Refine a selection vector in place by `pred` over `col`, with the same
-/// branchless compaction as [`filter_chunk`].
+/// branchless compaction as [`filter_chunk`] (and out of line for the same
+/// reason).
+#[inline(never)]
 pub(crate) fn refine_selection(pred: &Predicate, col: &[i64], sel: &mut Vec<u32>) {
     let mut n = 0usize;
     match *pred {
@@ -293,43 +251,13 @@ impl<'a> Executor<'a> {
 
     /// Executor with an explicit engine (`ExecMode::Scalar` keeps the
     /// row-at-a-time reference path for differential testing).
-    ///
-    /// The chunked engine picks its worker count up from the `FOSS_WORKERS`
-    /// environment variable (default 1); [`Executor::with_parallelism`]
-    /// overrides it. The scalar reference never parallelises.
     pub fn with_mode(db: &'a Database, cost: CostModel, mode: ExecMode) -> Self {
-        Self {
-            db,
-            cost,
-            mode,
-            par: ParallelConfig::default(),
-        }
-    }
-
-    /// Replace the parallelism knobs (chainable). Results and latency are
-    /// bit-identical for every configuration; this only changes how the work
-    /// is scheduled.
-    #[must_use]
-    pub fn with_parallelism(mut self, par: ParallelConfig) -> Self {
-        self.par = par;
-        self
+        Self { db, cost, mode }
     }
 
     /// The engine this executor dispatches to.
     pub fn mode(&self) -> ExecMode {
         self.mode
-    }
-
-    /// The parallelism knobs the chunked engine runs under.
-    pub fn parallelism(&self) -> ParallelConfig {
-        self.par
-    }
-
-    /// True when `rows` is large enough (at least two morsels) for the
-    /// morsel queue to beat inline execution.
-    #[inline]
-    pub(crate) fn par_eligible(&self, rows: usize) -> bool {
-        self.par.workers > 1 && rows >= 2 * self.par.morsel_rows()
     }
 
     /// Execute `plan` for `query`.
@@ -372,8 +300,7 @@ impl<'a> Executor<'a> {
     /// a global `COUNT(*)`) chunk at a time. The returned outcome's
     /// `latency` includes the aggregation charges and its `rows` counts the
     /// aggregate's *output* groups; the fold runs over the final tuple set,
-    /// so the result and latency stay bit-identical across [`ExecMode`]s
-    /// and worker counts.
+    /// so the result and latency stay bit-identical across [`ExecMode`]s.
     pub fn execute_agg(
         &self,
         query: &Query,
@@ -474,12 +401,6 @@ impl<'a> Executor<'a> {
                             .iter()
                             .map(|pr| table.column(pr.column()).values())
                             .collect();
-                        if !preds.is_empty() && self.par_eligible(n) {
-                            // The scan's whole charge is already on the
-                            // meter; filtering is embarrassingly parallel
-                            // and chunk outputs concatenate in chunk order.
-                            return Ok(crate::parallel::par_filter_scan(self.par, preds, &cols, n));
-                        }
                         let mut sel: Vec<u32> = Vec::with_capacity(CHUNK_SIZE);
                         for start in (0..n).step_by(CHUNK_SIZE) {
                             let end = (start + CHUNK_SIZE).min(n);
@@ -601,7 +522,7 @@ impl<'a> Executor<'a> {
 
     /// Hoisted column slices for the non-key join conditions:
     /// `(outer slot, outer column, inner column)` per extra edge.
-    pub(crate) fn extra_edge_columns(
+    fn extra_edge_columns(
         &self,
         query: &Query,
         outer: &RowSet,
@@ -619,6 +540,28 @@ impl<'a> Executor<'a> {
                 )
             })
             .collect()
+    }
+
+    /// `outer` as the probe side of the chunked join kernels
+    /// ([`crate::probe`]), keyed by `edges[0]`.
+    fn probe_side<'o>(
+        &self,
+        query: &Query,
+        outer: &'o RowSet,
+        inner_rel: usize,
+        edges: &[JoinEdge],
+    ) -> crate::probe::Outer<'o>
+    where
+        'a: 'o,
+    {
+        let key = edges[0];
+        crate::probe::Outer {
+            data: &outer.data,
+            stride: outer.stride(),
+            key_slot: outer.slot_of(key.left),
+            key_col: self.column_slice(query, key.left, key.left_column),
+            extra: self.extra_edge_columns(query, outer, inner_rel, edges),
+        }
     }
 
     fn hash_join(
@@ -639,14 +582,17 @@ impl<'a> Executor<'a> {
         let out = match self.mode {
             ExecMode::Scalar => self.hash_probe_scalar(query, &outer, &inner, edges, meter)?,
             ExecMode::Chunked => {
-                // The morsel-parallel probe declines (`None`) when the input
-                // is too small or when output charges alone already
-                // guarantee a timeout; the sequential probe then handles it
-                // from the identical meter state.
-                match crate::parallel::try_hash_join(self, query, &outer, &inner, edges, meter)? {
-                    Some(data) => data,
-                    None => self.hash_probe_chunked(query, &outer, &inner, edges, meter)?,
-                }
+                let key = edges[0];
+                let mut out = Vec::new();
+                crate::probe::hash_join(
+                    &self.probe_side(query, &outer, inner_rel, edges),
+                    &inner.data,
+                    self.column_slice(query, inner_rel, key.right_column),
+                    &p,
+                    meter,
+                    |t, row| Self::emit(&mut out, t, row),
+                )?;
+                out
             }
         };
         let mut rels = outer.rels;
@@ -686,73 +632,6 @@ impl<'a> Executor<'a> {
                 if let Some(cands) = table.get(&lv) {
                     for &row in cands {
                         if self.check_extra_edges(query, outer, t, inner_rel, row, edges) {
-                            Self::emit(&mut out, t, row);
-                            emits.emitted(meter)?;
-                        }
-                    }
-                }
-            }
-            emits.flush(meter)?;
-        }
-        Ok(out)
-    }
-
-    /// Chunk-at-a-time single-threaded build + probe; output charges
-    /// accumulate in chunk quanta so runaway fan-out hits the budget
-    /// mid-chunk instead of after a whole chunk has materialised.
-    fn hash_probe_chunked(
-        &self,
-        query: &Query,
-        outer: &RowSet,
-        inner: &RowSet,
-        edges: &[JoinEdge],
-        meter: &mut WorkMeter,
-    ) -> Result<Vec<u32>> {
-        let p = self.cost.params;
-        let inner_rel = inner.rels[0];
-        let key = edges[0];
-        // Gather the build keys through one hoisted column slice.
-        let icol = self.column_slice(query, inner_rel, key.right_column);
-        let mut table: foss_common::FxHashMap<i64, Vec<u32>> = foss_common::FxHashMap::default();
-        for &row in &inner.data {
-            table.entry(icol[row as usize]).or_default().push(row);
-        }
-        let mut out = Vec::new();
-        let mut emits = BatchCharge::new(p.output_tuple);
-        let stride = outer.stride();
-        let lslot = outer.slot_of(key.left);
-        let n = outer.len();
-        let lcol = self.column_slice(query, key.left, key.left_column);
-        let extra = self.extra_edge_columns(query, outer, inner_rel, edges);
-        let mut keys: Vec<i64> = Vec::with_capacity(CHUNK_SIZE);
-        for start in (0..n).step_by(CHUNK_SIZE) {
-            let end = (start + CHUNK_SIZE).min(n);
-            meter.charge((end - start) as f64 * p.hash_probe)?;
-            // Columnar gather of the probe keys for this chunk.
-            keys.clear();
-            keys.extend(
-                outer.data[start * stride..end * stride]
-                    .iter()
-                    .skip(lslot)
-                    .step_by(stride)
-                    .map(|&r| lcol[r as usize]),
-            );
-            for (off, lv) in keys.iter().enumerate() {
-                let Some(cands) = table.get(lv) else { continue };
-                let i = start + off;
-                let t = &outer.data[i * stride..(i + 1) * stride];
-                if extra.is_empty() {
-                    // Pure projection: bulk-copy each match.
-                    for &row in cands {
-                        Self::emit(&mut out, t, row);
-                        emits.emitted(meter)?;
-                    }
-                } else {
-                    for &row in cands {
-                        if extra
-                            .iter()
-                            .all(|&(slot, lc, rc)| lc[t[slot] as usize] == rc[row as usize])
-                        {
                             Self::emit(&mut out, t, row);
                             emits.emitted(meter)?;
                         }
@@ -884,18 +763,6 @@ impl<'a> Executor<'a> {
     ) -> Result<RowSet> {
         let p = self.cost.params;
         let inner_rel = inner.rels[0];
-        if self.mode == ExecMode::Chunked {
-            // The morsel-parallel path pre-computes how far the per-chunk
-            // pair charges can reach under the budget, so even catastrophic
-            // loops do bounded work; it declines (`None`) on small inputs.
-            if let Some(data) =
-                crate::parallel::try_nl_join(self, query, &outer, &inner, edges, meter)?
-            {
-                let mut rels = outer.rels;
-                rels.push(inner_rel);
-                return Ok(RowSet::bare(rels, data));
-            }
-        }
         let stride = outer.stride();
         let n = outer.len();
         let mut out = Vec::new();
@@ -991,6 +858,23 @@ impl<'a> Executor<'a> {
         Ok(RowSet::bare(rels, out))
     }
 
+    /// The inner side of an index nested loop keyed on `right_col` of
+    /// `inner_rel`: its table, the hash index on that column, and the charge
+    /// for one descent into it.
+    pub(crate) fn index_nl_inner(
+        &self,
+        query: &Query,
+        inner_rel: usize,
+        right_col: usize,
+    ) -> Result<(&'a Table, &'a HashIndex, f64)> {
+        let table = self.db.table(query.relations[inner_rel].table);
+        let index = table.hash_index(right_col).ok_or_else(|| {
+            FossError::InvalidPlan(format!("index nested loop on unindexed column {right_col}"))
+        })?;
+        let descent = self.cost.index_descent(table.row_count() as f64);
+        Ok((table, index, descent))
+    }
+
     fn index_nl_join(
         &self,
         query: &Query,
@@ -1003,41 +887,31 @@ impl<'a> Executor<'a> {
         let key = *edges.first().ok_or_else(|| {
             FossError::InvalidPlan("index nested loop requires a join edge".into())
         })?;
-        let relation = &query.relations[inner_rel];
-        let table = self.db.table(relation.table);
-        let index = table.hash_index(key.right_column).ok_or_else(|| {
-            FossError::InvalidPlan(format!(
-                "index nested loop on unindexed column {}",
-                key.right_column
-            ))
-        })?;
-        let descent = p.index_probe + 0.3 * (table.row_count() as f64).max(2.0).log2();
-        let preds = &relation.predicates;
-        let stride = outer.stride();
-        let lslot = outer.slot_of(key.left);
-        let n = outer.len();
+        let (table, index, descent) = self.index_nl_inner(query, inner_rel, key.right_column)?;
+        let preds = &query.relations[inner_rel].predicates;
         let mut out = Vec::new();
-        type InlHoisted<'c> = (&'c [i64], Vec<&'c [i64]>, EdgeCols<'c>);
-        let hoisted: Option<InlHoisted<'_>> = match self.mode {
-            ExecMode::Scalar => None,
-            ExecMode::Chunked => Some((
-                self.column_slice(query, key.left, key.left_column),
-                preds
-                    .iter()
-                    .map(|pr| table.column(pr.column()).values())
-                    .collect(),
-                self.extra_edge_columns(query, &outer, inner_rel, edges),
-            )),
-        };
-        // Fetched index rows and emitted tuples both accrue in chunk quanta:
-        // a hot probe key with huge fan-out runs into the budget mid-chunk.
-        let mut fetches = BatchCharge::new(p.index_fetch + p.pred_eval * preds.len() as f64);
-        let mut emits = BatchCharge::new(p.output_tuple);
-        for start in (0..n).step_by(CHUNK_SIZE) {
-            let end = (start + CHUNK_SIZE).min(n);
-            meter.charge((end - start) as f64 * descent)?;
-            match &hoisted {
-                None => {
+        match self.mode {
+            ExecMode::Chunked => {
+                crate::probe::index_nl_join(
+                    &self.probe_side(query, &outer, inner_rel, edges),
+                    table,
+                    index,
+                    preds,
+                    descent,
+                    &p,
+                    meter,
+                    |t, row| Self::emit(&mut out, t, row),
+                )?;
+            }
+            ExecMode::Scalar => {
+                let lslot = outer.slot_of(key.left);
+                let n = outer.len();
+                let mut fetches =
+                    BatchCharge::new(p.index_fetch + p.pred_eval * preds.len() as f64);
+                let mut emits = BatchCharge::new(p.output_tuple);
+                for start in (0..n).step_by(CHUNK_SIZE) {
+                    let end = (start + CHUNK_SIZE).min(n);
+                    meter.charge((end - start) as f64 * descent)?;
                     for i in start..end {
                         let t = outer.tuple(i);
                         let lv = self.value(query, key.left, key.left_column, t[lslot]);
@@ -1056,33 +930,10 @@ impl<'a> Executor<'a> {
                             emits.emitted(meter)?;
                         }
                     }
-                }
-                Some((lcol, pcols, extra)) => {
-                    for i in start..end {
-                        let t = &outer.data[i * stride..(i + 1) * stride];
-                        let lv = lcol[t[lslot] as usize];
-                        let fetched = index.lookup(lv);
-                        fetches.add(fetched.len(), meter)?;
-                        'cfetch: for &row in fetched {
-                            for (pr, col) in preds.iter().zip(pcols) {
-                                if !pr.matches(col[row as usize]) {
-                                    continue 'cfetch;
-                                }
-                            }
-                            if !extra
-                                .iter()
-                                .all(|&(slot, lc, rc)| lc[t[slot] as usize] == rc[row as usize])
-                            {
-                                continue;
-                            }
-                            Self::emit(&mut out, t, row);
-                            emits.emitted(meter)?;
-                        }
-                    }
+                    fetches.flush(meter)?;
+                    emits.flush(meter)?;
                 }
             }
-            fetches.flush(meter)?;
-            emits.flush(meter)?;
         }
         let mut rels = outer.rels;
         rels.push(inner_rel);
@@ -1237,69 +1088,6 @@ mod tests {
         }
     }
 
-    /// The morsel-parallel engine is bit-identical to the single-threaded
-    /// chunked engine on every (order, method) variant — results, latency,
-    /// and timeout accounting — at several worker counts, including a config
-    /// that force-broadcasts every build key.
-    #[test]
-    fn parallel_matches_sequential_on_all_plan_variants() {
-        let (db, opt, q) = setup_sized(3000, 9000);
-        let seq =
-            Executor::new(&db, *opt.cost_model()).with_parallelism(ParallelConfig::sequential());
-        let configs = [
-            ParallelConfig {
-                workers: 2,
-                morsel_chunks: 1,
-                ..ParallelConfig::default()
-            },
-            ParallelConfig {
-                workers: 4,
-                morsel_chunks: 1,
-                ..ParallelConfig::default()
-            },
-            // Forced hot-key replication: every key broadcast.
-            ParallelConfig {
-                workers: 3,
-                morsel_chunks: 1,
-                hot_key_fraction: 0.0,
-                hot_key_min: 1,
-            },
-        ];
-        for order in [vec![0usize, 1], vec![1, 0]] {
-            for m in ALL_JOIN_METHODS {
-                let icp = Icp::new(order.clone(), vec![m]).unwrap();
-                let plan = opt.optimize_with_hint(&q, &icp).unwrap();
-                let (so, sr) = seq.execute_rows(&q, &plan, None).unwrap();
-                let tight = Some(so.latency / 3.0);
-                let FossError::Timeout {
-                    spent: ss,
-                    budget: sb,
-                } = seq.execute_rows(&q, &plan, tight).unwrap_err()
-                else {
-                    panic!("expected sequential timeout")
-                };
-                for cfg in configs {
-                    let par = Executor::new(&db, *opt.cost_model()).with_parallelism(cfg);
-                    let (po, pr) = par.execute_rows(&q, &plan, None).unwrap();
-                    assert_eq!(so, po, "outcome diverged: {order:?} {m} {cfg:?}");
-                    assert_eq!(sr, pr, "tuples diverged: {order:?} {m} {cfg:?}");
-                    let FossError::Timeout {
-                        spent: ps,
-                        budget: pb,
-                    } = par.execute_rows(&q, &plan, tight).unwrap_err()
-                    else {
-                        panic!("expected parallel timeout: {order:?} {m} {cfg:?}")
-                    };
-                    assert_eq!(
-                        (ss, sb),
-                        (ps, pb),
-                        "timeout diverged: {order:?} {m} {cfg:?}"
-                    );
-                }
-            }
-        }
-    }
-
     /// Timeouts report identical spent work in both engines.
     #[test]
     fn chunked_matches_scalar_on_timeout() {
@@ -1395,54 +1183,6 @@ mod tests {
         assert_eq!(rc, rs);
         // ids 100..=4200 with id % 3 == 2 → 1367 rows.
         assert_eq!(oc.rows, (100..=4200).filter(|i| i % 3 == 2).count() as u64);
-    }
-
-    /// The morsel-parallel filter scan returns the same row ids in the same
-    /// order (and the same latency bits) as the sequential chunked scan.
-    #[test]
-    fn parallel_scan_matches_sequential() {
-        let (db, opt, _) = setup_sized(50_000, 16);
-        let schema = db.schema().clone();
-        let mut qb = QueryBuilder::new(QueryId::new(7), 1);
-        let ra = qb.relation(schema.table_id("a").unwrap(), "a");
-        qb.predicate(
-            ra,
-            Predicate::Range {
-                column: 0,
-                lo: 1_000,
-                hi: 44_000,
-            },
-        );
-        qb.predicate(
-            ra,
-            Predicate::Eq {
-                column: 1,
-                value: 1,
-            },
-        );
-        let q = qb.build(&schema).unwrap();
-        let plan = PhysicalPlan {
-            root: PlanNode::Scan {
-                relation: 0,
-                access: AccessPath::SeqScan,
-                est_rows: 0.0,
-                est_cost: 0.0,
-            },
-        };
-        let seq =
-            Executor::new(&db, *opt.cost_model()).with_parallelism(ParallelConfig::sequential());
-        let (so, sr) = seq.execute_rows(&q, &plan, None).unwrap();
-        for workers in [2, 4, 7] {
-            let par = Executor::new(&db, *opt.cost_model()).with_parallelism(ParallelConfig {
-                workers,
-                morsel_chunks: 2,
-                ..ParallelConfig::default()
-            });
-            let (po, pr) = par.execute_rows(&q, &plan, None).unwrap();
-            assert_eq!(so.latency.to_bits(), po.latency.to_bits());
-            assert_eq!(so, po);
-            assert_eq!(sr, pr, "scan rows diverged at {workers} workers");
-        }
     }
 
     #[test]
@@ -1555,18 +1295,10 @@ mod tests {
         let plan = opt.optimize(&q).unwrap();
         let chunked = Executor::new(&db, *opt.cost_model());
         let scalar = Executor::with_mode(&db, *opt.cost_model(), ExecMode::Scalar);
-        let par = Executor::new(&db, *opt.cost_model()).with_parallelism(ParallelConfig {
-            workers: 3,
-            morsel_chunks: 1,
-            ..ParallelConfig::default()
-        });
         let (oc, rc) = chunked.execute_agg(&q, &plan, None).unwrap();
         let (os, rs) = scalar.execute_agg(&q, &plan, None).unwrap();
-        let (op, rp) = par.execute_agg(&q, &plan, None).unwrap();
         assert_eq!(rc, rs);
-        assert_eq!(rc, rp);
         assert_eq!(oc.latency.to_bits(), os.latency.to_bits());
-        assert_eq!(oc.latency.to_bits(), op.latency.to_bits());
     }
 
     #[test]

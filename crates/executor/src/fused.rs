@@ -11,10 +11,10 @@
 //! flattens a supported plan into a stage program with every slot, key
 //! column and emit layout pre-resolved, and rejects (returns `None`)
 //! anything else so the caller falls back to the interpreter. Execution
-//! then replays the stages with specialised loops and, in count mode
-//! ([`FusedPipeline::execute`]), materialises only the row-id columns later
-//! stages actually read — the final join emits nothing at all, it only
-//! counts.
+//! then drives the stages through the interpreter's own join kernels
+//! (`crate::probe`) and, in count mode ([`FusedPipeline::execute`]),
+//! materialises only the row-id columns later stages actually read — the
+//! final join emits nothing at all, it only counts.
 //!
 //! # Supported shapes
 //!
@@ -30,25 +30,27 @@
 //!
 //! Latency here is deterministic metered work, and floating-point addition
 //! is not associative, so "about the same charges" would change trained
-//! behaviour. The pipeline therefore replays the interpreter's exact charge
-//! sequence: scan charges from the shared scan implementation, one
-//! `rows × hash_build` per build side, one `chunk_rows × hash_probe` per
-//! probe chunk, one batched output charge per emitted tuple and a flush per
-//! chunk — in the same order, against the same meter. Timeout abort points
-//! (the `spent`/`budget` pair in [`foss_common::FossError::Timeout`]) are
-//! bit-identical too; the differential proptests in
+//! behaviour. The pipeline therefore does not re-implement the charges: scan
+//! charges come from the shared scan implementation, it charges one
+//! `rows × hash_build` per build side exactly where the interpreter does,
+//! and everything per chunk — the probe or index-descent charge, the batched
+//! fetch and output charges, the flush — happens inside the kernels both
+//! engines call; only what an emitted tuple *keeps* differs. Timeout abort
+//! points (the `spent`/`budget` pair in [`foss_common::FossError::Timeout`])
+//! are bit-identical too; the differential proptests in
 //! `tests/tiered_equivalence.rs` hold all of this across every workload.
 //!
 //! This module is on the serving path and must stay panic-free
 //! (`foss-lint` enforces the no-`unwrap`/`expect`/`panic!` rule here, as it
 //! does for `crates/service`).
 
-use foss_common::{FossError, FxHashMap, Result};
+use foss_common::Result;
 use foss_optimizer::{AccessPath, CostModel, JoinMethod, PhysicalPlan, PlanNode};
 use foss_query::Query;
 
 use crate::database::Database;
-use crate::exec::{BatchCharge, ExecMode, ExecOutcome, Executor, RowSet, WorkMeter, CHUNK_SIZE};
+use crate::exec::{ExecMode, ExecOutcome, Executor, RowSet, WorkMeter};
+use crate::probe::{self, Outer};
 
 /// The tier key for `(query, plan)` — see [`PhysicalPlan::shape_key`].
 /// Re-exported here so tier callers need only the executor crate.
@@ -116,6 +118,40 @@ struct JoinStage {
     /// Layout for count-mode execution: only the slots later stages read
     /// (empty for the last stage — it only counts).
     narrow: EmitView,
+}
+
+impl JoinStage {
+    /// Match the inner relation against `outer` on the shared join kernels
+    /// ([`crate::probe`]) — charge-for-charge the interpreter's `hash_join`
+    /// and `index_nl_join` — handing each match to `emit`.
+    fn join(
+        &self,
+        exec: &Executor<'_>,
+        query: &Query,
+        outer: &Outer<'_>,
+        meter: &mut WorkMeter,
+        emit: impl FnMut(&[u32], u32),
+    ) -> Result<()> {
+        let p = exec.cost.params;
+        match self.kind {
+            StageKind::Hash => {
+                let inner_rows =
+                    exec.exec_scan(query, self.inner.rel, &self.inner.access, meter)?;
+                meter.charge(inner_rows.len() as f64 * p.hash_build)?;
+                let icol = exec.column_slice(query, self.inner.rel, self.key_right_col);
+                probe::hash_join(outer, &inner_rows, icol, &p, meter, emit)
+            }
+            StageKind::IndexNl => {
+                // The inner is never scanned: rows come out of its hash
+                // index per outer tuple, with the relation's predicates
+                // filtering each fetch.
+                let (table, index, descent) =
+                    exec.index_nl_inner(query, self.inner.rel, self.key_right_col)?;
+                let preds = &query.relations[self.inner.rel].predicates;
+                probe::index_nl_join(outer, table, index, preds, descent, &p, meter, emit)
+            }
+        }
+    }
 }
 
 /// A plan shape compiled to a stage program. Immutable and `Send + Sync`;
@@ -345,7 +381,6 @@ impl FusedPipeline {
         // Leaf scans share the interpreter's implementation (and therefore
         // its charges) exactly; the fused win lives in the join chain.
         let exec = Executor::with_mode(db, cost, ExecMode::Chunked);
-        let p = cost.params;
 
         let mut current: Vec<u32> =
             exec.exec_scan(query, self.first.rel, &self.first.access, &mut meter)?;
@@ -358,139 +393,37 @@ impl FusedPipeline {
                 &stage.narrow
             };
             let count_only = !want_rows && si + 1 == self.stages.len();
-            let lcol = exec.column_slice(query, stage.key_left_rel, stage.key_left_col);
-            let extra: Vec<(usize, &[i64], &[i64])> = view
-                .extra
-                .iter()
-                .map(|&(slot, lrel, lc, rc)| {
-                    (
-                        slot,
-                        exec.column_slice(query, lrel, lc),
-                        exec.column_slice(query, stage.inner.rel, rc),
-                    )
-                })
-                .collect();
-
-            let stride = view.stride_in.max(1);
-            let n = current.len() / stride;
+            let outer = Outer {
+                data: &current,
+                stride: view.stride_in.max(1),
+                key_slot: view.lslot,
+                key_col: exec.column_slice(query, stage.key_left_rel, stage.key_left_col),
+                extra: view
+                    .extra
+                    .iter()
+                    .map(|&(slot, lrel, lc, rc)| {
+                        (
+                            slot,
+                            exec.column_slice(query, lrel, lc),
+                            exec.column_slice(query, stage.inner.rel, rc),
+                        )
+                    })
+                    .collect(),
+            };
             let mut out: Vec<u32> = Vec::new();
-            let mut count: u64 = 0;
-            let mut emits = BatchCharge::new(p.output_tuple);
-
-            match stage.kind {
-                StageKind::Hash => {
-                    let inner_rows =
-                        exec.exec_scan(query, stage.inner.rel, &stage.inner.access, &mut meter)?;
-                    meter.charge(inner_rows.len() as f64 * p.hash_build)?;
-                    let icol = exec.column_slice(query, stage.inner.rel, stage.key_right_col);
-                    let mut table: FxHashMap<i64, Vec<u32>> = FxHashMap::default();
-                    for &row in &inner_rows {
-                        table.entry(icol[row as usize]).or_default().push(row);
-                    }
-                    drop(inner_rows);
-
-                    let mut keys: Vec<i64> = Vec::with_capacity(CHUNK_SIZE);
-                    for start in (0..n).step_by(CHUNK_SIZE) {
-                        let end = (start + CHUNK_SIZE).min(n);
-                        meter.charge((end - start) as f64 * p.hash_probe)?;
-                        keys.clear();
-                        keys.extend(
-                            current[start * stride..end * stride]
-                                .iter()
-                                .skip(view.lslot)
-                                .step_by(stride)
-                                .map(|&r| lcol[r as usize]),
-                        );
-                        for (off, lv) in keys.iter().enumerate() {
-                            let Some(cands) = table.get(lv) else { continue };
-                            let i = start + off;
-                            let t = &current[i * stride..(i + 1) * stride];
-                            for &row in cands {
-                                if !extra
-                                    .iter()
-                                    .all(|&(slot, lc, rc)| lc[t[slot] as usize] == rc[row as usize])
-                                {
-                                    continue;
-                                }
-                                if count_only {
-                                    count += 1;
-                                } else {
-                                    for &kslot in &view.keep {
-                                        out.push(t[kslot]);
-                                    }
-                                    if view.keep_inner {
-                                        out.push(row);
-                                    }
-                                }
-                                emits.emitted(&mut meter)?;
-                            }
-                        }
-                        emits.flush(&mut meter)?;
-                    }
-                }
-                StageKind::IndexNl => {
-                    // The inner is never scanned: rows come out of its hash
-                    // index per outer tuple, with the relation's predicates
-                    // filtering each fetch — charge-for-charge the
-                    // interpreter's `index_nl_join`.
-                    let relation = &query.relations[stage.inner.rel];
-                    let table = db.table(relation.table);
-                    let index = table.hash_index(stage.key_right_col).ok_or_else(|| {
-                        FossError::InvalidPlan(format!(
-                            "index nested loop on unindexed column {}",
-                            stage.key_right_col
-                        ))
-                    })?;
-                    let descent = p.index_probe + 0.3 * (table.row_count() as f64).max(2.0).log2();
-                    let preds = &relation.predicates;
-                    let pcols: Vec<&[i64]> = preds
-                        .iter()
-                        .map(|pr| table.column(pr.column()).values())
-                        .collect();
-                    let mut fetches =
-                        BatchCharge::new(p.index_fetch + p.pred_eval * preds.len() as f64);
-                    for start in (0..n).step_by(CHUNK_SIZE) {
-                        let end = (start + CHUNK_SIZE).min(n);
-                        meter.charge((end - start) as f64 * descent)?;
-                        for i in start..end {
-                            let t = &current[i * stride..(i + 1) * stride];
-                            let lv = lcol[t[view.lslot] as usize];
-                            let fetched = index.lookup(lv);
-                            fetches.add(fetched.len(), &mut meter)?;
-                            'fetch: for &row in fetched {
-                                for (pr, col) in preds.iter().zip(&pcols) {
-                                    if !pr.matches(col[row as usize]) {
-                                        continue 'fetch;
-                                    }
-                                }
-                                if !extra
-                                    .iter()
-                                    .all(|&(slot, lc, rc)| lc[t[slot] as usize] == rc[row as usize])
-                                {
-                                    continue;
-                                }
-                                if count_only {
-                                    count += 1;
-                                } else {
-                                    for &kslot in &view.keep {
-                                        out.push(t[kslot]);
-                                    }
-                                    if view.keep_inner {
-                                        out.push(row);
-                                    }
-                                }
-                                emits.emitted(&mut meter)?;
-                            }
-                        }
-                        fetches.flush(&mut meter)?;
-                        emits.flush(&mut meter)?;
-                    }
-                }
-            }
-
             if count_only {
+                let mut count: u64 = 0;
+                stage.join(&exec, query, &outer, &mut meter, |_, _| count += 1)?;
                 final_count = count;
             } else {
+                stage.join(&exec, query, &outer, &mut meter, |t, row| {
+                    for &kslot in &view.keep {
+                        out.push(t[kslot]);
+                    }
+                    if view.keep_inner {
+                        out.push(row);
+                    }
+                })?;
                 final_count = (out.len() / view.stride_out().max(1)) as u64;
                 current = out;
             }

@@ -21,16 +21,20 @@
 //! chunk-at-a-time engine ([`CHUNK_SIZE`]-row column chunks with selection
 //! vectors) and the scalar row-at-a-time reference kept for differential
 //! testing. Both charge identical work units and produce identical tuples.
+//! Every plan runs on the calling thread; there is no other scheduling knob.
+//! Hot left-deep shapes can additionally be compiled to a [`FusedPipeline`],
+//! which drives the same join kernels (`probe`) as the chunked engine but
+//! keeps only the tuple slots later stages read.
 
 pub mod agg;
 pub mod cache;
 pub mod database;
 pub mod exec;
 pub mod fused;
-mod parallel;
+mod probe;
 
 pub use agg::{AggResult, AggRow};
 pub use cache::{CacheStats, CachingExecutor, EvictionPolicy};
 pub use database::Database;
-pub use exec::{ExecMode, ExecOutcome, Executor, ParallelConfig, RowSet, CHUNK_SIZE};
+pub use exec::{ExecMode, ExecOutcome, Executor, RowSet, CHUNK_SIZE};
 pub use fused::FusedPipeline;

@@ -93,7 +93,7 @@ pub struct AblationRow {
 
 /// Run every configuration on `workload`.
 pub fn run(workload: &str, cfg: &RunConfig) -> Result<Vec<AblationRow>> {
-    let exp = Experiment::with_exec_mode(workload, cfg.spec, cfg.exec_mode)?;
+    let exp = Experiment::new(workload, cfg.spec)?;
     let train = exp.workload.train.clone();
     let all = exp.workload.all_queries();
     let mut rows = Vec::new();

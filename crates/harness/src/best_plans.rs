@@ -31,7 +31,7 @@ impl SavingsSeries {
 /// Run each method `runs` times with different seeds; keep the best latency
 /// observed per query.
 pub fn run(workload: &str, cfg: &RunConfig, runs: usize) -> Result<Vec<SavingsSeries>> {
-    let exp = Experiment::with_exec_mode(workload, cfg.spec, cfg.exec_mode)?;
+    let exp = Experiment::new(workload, cfg.spec)?;
     let queries = exp.workload.all_queries();
     let train = exp.workload.train.clone();
     let encoder = exp.encoder();

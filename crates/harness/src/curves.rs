@@ -31,7 +31,7 @@ pub struct Curve {
 /// Train every learned method for `rounds`, snapshotting test speedup after
 /// each round.
 pub fn run(workload: &str, cfg: &RunConfig, rounds: usize) -> Result<Vec<Curve>> {
-    let exp = Experiment::with_exec_mode(workload, cfg.spec, cfg.exec_mode)?;
+    let exp = Experiment::new(workload, cfg.spec)?;
     let train = exp.workload.train.clone();
     let test = exp.workload.test.clone();
     let encoder = exp.encoder();

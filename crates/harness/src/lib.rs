@@ -59,22 +59,10 @@ impl Experiment {
     /// [`foss_workloads::WORKLOAD_NAMES`]) over the default chunk-at-a-time
     /// executor.
     pub fn new(name: &str, spec: WorkloadSpec) -> Result<Self> {
-        Self::with_exec_mode(name, spec, foss_executor::ExecMode::default())
-    }
-
-    /// Like [`Experiment::new`] with an explicit executor engine, so every
-    /// table/figure runner can be replayed against the scalar reference
-    /// (`FOSS_EXEC=scalar` in the `foss-bench` binaries).
-    pub fn with_exec_mode(
-        name: &str,
-        spec: WorkloadSpec,
-        mode: foss_executor::ExecMode,
-    ) -> Result<Self> {
         let workload = Workload::by_name(name, spec)?;
-        let executor = Arc::new(CachingExecutor::with_mode(
+        let executor = Arc::new(CachingExecutor::new(
             workload.db.clone(),
             *workload.optimizer.cost_model(),
-            mode,
         ));
         Ok(Self { workload, executor })
     }

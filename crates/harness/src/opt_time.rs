@@ -27,7 +27,7 @@ pub struct OptTimeBox {
 
 /// Measure optimisation times on the full workload for every method.
 pub fn run(workload: &str, cfg: &RunConfig) -> Result<Vec<OptTimeBox>> {
-    let exp = Experiment::with_exec_mode(workload, cfg.spec, cfg.exec_mode)?;
+    let exp = Experiment::new(workload, cfg.spec)?;
     let queries = exp.workload.all_queries();
     let train = exp.workload.train.clone();
     let encoder = exp.encoder();

@@ -4,7 +4,6 @@
 use foss_baselines::{BalsaLite, Bao, HybridQo, LearnedOptimizer, LogerLite, PostgresBaseline};
 use foss_common::Result;
 use foss_core::FossConfig;
-use foss_executor::ExecMode;
 use foss_workloads::WorkloadSpec;
 
 use crate::{evaluate_on, Experiment, FossAdapter, SplitEval};
@@ -40,9 +39,6 @@ pub struct RunConfig {
     pub foss_iterations: usize,
     /// Simulated episodes per FOSS iteration.
     pub foss_episodes: usize,
-    /// Executor engine all methods are measured against (chunked by
-    /// default; scalar is the differential-testing reference).
-    pub exec_mode: ExecMode,
 }
 
 impl Default for RunConfig {
@@ -52,7 +48,6 @@ impl Default for RunConfig {
             baseline_rounds: 4,
             foss_iterations: 4,
             foss_episodes: 120,
-            exec_mode: ExecMode::default(),
         }
     }
 }
@@ -68,14 +63,13 @@ impl RunConfig {
             baseline_rounds: 1,
             foss_iterations: 1,
             foss_episodes: 12,
-            exec_mode: ExecMode::default(),
         }
     }
 }
 
 /// Run Table I for one workload.
 pub fn run_workload(name: &str, cfg: &RunConfig) -> Result<WorkloadTable> {
-    let exp = Experiment::with_exec_mode(name, cfg.spec, cfg.exec_mode)?;
+    let exp = Experiment::new(name, cfg.spec)?;
     let train = exp.workload.train.clone();
     let test = exp.workload.test.clone();
     let encoder = exp.encoder();

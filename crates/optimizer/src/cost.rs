@@ -73,6 +73,13 @@ impl CostModel {
         table_rows * (self.params.cpu_tuple + self.params.pred_eval * n_predicates as f64)
     }
 
+    /// Cost of one descent into an index over `table_rows` rows. The
+    /// optimizer's estimate and the executor's meter must agree on this bit
+    /// for bit, so every site calls here.
+    pub fn index_descent(&self, table_rows: f64) -> f64 {
+        self.params.index_probe + 0.3 * table_rows.max(2.0).log2()
+    }
+
     /// Cost of an index scan returning `matching_rows` of `table_rows`,
     /// then filtering with `residual_predicates`.
     pub fn index_scan(
@@ -81,8 +88,7 @@ impl CostModel {
         matching_rows: f64,
         residual_predicates: usize,
     ) -> f64 {
-        self.params.index_probe
-            + 0.3 * (table_rows.max(2.0)).log2()
+        self.index_descent(table_rows)
             + matching_rows
                 * (self.params.index_fetch + self.params.pred_eval * residual_predicates as f64)
     }
@@ -121,7 +127,7 @@ impl CostModel {
             }
             JoinMethod::NestLoop => {
                 if index_nl {
-                    let descent = p.index_probe + 0.3 * inner_table_rows.max(2.0).log2();
+                    let descent = self.index_descent(inner_table_rows);
                     let fetched = (out_rows / outer_rows.max(1.0)).max(0.0);
                     outer_rows * (descent + fetched * p.index_fetch) + emit
                 } else {

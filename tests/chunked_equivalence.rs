@@ -4,7 +4,9 @@
 //! identical timeout accounting — across all five workloads (including the
 //! correlated-data DSB-lite and the heavy-tail skew-stress, whose hash
 //! joins hammer a single bucket), for expert plans and for randomly
-//! perturbed (often catastrophic) plans alike.
+//! perturbed (often catastrophic) plans alike. Each workload is built twice:
+//! small, and at scale 0.3 where the fact tables span several chunks, so
+//! chunk boundaries and mid-chunk timeouts are exercised too.
 
 use foss_repro::executor::{ExecMode, Executor};
 use foss_repro::optimizer::ALL_JOIN_METHODS;
@@ -12,23 +14,22 @@ use foss_repro::prelude::*;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-/// One small instance of each registered workload, shared across cases so
-/// the generated cases don't each pay the workload-construction cost.
+/// Two instances of each registered workload — scale 0.05, then scale 0.3 —
+/// shared across cases so the generated cases don't each pay the
+/// workload-construction cost.
 fn workloads() -> &'static Vec<Workload> {
     static WL: OnceLock<Vec<Workload>> = OnceLock::new();
     WL.get_or_init(|| {
-        WORKLOAD_NAMES
+        [(11, 0.05), (21, 0.3)]
             .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                Workload::by_name(
-                    name,
-                    WorkloadSpec {
-                        seed: 11 + i as u64,
-                        scale: 0.05,
-                    },
-                )
-                .unwrap()
+            .flat_map(|&(seed, scale)| {
+                WORKLOAD_NAMES.iter().enumerate().map(move |(i, name)| {
+                    let spec = WorkloadSpec {
+                        seed: seed + i as u64,
+                        scale,
+                    };
+                    Workload::by_name(name, spec).unwrap()
+                })
             })
             .collect()
     })
@@ -37,13 +38,14 @@ fn workloads() -> &'static Vec<Workload> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Chunked == scalar on the expert plan and on a random ICP mutation of
-    /// it (rotated join order, re-rolled join methods), run under a budget
-    /// so catastrophic mutations compare their timeout accounting instead
-    /// of running to completion.
+    /// Chunked == scalar on the expert plan — unbounded, and under a third
+    /// of its latency, where both must abort at the same point — and on a
+    /// random ICP mutation of it (rotated join order, re-rolled join
+    /// methods), run under a budget so catastrophic mutations compare their
+    /// timeout accounting instead of running to completion.
     #[test]
     fn chunked_execution_equals_scalar(
-        wl_idx in 0usize..WORKLOAD_NAMES.len(),
+        wl_idx in 0usize..2 * WORKLOAD_NAMES.len(),
         q_pick in 0usize..10_000,
         rot in 0usize..8,
         mcode in 0usize..19_683, // 3^9: a method draw per possible join
@@ -62,6 +64,24 @@ proptest! {
         prop_assert_eq!(co, so);
         prop_assert_eq!(cr.rels, sr.rels);
         prop_assert_eq!(cr.data, sr.data);
+
+        // Expert plan, a third of its latency: identical abort accounting.
+        let tight = Some(co.latency / 3.0);
+        match (
+            chunked.execute_rows(query, &expert, tight),
+            scalar.execute_rows(query, &expert, tight),
+        ) {
+            (
+                Err(FossError::Timeout { spent: cs, budget: cb }),
+                Err(FossError::Timeout { spent: ss, budget: sb }),
+            ) => prop_assert_eq!((cs, cb), (ss, sb)),
+            (c, s) => {
+                return Err(TestCaseError::fail(format!(
+                    "a third of the true latency must time out both engines: \
+                     chunked={c:?} scalar={s:?}"
+                )));
+            }
+        }
 
         // Perturbed plan: rotate the join order, re-roll every method.
         let base = expert.extract_icp().unwrap();
