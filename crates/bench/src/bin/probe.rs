@@ -32,13 +32,15 @@ use std::time::Duration;
 /// Benchmarks the regression gate guards: the FOSS serving hot path (AAM
 /// inference, end-to-end PlanDoctor submits and the warm round trip over a
 /// reused loopback connection) plus the chunked executor
-/// operators — including the heavy-tail skewed hash join and the tier-2
-/// fused pipeline — and the bounded-cache eviction path.
+/// operators — including the heavy-tail skewed hash join, the tier-2
+/// fused pipeline and count mode on a wide plan — and the bounded-cache
+/// eviction path.
 const GUARDED: &[&str] = &[
     "aam/pair_inference",
     "exec/scan_filter",
     "exec/hash_join",
     "exec/fused_hot_path",
+    "exec/count_wide",
     "exec/hash_join_skewed",
     "cache/eviction",
     "service/submit_throughput",

@@ -1,4 +1,4 @@
-//! Regenerates Table I (and prints the render used in EXPERIMENTS.md).
+//! Regenerates Table I and prints its render (see README.md, *Benchmarks*).
 
 fn main() {
     let cfg = foss_bench::run_config_from_env();

@@ -168,6 +168,16 @@ pub fn micro_suite(c: &mut Criterion) {
         })
     });
 
+    // Count mode through the interpreter on a wide plan: the heaviest expert
+    // plan among the ≥ 6-relation joblite queries (seven relations, 1.26 M
+    // result rows at this scale). What it guards is that the root join only
+    // counts and the joins below it emit only live slots — materialising
+    // that result full-width is 35 MB per execution.
+    let (wide_query, wide_plan) = count_wide_case(&full, &chunked);
+    c.bench_function("exec/count_wide", |b| {
+        b.iter(|| black_box(chunked.execute(&wide_query, &wide_plan, None).unwrap()))
+    });
+
     // Heavy-tail hash join from the skew-stress workload: with Zipf s ≥ 1.5
     // join keys, the hottest key owns ~40% of both sides, so one hash bucket
     // dominates the build and almost every probe lands in a long chain —
@@ -370,6 +380,22 @@ fn scan_filter_case(wl: &foss_workloads::Workload) -> (Query, PhysicalPlan) {
         },
     };
     (query, plan)
+}
+
+/// The ≥ 6-relation training query whose expert plan does the most metered
+/// work, with that plan.
+fn count_wide_case(wl: &foss_workloads::Workload, exec: &Executor<'_>) -> (Query, PhysicalPlan) {
+    wl.train
+        .iter()
+        .filter(|q| q.relation_count() >= 6)
+        .map(|q| {
+            let plan = wl.optimizer.optimize(q).expect("expert plan");
+            let latency = exec.execute(q, &plan, None).expect("expert run").latency;
+            (q, plan, latency)
+        })
+        .max_by(|a, b| a.2.total_cmp(&b.2))
+        .map(|(q, plan, _)| (q.clone(), plan))
+        .expect("joblite has wide queries")
 }
 
 /// `event ⋈ audit` on their shared (extremely Zipf-skewed) hub key, forced

@@ -179,6 +179,18 @@ impl<'a> ByteReader<'a> {
         Ok(n)
     }
 
+    /// How many `T`s to reserve up front for a declared length of `n`: no
+    /// more memory than the remaining payload itself occupies. [`get_len`]
+    /// bounds `n` by remaining *bytes*, so reserving `n` elements outright
+    /// would let a crafted prefix allocate `size_of::<T>()` times the
+    /// payload before the first element fails to decode; honest input that
+    /// outgrows the reservation grows on push.
+    ///
+    /// [`get_len`]: ByteReader::get_len
+    fn reservation<T>(&self, n: usize) -> usize {
+        n.min(self.remaining() / std::mem::size_of::<T>().max(1))
+    }
+
     /// Read an `f32` from its bit pattern.
     pub fn get_f32(&mut self) -> Result<f32> {
         Ok(f32::from_bits(self.get_u32()?))
@@ -299,7 +311,7 @@ impl<T: Codec> Codec for Vec<T> {
     }
     fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
         let n = r.get_len()?;
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(r.reservation::<T>(n));
         for _ in 0..n {
             out.push(T::decode(r)?);
         }
@@ -412,6 +424,31 @@ mod tests {
         w.put_usize(usize::MAX);
         let bytes = w.into_bytes();
         let err = Vec::<u8>::decode(&mut ByteReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, FossError::Serde(_)), "{err}");
+    }
+
+    /// A length prefix that passes `get_len` (it fits the remaining *bytes*)
+    /// must not reserve `size_of::<T>()` times the payload: a `Vec<String>`
+    /// prefix of 1 Mi over 1 MiB of zeros would otherwise reserve 24 MiB
+    /// before the second element fails to decode.
+    #[test]
+    fn crafted_length_prefix_cannot_amplify_the_reservation() {
+        const N: usize = 1 << 20;
+        let mut w = ByteWriter::new();
+        w.put_usize(N);
+        let mut bytes = w.into_bytes();
+        bytes.resize(bytes.len() + N, 0);
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.get_len().unwrap(), N);
+        let cap = r.reservation::<String>(N);
+        assert!(cap * std::mem::size_of::<String>() <= N, "reserved {cap}");
+        // One-byte elements still reserve exactly what they will hold, and
+        // zero-sized ones do not divide by zero.
+        assert_eq!(r.reservation::<u8>(N), N);
+        assert_eq!(r.reservation::<()>(N), N);
+        // Zero-length strings consume 8 bytes each, so the 1 Mi-element
+        // claim runs out of payload and is a decode error, not a panic.
+        let err = Vec::<String>::decode(&mut ByteReader::new(&bytes)).unwrap_err();
         assert!(matches!(err, FossError::Serde(_)), "{err}");
     }
 

@@ -27,7 +27,9 @@ pub struct FossConfig {
     /// Whether promising plans are validated in the real environment
     /// (Table II "Off-Validation").
     pub validate_promising: bool,
-    /// How many top-rated simulated plans per update round to validate.
+    /// How many promising simulated plans per update round to validate: the
+    /// *first* this-many distinct episode outputs in agent/episode order —
+    /// the list is truncated, not ranked by the AAM's rating.
     pub promising_per_update: usize,
     /// Random queries sampled per update round for extra AAM data.
     pub random_validation_per_update: usize,

@@ -8,17 +8,21 @@
 //!   selection vector; joins hoist key columns out of the loop, gather probe
 //!   keys into chunk-local buffers, and emit (project) matched tuples in
 //!   bulk. The hash build+probe and index nested-loop loops are the shared
-//!   kernels in `crate::probe`, which the fused tier runs too. The
-//!   `COUNT(*)` aggregate at the root is the chunk count folded in
-//!   [`Executor::execute`].
+//!   kernels in `crate::probe`, which the fused tier runs too. Every join
+//!   emits into a `probe::Sink`: [`Executor::execute`] runs in *count mode* —
+//!   the root join counts instead of storing its matches and the joins below
+//!   it keep only the slots a later join reads — while
+//!   [`Executor::execute_rows`] keeps every slot of every tuple.
 //! * **Scalar** — the reference row-at-a-time interpreter, kept for
-//!   differential testing (see the chunked-vs-scalar property tests).
+//!   differential testing (see the chunked-vs-scalar property tests). It
+//!   always materialises full tuples.
 //!
 //! Both engines share one *chunk-granular metering discipline*: work-unit
 //! charges are accrued per chunk, in the same order, with the same floating
-//! point operations. Latencies are therefore **bit-identical** across modes,
-//! and results match row-for-row in the same order — switching engines can
-//! never change trained-model behaviour.
+//! point operations. Latencies are therefore **bit-identical** across modes
+//! and between count mode and materialising execution, and results match
+//! row-for-row in the same order — switching engines can never change
+//! trained-model behaviour.
 
 use foss_common::{FossError, Result};
 use foss_optimizer::{AccessPath, CostModel, JoinMethod, PhysicalPlan, PlanNode};
@@ -26,6 +30,7 @@ use foss_query::{JoinEdge, Predicate, Query};
 use foss_storage::{HashIndex, Table};
 
 use crate::database::Database;
+use crate::probe::{Count, Layout, Liveness, Rows, Sink};
 
 /// Rows per execution chunk (tuples processed between two meter charges).
 pub const CHUNK_SIZE: usize = 1024;
@@ -119,12 +124,34 @@ pub struct Executor<'a> {
     mode: ExecMode,
 }
 
+/// One join of a plan, ready to run: its conditions and its executed inputs.
+struct JoinStep<'p> {
+    method: JoinMethod,
+    index_nl: bool,
+    edges: &'p [JoinEdge],
+    /// The outer (probe) side, narrowed to what this join and those above read.
+    outer: RowSet,
+    /// The inner relation — always a base-table scan (plans are left-deep).
+    inner_rel: usize,
+    /// The inner scan's row ids; empty for an index nested loop, which
+    /// probes the relation's index instead of scanning it.
+    inner: Vec<u32>,
+}
+
 pub(crate) struct WorkMeter {
     pub(crate) spent: f64,
     pub(crate) budget: f64,
 }
 
 impl WorkMeter {
+    /// A fresh meter; no budget means unlimited.
+    pub(crate) fn new(budget: Option<f64>) -> Self {
+        Self {
+            spent: 0.0,
+            budget: budget.unwrap_or(f64::INFINITY),
+        }
+    }
+
     pub(crate) fn charge(&mut self, amount: f64) -> Result<()> {
         self.spent += amount;
         if self.spent > self.budget {
@@ -209,6 +236,20 @@ impl BatchCharge {
         self.add(1, meter)
     }
 
+    /// Record `n` units exactly as `n` calls of [`BatchCharge::emitted`]
+    /// would — a full `CHUNK_SIZE × unit` charge each time the pending count
+    /// reaches [`CHUNK_SIZE`] — in O(n / CHUNK_SIZE).
+    #[inline]
+    pub(crate) fn add_each(&mut self, mut n: usize, meter: &mut WorkMeter) -> Result<()> {
+        while self.pending + n >= CHUNK_SIZE {
+            n -= CHUNK_SIZE - self.pending;
+            self.pending = 0;
+            meter.charge(CHUNK_SIZE as f64 * self.unit)?;
+        }
+        self.pending += n;
+        Ok(())
+    }
+
     /// Charge whatever remains below one chunk.
     pub(crate) fn flush(&mut self, meter: &mut WorkMeter) -> Result<()> {
         let pend = std::mem::take(&mut self.pending);
@@ -260,34 +301,46 @@ impl<'a> Executor<'a> {
         self.mode
     }
 
-    /// Execute `plan` for `query`.
+    /// Execute `plan` for `query` and count its result.
     ///
     /// `budget` is the dynamic-timeout work-unit budget; `None` means
     /// unlimited. On timeout the error carries the spent/budget amounts so
     /// the training loop can label the plan.
+    ///
+    /// The chunked engine runs this in *count mode*: the root join counts its
+    /// matches instead of storing them, and every join below it emits only
+    /// the slots a later join's conditions read. Charges, row count and
+    /// timeout accounting are those of [`Executor::execute_rows`] bit for bit;
+    /// the scalar reference simply materialises and counts.
     pub fn execute(
         &self,
         query: &Query,
         plan: &PhysicalPlan,
         budget: Option<f64>,
     ) -> Result<ExecOutcome> {
-        self.execute_rows(query, plan, budget).map(|(out, _)| out)
+        if self.mode == ExecMode::Scalar {
+            return self.execute_rows(query, plan, budget).map(|(out, _)| out);
+        }
+        let mut meter = WorkMeter::new(budget);
+        let (rows, _) = self.run(query, plan, false, &mut meter)?;
+        Ok(ExecOutcome {
+            latency: meter.spent,
+            rows,
+        })
     }
 
-    /// Like [`Executor::execute`], but also returns the materialised result
-    /// tuples (used by differential tests comparing [`ExecMode`]s).
+    /// Like [`Executor::execute`], but materialises and returns the full
+    /// result tuples, one slot per joined relation — what the aggregator
+    /// folds and what the differential tests compare across [`ExecMode`]s
+    /// and against the fused tier.
     pub fn execute_rows(
         &self,
         query: &Query,
         plan: &PhysicalPlan,
         budget: Option<f64>,
     ) -> Result<(ExecOutcome, RowSet)> {
-        let mut meter = WorkMeter {
-            spent: 0.0,
-            budget: budget.unwrap_or(f64::INFINITY),
-        };
-        let mut rows = self.exec_node(query, &plan.root, &mut meter)?;
-        rows.proj = query.projection();
+        let mut meter = WorkMeter::new(budget);
+        let rows = self.exec_full(query, plan, &mut meter)?;
         let outcome = ExecOutcome {
             latency: meter.spent,
             rows: rows.len() as u64,
@@ -307,12 +360,8 @@ impl<'a> Executor<'a> {
         plan: &PhysicalPlan,
         budget: Option<f64>,
     ) -> Result<(ExecOutcome, crate::agg::AggResult)> {
-        let mut meter = WorkMeter {
-            spent: 0.0,
-            budget: budget.unwrap_or(f64::INFINITY),
-        };
-        let mut rows = self.exec_node(query, &plan.root, &mut meter)?;
-        rows.proj = query.projection();
+        let mut meter = WorkMeter::new(budget);
+        let rows = self.exec_full(query, plan, &mut meter)?;
         let agg = crate::agg::aggregate(self, query, &rows, &mut meter)?;
         let outcome = ExecOutcome {
             latency: meter.spent,
@@ -321,38 +370,117 @@ impl<'a> Executor<'a> {
         Ok((outcome, agg))
     }
 
-    fn exec_node(&self, query: &Query, node: &PlanNode, meter: &mut WorkMeter) -> Result<RowSet> {
-        match node {
-            PlanNode::Scan {
+    /// The plan's full-width result (every relation live) with the query's
+    /// projection attached.
+    fn exec_full(
+        &self,
+        query: &Query,
+        plan: &PhysicalPlan,
+        meter: &mut WorkMeter,
+    ) -> Result<RowSet> {
+        let (_, rows) = self.run(query, plan, true, meter)?;
+        let mut rows = rows.unwrap_or_else(|| RowSet::bare(Vec::new(), Vec::new()));
+        rows.proj = query.projection();
+        Ok(rows)
+    }
+
+    /// Run `plan` — its leftmost scan, then its joins bottom-up (plans are
+    /// left-deep: every join's inner side is a base-table scan) — and return
+    /// the result's row count, with the full-width tuples if `want_rows`.
+    /// Without them the root join only counts and the joins below it emit
+    /// just the slots a join above reads.
+    fn run(
+        &self,
+        query: &Query,
+        plan: &PhysicalPlan,
+        want_rows: bool,
+        meter: &mut WorkMeter,
+    ) -> Result<(u64, Option<RowSet>)> {
+        let mut joins = Vec::new();
+        let mut node = &plan.root;
+        let mut outer = loop {
+            match node {
+                PlanNode::Scan {
+                    relation, access, ..
+                } => {
+                    let data = self.exec_scan(query, *relation, access, meter)?;
+                    break RowSet::bare(vec![*relation], data);
+                }
+                PlanNode::Join {
+                    method,
+                    left,
+                    right,
+                    edges,
+                    index_nl,
+                    ..
+                } => {
+                    joins.push((*method, *index_nl, edges.as_slice(), right.as_ref()));
+                    node = left;
+                }
+            }
+        };
+        joins.reverse();
+        let relations = query.relation_count();
+        let live = if want_rows {
+            Liveness::all(relations)
+        } else {
+            Liveness::of(relations, joins.iter().map(|j| j.2))
+        };
+        for (pos, &(method, index_nl, edges, right)) in joins.iter().enumerate() {
+            let PlanNode::Scan {
                 relation, access, ..
-            } => {
-                let data = self.exec_scan(query, *relation, access, meter)?;
-                Ok(RowSet::bare(vec![*relation], data))
-            }
-            PlanNode::Join {
+            } = right
+            else {
+                return Err(FossError::InvalidPlan(
+                    "plans are left-deep: a join's inner side must be a scan".into(),
+                ));
+            };
+            let step = JoinStep {
                 method,
-                left,
-                right,
-                edges,
                 index_nl,
-                ..
-            } => {
-                let outer = self.exec_node(query, left, meter)?;
-                if *index_nl {
-                    let PlanNode::Scan { relation, .. } = **right else {
-                        return Err(FossError::InvalidPlan(
-                            "index nested loop requires a scan inner".into(),
-                        ));
-                    };
-                    return self.index_nl_join(query, outer, relation, edges, meter);
-                }
-                let inner = self.exec_node(query, right, meter)?;
-                match method {
-                    JoinMethod::Hash => self.hash_join(query, outer, inner, edges, meter),
-                    JoinMethod::Merge => self.merge_join(query, outer, inner, edges, meter),
-                    JoinMethod::NestLoop => self.nl_join(query, outer, inner, edges, meter),
-                }
+                edges,
+                inner_rel: *relation,
+                // An index nested loop probes the inner's index in place.
+                inner: if index_nl {
+                    Vec::new()
+                } else {
+                    self.exec_scan(query, *relation, access, meter)?
+                },
+                outer,
+            };
+            if !want_rows && pos + 1 == joins.len() {
+                let mut count = Count::default();
+                self.join(query, &step, meter, &mut count)?;
+                return Ok((count.0, None));
             }
+            let layout = Layout::narrow(&step.outer.rels, step.inner_rel, &live, pos);
+            let mut rows = Rows::new(&layout);
+            self.join(query, &step, meter, &mut rows)?;
+            let mut rels = step.outer.rels;
+            layout.apply(&mut rels, step.inner_rel);
+            outer = RowSet::bare(rels, rows.out);
+        }
+        Ok((outer.len() as u64, want_rows.then_some(outer)))
+    }
+
+    /// Run one join, handing every match to `sink`.
+    fn join<S: Sink>(
+        &self,
+        query: &Query,
+        step: &JoinStep<'_>,
+        meter: &mut WorkMeter,
+        sink: &mut S,
+    ) -> Result<()> {
+        if step.index_nl {
+            return self.index_nl_join(query, step, meter, sink);
+        }
+        match step.method {
+            JoinMethod::Hash | JoinMethod::Merge if step.edges.is_empty() => {
+                self.cross_join(step, meter, sink)
+            }
+            JoinMethod::Hash => self.hash_join(query, step, meter, sink),
+            JoinMethod::Merge => self.merge_join(query, step, meter, sink),
+            JoinMethod::NestLoop => self.nl_join(query, step, meter, sink),
         }
     }
 
@@ -515,11 +643,6 @@ impl<'a> Executor<'a> {
         })
     }
 
-    fn emit(out: &mut Vec<u32>, outer_tuple: &[u32], inner_row: u32) {
-        out.extend_from_slice(outer_tuple);
-        out.push(inner_row);
-    }
-
     /// Hoisted column slices for the non-key join conditions:
     /// `(outer slot, outer column, inner column)` per extra edge.
     fn extra_edge_columns(
@@ -564,62 +687,61 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn hash_join(
+    fn hash_join<S: Sink>(
         &self,
         query: &Query,
-        outer: RowSet,
-        inner: RowSet,
-        edges: &[JoinEdge],
+        step: &JoinStep<'_>,
         meter: &mut WorkMeter,
-    ) -> Result<RowSet> {
+        sink: &mut S,
+    ) -> Result<()> {
         let p = self.cost.params;
-        let inner_rel = inner.rels[0];
-        if edges.is_empty() {
-            return self.cross_join(outer, inner, meter);
-        }
+        let JoinStep {
+            edges,
+            outer,
+            inner_rel,
+            inner,
+            ..
+        } = step;
         // Build on inner.
         meter.charge(inner.len() as f64 * p.hash_build)?;
-        let out = match self.mode {
-            ExecMode::Scalar => self.hash_probe_scalar(query, &outer, &inner, edges, meter)?,
-            ExecMode::Chunked => {
-                let key = edges[0];
-                let mut out = Vec::new();
-                crate::probe::hash_join(
-                    &self.probe_side(query, &outer, inner_rel, edges),
-                    &inner.data,
-                    self.column_slice(query, inner_rel, key.right_column),
-                    &p,
-                    meter,
-                    |t, row| Self::emit(&mut out, t, row),
-                )?;
-                out
-            }
-        };
-        let mut rels = outer.rels;
-        rels.push(inner_rel);
-        Ok(RowSet::bare(rels, out))
+        match self.mode {
+            ExecMode::Scalar => self.hash_probe_scalar(query, step, meter, sink),
+            ExecMode::Chunked => crate::probe::hash_join(
+                &self.probe_side(query, outer, *inner_rel, edges),
+                inner,
+                self.column_slice(query, *inner_rel, edges[0].right_column),
+                &p,
+                meter,
+                sink,
+            ),
+        }
     }
 
     /// Row-at-a-time reference build + probe.
-    fn hash_probe_scalar(
+    fn hash_probe_scalar<S: Sink>(
         &self,
         query: &Query,
-        outer: &RowSet,
-        inner: &RowSet,
-        edges: &[JoinEdge],
+        step: &JoinStep<'_>,
         meter: &mut WorkMeter,
-    ) -> Result<Vec<u32>> {
+        sink: &mut S,
+    ) -> Result<()> {
         let p = self.cost.params;
-        let inner_rel = inner.rels[0];
+        let JoinStep {
+            edges,
+            outer,
+            inner_rel,
+            inner,
+            ..
+        } = step;
+        let inner_rel = *inner_rel;
         let key = edges[0];
         let mut table: foss_common::FxHashMap<i64, Vec<u32>> = foss_common::FxHashMap::default();
-        for &row in &inner.data {
+        for &row in inner {
             table
                 .entry(self.value(query, inner_rel, key.right_column, row))
                 .or_default()
                 .push(row);
         }
-        let mut out = Vec::new();
         let mut emits = BatchCharge::new(p.output_tuple);
         let lslot = outer.slot_of(key.left);
         let n = outer.len();
@@ -632,7 +754,7 @@ impl<'a> Executor<'a> {
                 if let Some(cands) = table.get(&lv) {
                     for &row in cands {
                         if self.check_extra_edges(query, outer, t, inner_rel, row, edges) {
-                            Self::emit(&mut out, t, row);
+                            sink.push(t, row);
                             emits.emitted(meter)?;
                         }
                     }
@@ -640,22 +762,25 @@ impl<'a> Executor<'a> {
             }
             emits.flush(meter)?;
         }
-        Ok(out)
+        Ok(())
     }
 
-    fn merge_join(
+    fn merge_join<S: Sink>(
         &self,
         query: &Query,
-        outer: RowSet,
-        inner: RowSet,
-        edges: &[JoinEdge],
+        step: &JoinStep<'_>,
         meter: &mut WorkMeter,
-    ) -> Result<RowSet> {
+        sink: &mut S,
+    ) -> Result<()> {
         let p = self.cost.params;
-        let inner_rel = inner.rels[0];
-        if edges.is_empty() {
-            return self.cross_join(outer, inner, meter);
-        }
+        let JoinStep {
+            edges,
+            outer,
+            inner_rel,
+            inner,
+            ..
+        } = step;
+        let inner_rel = *inner_rel;
         let key = edges[0];
         meter.charge(self.cost.sort(outer.len() as f64) + self.cost.sort(inner.len() as f64))?;
         let stride = outer.stride();
@@ -664,7 +789,7 @@ impl<'a> Executor<'a> {
         // the positional tie-break keeps equal-key orders identical across
         // engines (unstable sorts would otherwise be free to differ).
         let mut oidx: Vec<usize> = (0..outer.len()).collect();
-        let mut irows: Vec<u32> = inner.data.clone();
+        let mut irows: Vec<u32> = inner.clone();
         let (okeys, ikeys): (Vec<i64>, Vec<i64>) = match self.mode {
             ExecMode::Scalar => {
                 oidx.sort_unstable_by_key(|&i| {
@@ -707,9 +832,10 @@ impl<'a> Executor<'a> {
         meter.charge((outer.len() + inner.len()) as f64 * p.merge_step)?;
         let extra = match self.mode {
             ExecMode::Scalar => Vec::new(),
-            ExecMode::Chunked => self.extra_edge_columns(query, &outer, inner_rel, edges),
+            ExecMode::Chunked => self.extra_edge_columns(query, outer, inner_rel, edges),
         };
-        let mut out = Vec::new();
+        // Chunked, key edge only: every pair of an equal group matches.
+        let whole_groups = self.mode == ExecMode::Chunked && extra.is_empty();
         let mut emits = BatchCharge::new(p.output_tuple);
         let (mut i, mut j) = (0usize, 0usize);
         while i < oidx.len() && j < irows.len() {
@@ -728,46 +854,52 @@ impl<'a> Executor<'a> {
                 }
                 while i < oidx.len() && okeys[i] == ov {
                     let t = outer.tuple(oidx[i]);
+                    i += 1;
+                    if whole_groups {
+                        sink.push_all_charged(t, &irows[jstart..jend], &mut emits, meter)?;
+                        continue;
+                    }
                     for &row in &irows[jstart..jend] {
                         let matched = match self.mode {
                             ExecMode::Scalar => {
-                                self.check_extra_edges(query, &outer, t, inner_rel, row, edges)
+                                self.check_extra_edges(query, outer, t, inner_rel, row, edges)
                             }
                             ExecMode::Chunked => extra
                                 .iter()
                                 .all(|&(slot, lc, rc)| lc[t[slot] as usize] == rc[row as usize]),
                         };
                         if matched {
-                            Self::emit(&mut out, t, row);
+                            sink.push(t, row);
                             emits.emitted(meter)?;
                         }
                     }
-                    i += 1;
                 }
                 j = jend;
             }
         }
-        emits.flush(meter)?;
-        let mut rels = outer.rels;
-        rels.push(inner_rel);
-        Ok(RowSet::bare(rels, out))
+        emits.flush(meter)
     }
 
-    fn nl_join(
+    fn nl_join<S: Sink>(
         &self,
         query: &Query,
-        outer: RowSet,
-        inner: RowSet,
-        edges: &[JoinEdge],
+        step: &JoinStep<'_>,
         meter: &mut WorkMeter,
-    ) -> Result<RowSet> {
+        sink: &mut S,
+    ) -> Result<()> {
         let p = self.cost.params;
-        let inner_rel = inner.rels[0];
+        let JoinStep {
+            edges,
+            outer,
+            inner_rel,
+            inner,
+            ..
+        } = step;
+        let inner_rel = *inner_rel;
         let stride = outer.stride();
         let n = outer.len();
-        let mut out = Vec::new();
         // Chunked engine: per-edge hoisted outer columns plus inner key
-        // values gathered once, aligned with `inner.data`.
+        // values gathered once, aligned with `inner`.
         type NlHoisted<'c> = (Vec<(usize, &'c [i64])>, Vec<Vec<i64>>);
         let hoisted: Option<NlHoisted<'_>> = match self.mode {
             ExecMode::Scalar => None,
@@ -785,7 +917,7 @@ impl<'a> Executor<'a> {
                     .iter()
                     .map(|e| {
                         let icol = self.column_slice(query, inner_rel, e.right_column);
-                        inner.data.iter().map(|&row| icol[row as usize]).collect()
+                        inner.iter().map(|&row| icol[row as usize]).collect()
                     })
                     .collect();
                 Some((lcols, ivals))
@@ -801,8 +933,8 @@ impl<'a> Executor<'a> {
                 None => {
                     for i in start..end {
                         let t = outer.tuple(i);
-                        'inner: for &row in &inner.data {
-                            for e in edges {
+                        'inner: for &row in inner {
+                            for e in edges.iter() {
                                 let lv = self.value(
                                     query,
                                     e.left,
@@ -814,7 +946,7 @@ impl<'a> Executor<'a> {
                                     continue 'inner;
                                 }
                             }
-                            Self::emit(&mut out, t, row);
+                            sink.push(t, row);
                             emits.emitted(meter)?;
                         }
                     }
@@ -830,7 +962,7 @@ impl<'a> Executor<'a> {
                                 let lv = lcol[t[slot] as usize];
                                 for (j, &rv) in only.iter().enumerate() {
                                     if rv == lv {
-                                        Self::emit(&mut out, t, inner.data[j]);
+                                        sink.push(t, inner[j]);
                                         emits.emitted(meter)?;
                                     }
                                 }
@@ -840,9 +972,9 @@ impl<'a> Executor<'a> {
                                     .iter()
                                     .map(|&(slot, lc)| lc[t[slot] as usize])
                                     .collect();
-                                for (j, &row) in inner.data.iter().enumerate() {
+                                for (j, &row) in inner.iter().enumerate() {
                                     if ivals.iter().zip(&lvs).all(|(iv, &lv)| iv[j] == lv) {
-                                        Self::emit(&mut out, t, row);
+                                        sink.push(t, row);
                                         emits.emitted(meter)?;
                                     }
                                 }
@@ -853,9 +985,7 @@ impl<'a> Executor<'a> {
             }
             emits.flush(meter)?;
         }
-        let mut rels = outer.rels;
-        rels.push(inner_rel);
-        Ok(RowSet::bare(rels, out))
+        Ok(())
     }
 
     /// The inner side of an index nested loop keyed on `right_col` of
@@ -875,34 +1005,37 @@ impl<'a> Executor<'a> {
         Ok((table, index, descent))
     }
 
-    fn index_nl_join(
+    fn index_nl_join<S: Sink>(
         &self,
         query: &Query,
-        outer: RowSet,
-        inner_rel: usize,
-        edges: &[JoinEdge],
+        step: &JoinStep<'_>,
         meter: &mut WorkMeter,
-    ) -> Result<RowSet> {
+        sink: &mut S,
+    ) -> Result<()> {
         let p = self.cost.params;
+        let JoinStep {
+            edges,
+            outer,
+            inner_rel,
+            ..
+        } = step;
+        let inner_rel = *inner_rel;
         let key = *edges.first().ok_or_else(|| {
             FossError::InvalidPlan("index nested loop requires a join edge".into())
         })?;
         let (table, index, descent) = self.index_nl_inner(query, inner_rel, key.right_column)?;
         let preds = &query.relations[inner_rel].predicates;
-        let mut out = Vec::new();
         match self.mode {
-            ExecMode::Chunked => {
-                crate::probe::index_nl_join(
-                    &self.probe_side(query, &outer, inner_rel, edges),
-                    table,
-                    index,
-                    preds,
-                    descent,
-                    &p,
-                    meter,
-                    |t, row| Self::emit(&mut out, t, row),
-                )?;
-            }
+            ExecMode::Chunked => crate::probe::index_nl_join(
+                &self.probe_side(query, outer, inner_rel, edges),
+                table,
+                index,
+                preds,
+                descent,
+                &p,
+                meter,
+                sink,
+            ),
             ExecMode::Scalar => {
                 let lslot = outer.slot_of(key.left);
                 let n = outer.len();
@@ -923,46 +1056,43 @@ impl<'a> Executor<'a> {
                                     continue 'fetch;
                                 }
                             }
-                            if !self.check_extra_edges(query, &outer, t, inner_rel, row, edges) {
+                            if !self.check_extra_edges(query, outer, t, inner_rel, row, edges) {
                                 continue;
                             }
-                            Self::emit(&mut out, t, row);
+                            sink.push(t, row);
                             emits.emitted(meter)?;
                         }
                     }
                     fetches.flush(meter)?;
                     emits.flush(meter)?;
                 }
+                Ok(())
             }
         }
-        let mut rels = outer.rels;
-        rels.push(inner_rel);
-        Ok(RowSet::bare(rels, out))
     }
 
-    fn cross_join(&self, outer: RowSet, inner: RowSet, meter: &mut WorkMeter) -> Result<RowSet> {
+    fn cross_join<S: Sink>(
+        &self,
+        step: &JoinStep<'_>,
+        meter: &mut WorkMeter,
+        sink: &mut S,
+    ) -> Result<()> {
         let p = self.cost.params;
-        let inner_rel = inner.rels[0];
+        let JoinStep { outer, inner, .. } = step;
         let n = outer.len();
-        let mut out = Vec::new();
         for start in (0..n).step_by(CHUNK_SIZE) {
             let end = (start + CHUNK_SIZE).min(n);
             let pairs = (end - start) as f64 * inner.len() as f64;
             // A cross join's output size is known up front, so the whole
-            // chunk is charged *before* materialising anything: a
-            // catastrophic product aborts without allocating its tuples.
+            // chunk is charged *before* emitting anything: a catastrophic
+            // product aborts without allocating its tuples.
             meter.charge(pairs * p.nl_pair)?;
             meter.charge(pairs * p.output_tuple)?;
             for i in start..end {
-                let t = outer.tuple(i);
-                for &row in &inner.data {
-                    Self::emit(&mut out, t, row);
-                }
+                sink.push_all(outer.tuple(i), inner);
             }
         }
-        let mut rels = outer.rels;
-        rels.push(inner_rel);
-        Ok(RowSet::bare(rels, out))
+        Ok(())
     }
 }
 
@@ -1117,6 +1247,73 @@ mod tests {
                 assert_eq!(bc, bs);
             }
             other => panic!("expected twin timeouts, got {other:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        /// `add_each(n)` is `n × emitted()`: the same charges in the same
+        /// order from any pending count — so the same latency bits, the same
+        /// pending remainder, and under a budget the same aborting charge.
+        #[test]
+        fn add_each_charges_exactly_like_repeated_emitted(
+            pending in 0usize..CHUNK_SIZE,
+            n in 0usize..5 * CHUNK_SIZE,
+            unit_milli in 1u32..4000,
+            budget_pct in 0u32..140,
+        ) {
+            let unit = f64::from(unit_milli) / 1000.0;
+            let total = (pending + n) as f64 * unit;
+            for budget in [None, Some(total * f64::from(budget_pct) / 100.0)] {
+                let run = |bulk: bool| {
+                    let mut meter = WorkMeter::new(budget);
+                    let mut charge = BatchCharge::new(unit);
+                    charge.pending = pending;
+                    let result = if bulk {
+                        charge.add_each(n, &mut meter)
+                    } else {
+                        (0..n).try_for_each(|_| charge.emitted(&mut meter))
+                    }
+                    .and_then(|()| charge.flush(&mut meter));
+                    (format!("{result:?}"), meter.spent.to_bits(), charge.pending)
+                };
+                proptest::prop_assert_eq!(run(true), run(false));
+            }
+        }
+    }
+
+    /// A cross join at the root (no connected query plans one, so the
+    /// workload suites cannot reach it): count mode takes each outer tuple's
+    /// whole inner run at once and still agrees with the materialising paths
+    /// on rows, latency bits and abort points.
+    #[test]
+    fn count_mode_matches_materialised_cross_join() {
+        let (db, opt, q) = setup_sized(50, 3000);
+        let scan = |relation| PlanNode::Scan {
+            relation,
+            access: AccessPath::SeqScan,
+            est_rows: 0.0,
+            est_cost: 0.0,
+        };
+        let plan = PhysicalPlan {
+            root: PlanNode::Join {
+                method: JoinMethod::Hash,
+                left: Box::new(scan(1)),
+                right: Box::new(scan(0)),
+                edges: Vec::new(),
+                index_nl: false,
+                est_rows: 0.0,
+                est_cost: 0.0,
+            },
+        };
+        let chunked = Executor::new(&db, *opt.cost_model());
+        let scalar = Executor::with_mode(&db, *opt.cost_model(), ExecMode::Scalar);
+        let full = chunked.execute(&q, &plan, None).unwrap();
+        assert_eq!(full.rows, 150_000);
+        for budget in [None, Some(full.latency * 0.3), Some(full.latency * 0.9)] {
+            let count = format!("{:?}", chunked.execute(&q, &plan, budget));
+            let rows = chunked.execute_rows(&q, &plan, budget).map(|(out, _)| out);
+            assert_eq!(count, format!("{rows:?}"));
+            assert_eq!(count, format!("{:?}", scalar.execute(&q, &plan, budget)));
         }
     }
 

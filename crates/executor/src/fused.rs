@@ -3,18 +3,21 @@
 //! The chunked interpreter ([`crate::exec`]) walks the plan tree on every
 //! execution: per-node `match` dispatch, per-join slot lookups
 //! (`RowSet::slot_of` is a linear scan), a freshly collected
-//! `extra_edge_columns` vector, and full materialisation of every
-//! intermediate *and* the final result. For the serving path that is pure
-//! overhead — `PlanDoctor` sees the same few plan shapes over and over.
+//! `extra_edge_columns` vector and a freshly derived emit layout per join.
+//! For the serving path that is repeated analysis — `PlanDoctor` sees the
+//! same few plan shapes over and over.
 //!
 //! [`FusedPipeline::compile`] runs that analysis **once** per shape: it
 //! flattens a supported plan into a stage program with every slot, key
 //! column and emit layout pre-resolved, and rejects (returns `None`)
 //! anything else so the caller falls back to the interpreter. Execution
-//! then drives the stages through the interpreter's own join kernels
-//! (`crate::probe`) and, in count mode ([`FusedPipeline::execute`]),
-//! materialises only the row-id columns later stages actually read — the
-//! final join emits nothing at all, it only counts.
+//! then drives the stages through the interpreter's own join kernels and
+//! sinks (`crate::probe`). What gets materialised is the same in both
+//! engines, because both derive it from the same two functions
+//! (`probe::Liveness::of`, `probe::Layout::narrow`): in count mode
+//! ([`FusedPipeline::execute`], like `Executor::execute`) a stage emits only
+//! the row-id slots later stages read and the final join only counts; in
+//! row mode every slot is live.
 //!
 //! # Supported shapes
 //!
@@ -46,11 +49,11 @@
 
 use foss_common::Result;
 use foss_optimizer::{AccessPath, CostModel, JoinMethod, PhysicalPlan, PlanNode};
-use foss_query::Query;
+use foss_query::{JoinEdge, Query};
 
 use crate::database::Database;
 use crate::exec::{ExecMode, ExecOutcome, Executor, RowSet, WorkMeter};
-use crate::probe::{self, Outer};
+use crate::probe::{self, Count, Layout, Liveness, Outer, Rows, Sink};
 
 /// The tier key for `(query, plan)` — see [`PhysicalPlan::shape_key`].
 /// Re-exported here so tier callers need only the executor crate.
@@ -70,25 +73,45 @@ struct ScanStep {
 type ExtraEdge = (usize, usize, usize, usize);
 
 /// Per-stage probe/emit layout: where the key and extra-edge columns live
-/// in the incoming tuples, which incoming slots survive into the output,
-/// and whether the freshly joined inner row id is appended.
+/// in the incoming tuples, and which slots of a match survive into the
+/// output.
 #[derive(Debug, Clone)]
 struct EmitView {
     /// Slot of the probe key's outer relation in the incoming layout.
     lslot: usize,
     /// Extra equi-edges resolved against the incoming layout.
     extra: Vec<ExtraEdge>,
-    /// Incoming slots copied into each emitted tuple, in output order.
-    keep: Vec<usize>,
-    /// Whether the inner row id is appended after `keep`.
-    keep_inner: bool,
+    /// What each emitted tuple keeps.
+    emit: Layout,
     /// Incoming tuple stride.
     stride_in: usize,
 }
 
 impl EmitView {
-    fn stride_out(&self) -> usize {
-        self.keep.len() + usize::from(self.keep_inner)
+    /// Resolve the conditions of stage `pos` against its incoming relations
+    /// `rels` and lay out its output for the relations `live` after it,
+    /// leaving the outgoing relations in `rels`. `None` when a condition
+    /// reads a relation the incoming tuples do not carry.
+    fn resolve(
+        rels: &mut Vec<usize>,
+        inner_rel: usize,
+        edges: &[JoinEdge],
+        live: &Liveness,
+        pos: usize,
+    ) -> Option<Self> {
+        let slot = |rel: usize| rels.iter().position(|&r| r == rel);
+        let view = EmitView {
+            lslot: slot(edges.first()?.left)?,
+            extra: edges
+                .iter()
+                .skip(1)
+                .map(|e| slot(e.left).map(|s| (s, e.left, e.left_column, e.right_column)))
+                .collect::<Option<Vec<_>>>()?,
+            emit: Layout::narrow(rels, inner_rel, live, pos),
+            stride_in: rels.len(),
+        };
+        view.emit.apply(rels, inner_rel);
+        Some(view)
     }
 }
 
@@ -123,14 +146,14 @@ struct JoinStage {
 impl JoinStage {
     /// Match the inner relation against `outer` on the shared join kernels
     /// ([`crate::probe`]) — charge-for-charge the interpreter's `hash_join`
-    /// and `index_nl_join` — handing each match to `emit`.
-    fn join(
+    /// and `index_nl_join` — handing each match to `sink`.
+    fn join<S: Sink>(
         &self,
         exec: &Executor<'_>,
         query: &Query,
         outer: &Outer<'_>,
         meter: &mut WorkMeter,
-        emit: impl FnMut(&[u32], u32),
+        sink: &mut S,
     ) -> Result<()> {
         let p = exec.cost.params;
         match self.kind {
@@ -139,7 +162,7 @@ impl JoinStage {
                     exec.exec_scan(query, self.inner.rel, &self.inner.access, meter)?;
                 meter.charge(inner_rows.len() as f64 * p.hash_build)?;
                 let icol = exec.column_slice(query, self.inner.rel, self.key_right_col);
-                probe::hash_join(outer, &inner_rows, icol, &p, meter, emit)
+                probe::hash_join(outer, &inner_rows, icol, &p, meter, sink)
             }
             StageKind::IndexNl => {
                 // The inner is never scanned: rows come out of its hash
@@ -148,7 +171,7 @@ impl JoinStage {
                 let (table, index, descent) =
                     exec.index_nl_inner(query, self.inner.rel, self.key_right_col)?;
                 let preds = &query.relations[self.inner.rel].predicates;
-                probe::index_nl_join(outer, table, index, preds, descent, &p, meter, emit)
+                probe::index_nl_join(outer, table, index, preds, descent, &p, meter, sink)
             }
         }
     }
@@ -206,10 +229,10 @@ impl FusedPipeline {
         };
         joins.reverse();
 
-        // Resolve slots against the growing full layout; relations must be
-        // distinct for slot resolution to be unambiguous.
+        // Every join's inner scan and conditions, bottom-up; relations must
+        // be distinct for slot resolution to be unambiguous.
         let mut layout = vec![first.rel];
-        let mut stages = Vec::with_capacity(joins.len());
+        let mut parts: Vec<(StageKind, ScanStep, &[JoinEdge])> = Vec::with_capacity(joins.len());
         for (join, right) in &joins {
             let PlanNode::Scan {
                 relation, access, ..
@@ -228,105 +251,46 @@ impl FusedPipeline {
             } else {
                 StageKind::Hash
             };
-            if layout.contains(&relation) {
+            if layout.contains(&relation) || edges.iter().any(|e| e.right != relation) {
                 return None;
             }
-            let key = edges[0];
-            if key.right != relation {
-                return None;
-            }
-            let lslot = layout.iter().position(|&r| r == key.left)?;
-            let mut extra = Vec::with_capacity(edges.len().saturating_sub(1));
-            for e in &edges[1..] {
-                if e.right != relation {
-                    return None;
-                }
-                let slot = layout.iter().position(|&r| r == e.left)?;
-                extra.push((slot, e.left, e.left_column, e.right_column));
-            }
-            stages.push((
+            parts.push((
                 kind,
                 ScanStep {
                     rel: relation,
                     access,
                 },
-                key,
-                lslot,
-                extra,
-                layout.clone(),
+                edges,
             ));
             layout.push(relation);
         }
 
-        // Liveness for count mode: after stage i, keep only the relations
-        // later stages' keys and extra edges read (the last stage keeps
-        // nothing — it only counts matches).
-        let k = stages.len();
-        let mut live_after: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for i in (0..k.saturating_sub(1)).rev() {
-            let mut live = live_after[i + 1].clone();
-            let (_, _, key, _, extra, _) = &stages[i + 1];
-            for rel in std::iter::once(key.left).chain(extra.iter().map(|e| e.1)) {
-                if !live.contains(&rel) {
-                    live.push(rel);
-                }
-            }
-            live_after[i] = live;
-        }
-
-        let mut compiled = Vec::with_capacity(k);
-        let mut narrow_in = vec![first.rel];
-        for (i, (kind, inner, key, lslot_full, extra_full, full_in)) in stages.iter().enumerate() {
-            let full = EmitView {
-                lslot: *lslot_full,
-                extra: extra_full.clone(),
-                keep: (0..full_in.len()).collect(),
-                keep_inner: true,
-                stride_in: full_in.len(),
-            };
-            let npos = |rel: usize| narrow_in.iter().position(|&r| r == rel);
-            // The narrow output preserves full-layout order.
-            let narrow_out: Vec<usize> = full_in
-                .iter()
-                .copied()
-                .chain(std::iter::once(inner.rel))
-                .filter(|r| live_after[i].contains(r))
-                .collect();
-            let mut keep = Vec::with_capacity(narrow_out.len());
-            let mut keep_inner = false;
-            for &rel in &narrow_out {
-                if rel == inner.rel {
-                    keep_inner = true;
-                } else {
-                    keep.push(npos(rel)?);
-                }
-            }
-            let narrow = EmitView {
-                lslot: npos(key.left)?,
-                extra: extra_full
-                    .iter()
-                    .map(|&(_, lrel, lcol, rcol)| npos(lrel).map(|s| (s, lrel, lcol, rcol)))
-                    .collect::<Option<Vec<_>>>()?,
-                keep,
-                keep_inner,
-                stride_in: narrow_in.len(),
-            };
-            narrow_in = narrow_out;
-            compiled.push(JoinStage {
-                kind: *kind,
-                inner: *inner,
+        // Count mode keeps, after each stage, only the relations later
+        // stages' conditions read (nothing after the last — it only counts);
+        // row mode keeps them all.
+        let relations = query.relation_count();
+        let count_live = Liveness::of(relations, parts.iter().map(|&(_, _, edges)| edges));
+        let all_live = Liveness::all(relations);
+        let mut stages = Vec::with_capacity(parts.len());
+        let mut full_rels = vec![first.rel];
+        let mut narrow_rels = vec![first.rel];
+        for (pos, &(kind, inner, edges)) in parts.iter().enumerate() {
+            let key = edges[0];
+            stages.push(JoinStage {
+                kind,
+                inner,
                 key_left_rel: key.left,
                 key_left_col: key.left_column,
                 key_right_col: key.right_column,
-                full,
-                narrow,
+                full: EmitView::resolve(&mut full_rels, inner.rel, edges, &all_live, pos)?,
+                narrow: EmitView::resolve(&mut narrow_rels, inner.rel, edges, &count_live, pos)?,
             });
         }
 
         Some(FusedPipeline {
             shape: shape_key(query, plan),
             first,
-            stages: compiled,
+            stages,
             rels: layout,
         })
     }
@@ -374,10 +338,7 @@ impl FusedPipeline {
         budget: Option<f64>,
         want_rows: bool,
     ) -> Result<(ExecOutcome, Option<RowSet>)> {
-        let mut meter = WorkMeter {
-            spent: 0.0,
-            budget: budget.unwrap_or(f64::INFINITY),
-        };
+        let mut meter = WorkMeter::new(budget);
         // Leaf scans share the interpreter's implementation (and therefore
         // its charges) exactly; the fused win lives in the join chain.
         let exec = Executor::with_mode(db, cost, ExecMode::Chunked);
@@ -395,7 +356,7 @@ impl FusedPipeline {
             let count_only = !want_rows && si + 1 == self.stages.len();
             let outer = Outer {
                 data: &current,
-                stride: view.stride_in.max(1),
+                stride: view.stride_in,
                 key_slot: view.lslot,
                 key_col: exec.column_slice(query, stage.key_left_rel, stage.key_left_col),
                 extra: view
@@ -410,22 +371,15 @@ impl FusedPipeline {
                     })
                     .collect(),
             };
-            let mut out: Vec<u32> = Vec::new();
             if count_only {
-                let mut count: u64 = 0;
-                stage.join(&exec, query, &outer, &mut meter, |_, _| count += 1)?;
-                final_count = count;
+                let mut count = Count::default();
+                stage.join(&exec, query, &outer, &mut meter, &mut count)?;
+                final_count = count.0;
             } else {
-                stage.join(&exec, query, &outer, &mut meter, |t, row| {
-                    for &kslot in &view.keep {
-                        out.push(t[kslot]);
-                    }
-                    if view.keep_inner {
-                        out.push(row);
-                    }
-                })?;
-                final_count = (out.len() / view.stride_out().max(1)) as u64;
-                current = out;
+                let mut rows = Rows::new(&view.emit);
+                stage.join(&exec, query, &outer, &mut meter, &mut rows)?;
+                final_count = (rows.out.len() / view.emit.stride()) as u64;
+                current = rows.out;
             }
         }
 

@@ -22,9 +22,12 @@
 //! vectors) and the scalar row-at-a-time reference kept for differential
 //! testing. Both charge identical work units and produce identical tuples.
 //! Every plan runs on the calling thread; there is no other scheduling knob.
-//! Hot left-deep shapes can additionally be compiled to a [`FusedPipeline`],
-//! which drives the same join kernels (`probe`) as the chunked engine but
-//! keeps only the tuple slots later stages read.
+//! [`Executor::execute`] never materialises the `COUNT(*)` result it counts,
+//! nor the slots of an intermediate tuple no later join reads;
+//! [`Executor::execute_rows`] returns full tuples for the aggregator and the
+//! differential tests. Hot left-deep shapes can additionally be compiled to a
+//! [`FusedPipeline`], which drives the same join kernels and output sinks
+//! (`probe`) as the chunked engine with the per-join analysis done once.
 
 pub mod agg;
 pub mod cache;

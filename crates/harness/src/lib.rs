@@ -14,7 +14,7 @@
 //!
 //! **Unit convention**: execution latency is deterministic executor work
 //! units, which we equate to microseconds when combining with measured
-//! wall-clock optimisation time in WRL (see EXPERIMENTS.md).
+//! wall-clock optimisation time in WRL (see README.md, *Executor*).
 //!
 //! **Snapshot-based planning**: since the serving redesign, every runner
 //! evaluates FOSS through read-only [`foss_core::PlannerSnapshot`]s — the

@@ -7,9 +7,15 @@
 //! perturbed (often catastrophic) plans alike. Each workload is built twice:
 //! small, and at scale 0.3 where the fact tables span several chunks, so
 //! chunk boundaries and mid-chunk timeouts are exercised too.
+//!
+//! Count mode (`Executor::execute` on the chunked engine, and
+//! `FusedPipeline::execute`) keeps no result and only the live slots of each
+//! intermediate, which nothing but memory shows — so a second, exhaustive
+//! test holds it to the materialising paths on rows, latency bits and abort
+//! points.
 
-use foss_repro::executor::{ExecMode, Executor};
-use foss_repro::optimizer::ALL_JOIN_METHODS;
+use foss_repro::executor::{ExecMode, ExecOutcome, Executor, FusedPipeline};
+use foss_repro::optimizer::{PlanNode, ALL_JOIN_METHODS};
 use foss_repro::prelude::*;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -119,5 +125,196 @@ proptest! {
                 )));
             }
         }
+    }
+}
+
+/// What an execution is compared on: rows and latency bits, or the abort
+/// point.
+fn verdict(r: Result<ExecOutcome>) -> String {
+    match r {
+        Ok(out) => format!(
+            "rows={} latency_bits={:#x}",
+            out.rows,
+            out.latency.to_bits()
+        ),
+        Err(e) => format!("{e:?}"),
+    }
+}
+
+/// Which count-mode paths the plans of [`count_mode_equals_materialised_execution`]
+/// took at the root join (a connected query never has a cross join *there*;
+/// `cross` counts plans with one below the root, whose narrowed output the
+/// joins above consume).
+#[derive(Default, Debug)]
+struct RootCoverage {
+    hash: usize,
+    merge: usize,
+    nest_loop: usize,
+    index_nl_filtered: usize,
+    index_nl_unfiltered: usize,
+    multi_edge: usize,
+    cross: usize,
+    fused: usize,
+    timeouts: usize,
+}
+
+impl RootCoverage {
+    fn record(&mut self, query: &Query, plan: &PhysicalPlan) {
+        let mut node = &plan.root;
+        while let PlanNode::Join { left, edges, .. } = node {
+            if edges.is_empty() {
+                self.cross += 1;
+                break;
+            }
+            node = left;
+        }
+        let PlanNode::Join {
+            method,
+            right,
+            edges,
+            index_nl,
+            ..
+        } = &plan.root
+        else {
+            return;
+        };
+        if edges.len() > 1 {
+            self.multi_edge += 1;
+        }
+        if *index_nl {
+            let PlanNode::Scan { relation, .. } = **right else {
+                return;
+            };
+            if query.relations[relation].predicates.is_empty() {
+                self.index_nl_unfiltered += 1;
+            } else {
+                self.index_nl_filtered += 1;
+            }
+        } else {
+            match method {
+                JoinMethod::Hash => self.hash += 1,
+                JoinMethod::Merge => self.merge += 1,
+                JoinMethod::NestLoop => self.nest_loop += 1,
+            }
+        }
+    }
+}
+
+/// Count mode == materialising execution, everywhere it can differ: for all
+/// five workloads, the expert plan and rotated-order plans with every join
+/// method forced at the root (which also yields multi-edge joins, cross joins
+/// below the root and index nested loops over filtered and unfiltered inners),
+/// the chunked `execute`, the chunked `execute_rows`, the scalar reference and
+/// — where the shape compiles — both fused modes agree on rows and latency
+/// bits, and under budgets of 0.1 … 0.9 of the full latency abort at the same
+/// `Timeout { spent, budget }`.
+#[test]
+fn count_mode_equals_materialised_execution() {
+    let mut seen = RootCoverage::default();
+    for wl in &workloads()[..WORKLOAD_NAMES.len()] {
+        let cost = *wl.optimizer.cost_model();
+        let chunked = Executor::with_mode(&wl.db, cost, ExecMode::Chunked);
+        let scalar = Executor::with_mode(&wl.db, cost, ExecMode::Scalar);
+        for (qi, query) in wl.test.iter().chain(wl.train.iter().take(12)).enumerate() {
+            let expert = wl.optimizer.optimize(query).unwrap();
+            let expert_latency = chunked.execute(query, &expert, None).unwrap().latency;
+            let base = expert.extract_icp().unwrap();
+            let n = base.order.len();
+            let mut plans = vec![expert];
+            for (mi, &root) in ALL_JOIN_METHODS.iter().enumerate() {
+                let mut order = base.order.clone();
+                order.rotate_left((qi + mi) % n);
+                let mut methods: Vec<JoinMethod> = (0..n.saturating_sub(1))
+                    .map(|j| ALL_JOIN_METHODS[(qi + mi + j) % 3])
+                    .collect();
+                if let Some(last) = methods.last_mut() {
+                    *last = root;
+                }
+                let icp = Icp::new(order, methods).unwrap();
+                plans.push(wl.optimizer.optimize_with_hint(query, &icp).unwrap());
+            }
+            for plan in &plans {
+                seen.record(query, plan);
+                let fused = FusedPipeline::compile(query, plan);
+                seen.fused += usize::from(fused.is_some());
+                // Catastrophic perturbations compare their abort point under
+                // a cap instead of running to completion.
+                let cap = expert_latency * 25.0;
+                let full = chunked
+                    .execute_rows(query, plan, Some(cap))
+                    .map(|(out, _)| out);
+                let budgets: Vec<f64> = match &full {
+                    Ok(out) => (1..=9).map(|k| out.latency * f64::from(k) / 10.0).collect(),
+                    Err(_) => Vec::new(),
+                };
+                seen.timeouts += usize::from(full.is_err());
+                for budget in std::iter::once(cap).chain(budgets) {
+                    // Built only when an assertion fails.
+                    let label = || {
+                        format!(
+                            "{} q{:?} budget {budget}:\n{}",
+                            wl.name,
+                            query.id,
+                            plan.explain()
+                        )
+                    };
+                    let reference = verdict(scalar.execute(query, plan, Some(budget)));
+                    let rows = chunked
+                        .execute_rows(query, plan, Some(budget))
+                        .map(|(out, _)| out);
+                    assert_eq!(
+                        verdict(rows),
+                        reference,
+                        "execute_rows vs scalar: {}",
+                        label()
+                    );
+                    let count = chunked.execute(query, plan, Some(budget));
+                    assert_eq!(
+                        verdict(count),
+                        reference,
+                        "count mode vs scalar: {}",
+                        label()
+                    );
+                    if let Some(fused) = &fused {
+                        let count = fused.execute(&wl.db, cost, query, Some(budget));
+                        assert_eq!(
+                            verdict(count),
+                            reference,
+                            "fused count vs scalar: {}",
+                            label()
+                        );
+                        let rows = fused
+                            .execute_rows(&wl.db, cost, query, Some(budget))
+                            .map(|(out, _)| out);
+                        assert_eq!(
+                            verdict(rows),
+                            reference,
+                            "fused rows vs scalar: {}",
+                            label()
+                        );
+                    }
+                }
+            }
+        }
+    }
+    // Every count-mode root path ran, or the test proved less than it says.
+    for (what, n) in [
+        ("hash root", seen.hash),
+        ("merge root", seen.merge),
+        ("nested-loop root", seen.nest_loop),
+        (
+            "index-NL root with inner predicates",
+            seen.index_nl_filtered,
+        ),
+        (
+            "index-NL root without inner predicates",
+            seen.index_nl_unfiltered,
+        ),
+        ("multi-edge root", seen.multi_edge),
+        ("cross join below the root", seen.cross),
+        ("fused pipelines", seen.fused),
+        ("capped (timed-out) plans", seen.timeouts),
+    ] {
+        assert!(n > 0, "no plan exercised: {what} ({seen:?})");
     }
 }

@@ -166,7 +166,7 @@ fn baselines_share_the_trait_and_plan_correctly() {
 fn joblite_expert_leaves_doctoring_headroom() {
     // The reproduction's premise: on the skewed JOB-lite data, *some*
     // expert plans can be improved by a one-step doctored ICP. Note the
-    // honest scope (see EXPERIMENTS.md): our deterministic executor shares
+    // honest scope (see README.md, *Executor*): our deterministic executor shares
     // the expert's cost constants and always pushes filters down, so the
     // expert sits much closer to optimal here than PostgreSQL does on real
     // IMDb — headroom exists but is far smaller than the paper's 6×.
