@@ -98,6 +98,12 @@ fn train_snapshot(exp: &Experiment, shared: &SharedArgs) -> PlannerSnapshot {
         adapter
             .train_round(&exp.workload.train)
             .unwrap_or_else(|e| panic!("training round {round} failed: {e}"));
+        if let Some(report) = adapter.last_report() {
+            println!(
+                "plan-doctor: training round {round}: buffer={} plans, aam acc {:.2} | {}",
+                report.buffer_plans, report.aam_accuracy, report.phases
+            );
+        }
     }
     adapter.snapshot().as_ref().clone()
 }

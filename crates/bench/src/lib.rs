@@ -15,7 +15,7 @@ pub mod load;
 use criterion::Criterion;
 use foss_common::QueryId;
 use foss_core::encoding::PlanEncoder;
-use foss_core::{AdvantageModel, Foss, FossConfig};
+use foss_core::{AdvantageModel, AdvantageScale, Foss, FossConfig};
 use foss_executor::{CachingExecutor, EvictionPolicy, ExecMode, Executor, FusedPipeline};
 use foss_harness::table1::RunConfig;
 use foss_nn::{Graph, Linear, Matrix, ParamSet};
@@ -315,6 +315,39 @@ pub fn micro_suite(c: &mut Criterion) {
                 black_box(off_doctor.submit(QueryRequest::new(q.clone())).unwrap());
             }
         })
+    });
+
+    // The two phases that decide a training iteration's wall time, on a
+    // buffer bootstrapped over the whole train split under the serving
+    // configuration: one AAM epoch over the buffer's labelled pairs (each
+    // pass starts from the same weights), and one agent's 100 simulated
+    // episodes fanned out over their shards (no PPO update, so the policy
+    // they sample from stays the same).
+    let mut trainer = Foss::new(
+        wl.optimizer.clone(),
+        Arc::new(CachingExecutor::new(wl.db.clone(), *opt.cost_model())),
+        wl.max_relations,
+        wl.table_rows(),
+        FossConfig {
+            episodes_per_update: 100,
+            ..FossConfig::tiny()
+        },
+    );
+    trainer.bootstrap(&wl.train, 1).expect("trainer bootstrap");
+    let mut pair_rng = StdRng::seed_from_u64(13);
+    let pairs = trainer.buffer().training_pairs(
+        &AdvantageScale::new(trainer.config().adv_points.clone()),
+        200,
+        &mut pair_rng,
+    );
+    c.bench_function("aam/train_epoch", |b| {
+        b.iter(|| {
+            let mut model = trainer.aam().clone();
+            black_box(model.train_epoch(&pairs, &mut pair_rng))
+        })
+    });
+    c.bench_function("train/sim_episodes", |b| {
+        b.iter(|| black_box(trainer.simulate_episodes(&wl.train, 1).unwrap()))
     });
 
     let a = Matrix::full(64, 64, 0.5);

@@ -30,6 +30,12 @@ pub type AamSample = (EncodedPlan, EncodedPlan, usize);
 /// bit-for-bit reproducible on any machine.
 const GRAD_SHARDS: usize = 4;
 
+/// Pairs per inference tape of the accuracy pass.
+const ACCURACY_CHUNK: usize = 64;
+
+/// Workers the accuracy pass spreads its chunks over.
+const ACCURACY_SHARDS: usize = 4;
+
 /// The AAM: its own state network, position embeddings and difference head.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AdvantageModel {
@@ -266,18 +272,50 @@ impl AdvantageModel {
     }
 
     /// Classification accuracy on `samples`.
+    ///
+    /// Samples own their encodings (`training_pairs` clones one per side), so
+    /// equal plans are first mapped to one representative by content; the
+    /// pointer dedup in `forward_pairs` then runs the state network once per
+    /// distinct plan of a chunk. Chunks of `ACCURACY_CHUNK` pairs — each on
+    /// its own small inference tape, never one tape over the whole buffer —
+    /// are spread over `ACCURACY_SHARDS` workers; a pair's prediction does
+    /// not depend on what else shares its tape, so the count is that of
+    /// per-pair [`AdvantageModel::predict`].
     pub fn accuracy(&self, samples: &[AamSample]) -> f32 {
         if samples.is_empty() {
             return 0.0;
         }
-        let pairs: Vec<(&EncodedPlan, &EncodedPlan)> =
-            samples.iter().map(|s| (&s.0, &s.1)).collect();
-        let preds = self.predict_batch(&pairs);
-        let hits = preds
+        let mut distinct: foss_common::FxHashMap<Vec<u8>, &EncodedPlan> =
+            foss_common::FxHashMap::default();
+        let mut representative = |plan| {
+            let mut w = foss_common::ByteWriter::new();
+            foss_common::Codec::encode(plan, &mut w);
+            *distinct.entry(w.into_bytes()).or_insert(plan)
+        };
+        let pairs: Vec<(&EncodedPlan, &EncodedPlan)> = samples
             .iter()
-            .zip(samples)
-            .filter(|(p, s)| **p == s.2)
-            .count();
+            .map(|s| (representative(&s.0), representative(&s.1)))
+            .collect();
+        let chunks: Vec<_> = pairs
+            .chunks(ACCURACY_CHUNK)
+            .zip(samples.chunks(ACCURACY_CHUNK))
+            .collect();
+        let per_shard = chunks.len().div_ceil(ACCURACY_SHARDS);
+        let hits: usize = foss_common::run_sharded(chunks.len().div_ceil(per_shard), |si| {
+            chunks[si * per_shard..((si + 1) * per_shard).min(chunks.len())]
+                .iter()
+                .map(|(pairs, samples)| {
+                    let preds = self.predict_batch(pairs);
+                    preds
+                        .iter()
+                        .zip(*samples)
+                        .filter(|(p, s)| **p == s.2)
+                        .count()
+                })
+                .sum::<usize>()
+        })
+        .into_iter()
+        .sum();
         hits as f32 / samples.len() as f32
     }
 }
@@ -435,6 +473,31 @@ mod tests {
         let batched = m.predict_batch(&pairs);
         let looped: Vec<usize> = pairs.iter().map(|(l, r)| m.predict(l, r)).collect();
         assert_eq!(batched, looped);
+    }
+
+    #[test]
+    fn chunked_accuracy_counts_exactly_the_per_pair_predictions() {
+        // More pairs than one chunk, not a multiple of it; every encoding is
+        // its own allocation (what `training_pairs` produces), with the same
+        // plan appearing many times by content and one sample repeated.
+        let mut m = model();
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut samples: Vec<AamSample> = (0..3 * ACCURACY_CHUNK + 7)
+            .map(|i| (plan(i % 5), plan((i * 7 + 1) % 11), i % 3))
+            .collect();
+        samples.push(samples[0].clone());
+        for _ in 0..3 {
+            m.train_epoch(&samples, &mut rng);
+        }
+        let hits = samples
+            .iter()
+            .filter(|s| m.predict(&s.0, &s.1) == s.2)
+            .count();
+        assert!(0 < hits && hits < samples.len(), "degenerate case: {hits}");
+        assert_eq!(
+            m.accuracy(&samples).to_bits(),
+            (hits as f32 / samples.len() as f32).to_bits()
+        );
     }
 
     #[test]

@@ -4,9 +4,11 @@
 
 use foss_common::{ByteReader, ByteWriter, Codec};
 use foss_nn::{Graph, Linear, ParamSet, Var};
-use foss_rl::{sample_masked, PolicyValueNet, Ppo, PpoConfig, PpoStats, RolloutBatch};
+use foss_rl::{
+    sample_masked, sample_masked_at, PolicyValueNet, Ppo, PpoConfig, PpoStats, RolloutBatch,
+};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::config::FossConfig;
@@ -225,6 +227,21 @@ impl PlannerAgent {
         (a, logp, value)
     }
 
+    /// [`PlannerAgent::act`] with the sampling uniform supplied by the
+    /// caller: read-only, so one agent can act on many threads at once.
+    pub fn act_at(&self, state: &EncodedPlan, mask: &[bool], u: f32) -> (usize, f32, f32) {
+        let (logits, value) = self.evaluate(state);
+        let (a, logp, _) = sample_masked_at(&logits, mask, u);
+        (a, logp, value)
+    }
+
+    /// The next `n` sampling uniforms of the agent's RNG — exactly what `n`
+    /// calls of [`PlannerAgent::act`] would draw, taken up front so the steps
+    /// can then run through [`PlannerAgent::act_at`] off this thread.
+    pub fn draw_uniforms(&mut self, n: usize) -> Vec<f32> {
+        (0..n).map(|_| self.rng.random_range(0.0..1.0)).collect()
+    }
+
     /// Greedy action under `mask` (inference).
     pub fn act_greedy(&self, state: &EncodedPlan, mask: &[bool]) -> usize {
         greedy_action(&self.model, &self.set, state, mask)
@@ -282,6 +299,24 @@ mod tests {
             assert!(mask[act]);
             assert!(logp <= 0.0);
         }
+    }
+
+    #[test]
+    fn predrawn_uniforms_reproduce_act() {
+        let mut live = agent(5);
+        let mut predrawn = agent(5);
+        let mask = vec![true, true, false, true, true];
+        let uniforms = predrawn.draw_uniforms(20);
+        for (step, &u) in uniforms.iter().enumerate() {
+            let (a, logp, v) = live.act(&plan(step), &mask);
+            let (a2, logp2, v2) = predrawn.act_at(&plan(step), &mask, u);
+            assert_eq!(
+                (a, logp.to_bits(), v.to_bits()),
+                (a2, logp2.to_bits(), v2.to_bits())
+            );
+        }
+        // Both RNGs stand at the same point of the stream afterwards.
+        assert_eq!(live.draw_uniforms(3), predrawn.draw_uniforms(3));
     }
 
     #[test]

@@ -263,6 +263,17 @@ pub mod tests_support {
         }
     }
 
+    impl TestWorld {
+        /// A valid query over table `a` alone: its ICP admits no swap and no
+        /// override, so the doctor has no legal action on it.
+        pub fn single_relation_query(&self, id: usize) -> Query {
+            let schema = self.db.schema();
+            let mut qb = QueryBuilder::new(foss_common::QueryId::new(id), 2);
+            qb.relation(schema.table_id("a").unwrap(), "a");
+            qb.build(schema).unwrap()
+        }
+    }
+
     /// A reward oracle backed directly by true latencies (no timeout, no
     /// buffer) — useful to test the episode loop in isolation.
     pub struct LatencyOracle<'a> {

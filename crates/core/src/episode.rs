@@ -73,6 +73,40 @@ pub fn run_episode(
     )
 }
 
+/// A sampling episode whose randomness was drawn beforehand: `uniforms` holds
+/// one [`PlannerAgent::draw_uniforms`] value per step (`cfg.max_steps` of
+/// them). Identical to [`run_episode`] with `greedy = false` for the same
+/// stream, but `&PlannerAgent` — episodes over frozen state can fan out.
+#[allow(clippy::too_many_arguments)]
+pub fn run_episode_predrawn(
+    agent: &PlannerAgent,
+    uniforms: &[f32],
+    optimizer: &TraditionalOptimizer,
+    encoder: &PlanEncoder,
+    space: &ActionSpace,
+    query: &Query,
+    original: &PhysicalPlan,
+    oracle: &mut dyn RewardOracle,
+    cfg: &FossConfig,
+) -> Result<EpisodeResult> {
+    debug_assert_eq!(uniforms.len(), cfg.max_steps);
+    let mut draws = uniforms.iter();
+    let mut choose = |state: &EncodedPlan, mask: &[bool]| {
+        let u = *draws.next().expect("one pre-drawn uniform per step");
+        agent.act_at(state, mask, u)
+    };
+    run_episode_core(
+        &mut choose,
+        optimizer,
+        encoder,
+        space,
+        query,
+        original,
+        oracle,
+        cfg,
+    )
+}
+
 /// The read-only inference episode: greedy actions from a [`PlanPolicy`]
 /// (a live agent or a frozen snapshot policy), `&self` all the way down —
 /// many threads can run this concurrently over one set of weights.
@@ -134,13 +168,20 @@ fn run_episode_core(
     let mut ctx_prev = original_ctx.clone();
     let mut best = original_ctx.clone();
     let mut visited = Vec::with_capacity(max_steps);
-    let mut transitions = Vec::with_capacity(max_steps);
+    let mut transitions: Vec<Transition<EncodedPlan>> = Vec::with_capacity(max_steps);
     let mut last_swap = None;
     let mut total_reward = 0.0f32;
 
     for t in 1..=max_steps {
         let mask = space.mask(query, &ctx_prev.icp, last_swap);
-        debug_assert!(mask.iter().any(|&m| m), "no legal action at step {t}");
+        if !mask.iter().any(|&m| m) {
+            // Nothing to repair from here (a one-relation query has neither
+            // swap nor override): the episode ends, with what it has.
+            if let Some(last) = transitions.last_mut() {
+                last.done = true;
+            }
+            break;
+        }
         let state = ctx_prev.encoded.clone();
         let (a, logp, value) = choose(&state, &mask);
         let action = space.decode(a);

@@ -40,8 +40,8 @@ pub use agent::{FrozenPolicy, PlanPolicy, PlannerAgent};
 pub use config::FossConfig;
 pub use encoding::{EncodedPlan, PlanEncoder};
 pub use envs::{RealEnv, RewardOracle, SimEnv};
-pub use episode::{run_episode, run_episode_greedy, EpisodeResult};
+pub use episode::{run_episode, run_episode_greedy, run_episode_predrawn, EpisodeResult};
 pub use execbuf::{ExecutedPlan, ExecutionBuffer};
 pub use selector::select_best;
 pub use snapshot::{PlannerSnapshot, SnapshotCell, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-pub use trainer::{Foss, Inference, TrainReport};
+pub use trainer::{Foss, Inference, PhaseTimes, TrainReport};

@@ -16,13 +16,15 @@
 //!    tournament picks the final plan among candidates (and among agents in
 //!    multi-agent mode).
 
+use std::fmt;
 use std::sync::Arc;
+use std::time::Instant;
 
 use foss_common::{FossError, FxHashMap, FxHashSet, QueryId, Result};
 use foss_executor::CachingExecutor;
 use foss_optimizer::{PhysicalPlan, TraditionalOptimizer};
 use foss_query::Query;
-use foss_rl::SharedRolloutBuffer;
+use foss_rl::{RolloutBuffer, Transition};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -31,11 +33,53 @@ use crate::actions::ActionSpace;
 use crate::advantage::AdvantageScale;
 use crate::agent::PlannerAgent;
 use crate::config::FossConfig;
-use crate::encoding::PlanEncoder;
+use crate::encoding::{EncodedPlan, PlanEncoder};
 use crate::envs::{RealEnv, SimEnv};
-use crate::episode::{run_episode, PlanCtx};
+use crate::episode::{run_episode, run_episode_predrawn, PlanCtx};
 use crate::execbuf::{ExecutedPlan, ExecutionBuffer};
 use crate::snapshot::PlannerSnapshot;
+
+/// Number of shards one agent's simulated episodes are split into. Shard
+/// boundaries are a pure function of the episode count (never of the host's
+/// core count) and outcomes are merged in episode order, so the phase is
+/// bit-for-bit the sequential loop on any machine.
+const EPISODE_SHARDS: usize = 8;
+
+/// Wall-clock seconds of each phase of one [`Foss::bootstrap`] or
+/// [`Foss::train_iteration`] call, in the order the phases run.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PhaseTimes {
+    /// The episode phase: simulated episodes, fanned out over
+    /// `EPISODE_SHARDS` threads per agent (real-environment episodes, on one
+    /// thread, in bootstrap and off-simulated mode). Agents run side by
+    /// side; this is the slowest agent's time.
+    pub episodes_s: f64,
+    /// PPO updates (one thread per agent; the slowest agent's time).
+    pub ppo_update_s: f64,
+    /// Real executions of promising and randomly sampled candidates.
+    pub validation_s: f64,
+    /// Building the AAM's labelled pairs from the execution buffer.
+    pub pair_build_s: f64,
+    /// AAM training epochs (each minibatch on four gradient shards).
+    pub aam_epochs_s: f64,
+    /// The AAM's accuracy pass over its training pairs.
+    pub accuracy_s: f64,
+}
+
+impl fmt::Display for PhaseTimes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "episodes {:.3}s, ppo {:.3}s, validation {:.3}s, pairs {:.3}s, aam epochs {:.3}s, accuracy {:.3}s",
+            self.episodes_s,
+            self.ppo_update_s,
+            self.validation_s,
+            self.pair_build_s,
+            self.aam_epochs_s,
+            self.accuracy_s
+        )
+    }
+}
 
 /// Per-iteration training diagnostics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -52,6 +96,8 @@ pub struct TrainReport {
     pub plans_executed: u64,
     /// Plans stored in the execution buffer.
     pub buffer_plans: usize,
+    /// Where the call's wall time went.
+    pub phases: PhaseTimes,
 }
 
 /// Result of one inference call with provenance metadata.
@@ -70,7 +116,8 @@ pub struct Inference {
     pub aam_confidence: usize,
 }
 
-/// What one parallel episode runner brings back for the agent-order merge.
+/// What one agent's simulated-episode phase brings back for the agent-order
+/// merge.
 #[derive(Default)]
 struct AgentRun {
     reward_sum: f32,
@@ -78,6 +125,117 @@ struct AgentRun {
     /// `(query index, repaired plan)` candidates for real-env validation;
     /// deduplication happens at the merge, across agents.
     promising: Vec<(usize, PlanCtx)>,
+    /// Every episode's transitions, in episode order.
+    rollout: RolloutBuffer<EncodedPlan>,
+    episodes_s: f64,
+    ppo_update_s: f64,
+}
+
+/// What one simulated episode contributes to its agent's [`AgentRun`].
+struct EpisodeOutcome {
+    reward: f32,
+    /// The episode's output plan when it differs from the expert's.
+    promising: Option<PlanCtx>,
+    transitions: Vec<Transition<EncodedPlan>>,
+}
+
+/// Everything an iteration's simulated episodes read. All of it is frozen
+/// for the phase — policy weights, AAM and buffer only change after it — so
+/// an episode is a pure function of its pre-drawn randomness and episodes
+/// can run on any thread in any order.
+struct SimPhase<'a> {
+    queries: &'a [Query],
+    originals: &'a FxHashMap<QueryId, PhysicalPlan>,
+    optimizer: &'a TraditionalOptimizer,
+    encoder: &'a PlanEncoder,
+    space: &'a ActionSpace,
+    aam: &'a AdvantageModel,
+    buffer: &'a ExecutionBuffer,
+    scale: &'a AdvantageScale,
+    cfg: &'a FossConfig,
+}
+
+impl SimPhase<'_> {
+    /// Run `episodes` simulated episodes of `agent` in `shards` shards.
+    ///
+    /// The phase's whole randomness is drawn first, in the order the
+    /// sequential loop consumed it: one query index per episode from the
+    /// runner's RNG (seeded with `query_seed`) and `max_steps` sampling
+    /// uniforms per episode from the agent's RNG — an episode that ends
+    /// early leaves its remaining uniforms unused rather than shifting the
+    /// stream. Outcomes are folded in episode order, which keeps the `f32`
+    /// reward sum, the promising list and the rollout independent of
+    /// `shards`.
+    fn run(
+        &self,
+        agent: &mut PlannerAgent,
+        query_seed: u64,
+        episodes: usize,
+        shards: usize,
+    ) -> Result<AgentRun> {
+        let started = Instant::now();
+        let mut rng = StdRng::seed_from_u64(query_seed);
+        let picks: Vec<usize> = (0..episodes)
+            .map(|_| rng.random_range(0..self.queries.len()))
+            .collect();
+        let steps = self.cfg.max_steps;
+        let uniforms = agent.draw_uniforms(episodes * steps);
+        let agent = &*agent;
+
+        let per_shard = episodes.div_ceil(shards).max(1);
+        let outcomes = foss_common::run_sharded(episodes.div_ceil(per_shard), |si| {
+            (si * per_shard..((si + 1) * per_shard).min(episodes))
+                .map(|e| self.episode(agent, picks[e], &uniforms[e * steps..(e + 1) * steps]))
+                .collect::<Result<Vec<EpisodeOutcome>>>()
+        });
+
+        let mut run = AgentRun::default();
+        for shard in outcomes {
+            for outcome in shard? {
+                run.reward_sum += outcome.reward;
+                if let Some(ctx) = outcome.promising {
+                    run.promising.push((picks[run.episodes], ctx));
+                }
+                run.rollout.push_episode(outcome.transitions);
+                run.episodes += 1;
+            }
+        }
+        run.episodes_s = started.elapsed().as_secs_f64();
+        Ok(run)
+    }
+
+    fn episode(
+        &self,
+        agent: &PlannerAgent,
+        qidx: usize,
+        uniforms: &[f32],
+    ) -> Result<EpisodeOutcome> {
+        let query = &self.queries[qidx];
+        let original = self
+            .originals
+            .get(&query.id)
+            .expect("originals are resolved before the phase");
+        let mut env = SimEnv::new(self.aam, self.buffer, self.scale.clone());
+        let res = run_episode_predrawn(
+            agent,
+            uniforms,
+            self.optimizer,
+            self.encoder,
+            self.space,
+            query,
+            original,
+            &mut env,
+            self.cfg,
+        )?;
+        // AAM-estimated improvements are validation candidates (deduped at
+        // the merge).
+        let improved = res.best.icp.fingerprint() != res.original.icp.fingerprint();
+        Ok(EpisodeOutcome {
+            reward: res.total_reward,
+            promising: improved.then_some(res.best),
+            transitions: res.transitions,
+        })
+    }
 }
 
 /// The FOSS system.
@@ -183,6 +341,8 @@ impl Foss {
         queries: &[Query],
         episodes_per_query: usize,
     ) -> Result<TrainReport> {
+        let mut phases = PhaseTimes::default();
+        let started = Instant::now();
         let mut agents = std::mem::take(&mut self.agents);
         let mut result = Ok(());
         'outer: for query in queries {
@@ -220,7 +380,8 @@ impl Foss {
         }
         self.agents = agents;
         result?;
-        let (loss, acc) = self.retrain_aam();
+        phases.episodes_s = started.elapsed().as_secs_f64();
+        let (loss, acc) = self.retrain_aam(&mut phases);
         Ok(TrainReport {
             iteration: 0,
             aam_loss: loss,
@@ -228,19 +389,78 @@ impl Foss {
             mean_reward: 0.0,
             plans_executed: self.executor.executions(),
             buffer_plans: self.buffer.total_plans(),
+            phases,
         })
     }
 
-    fn retrain_aam(&mut self) -> (f32, f32) {
+    /// Retrain the AAM from the buffer: `(last epoch's loss, accuracy)`.
+    fn retrain_aam(&mut self, phases: &mut PhaseTimes) -> (f32, f32) {
+        let started = Instant::now();
         let pairs = self.buffer.training_pairs(&self.scale, 200, &mut self.rng);
+        phases.pair_build_s = started.elapsed().as_secs_f64();
         if pairs.is_empty() {
             return (0.0, 0.0);
         }
+        let started = Instant::now();
         let mut loss = 0.0;
         for _ in 0..self.cfg.aam_epochs {
             loss = self.aam.train_epoch(&pairs, &mut self.rng);
         }
-        (loss, self.aam.accuracy(&pairs))
+        phases.aam_epochs_s = started.elapsed().as_secs_f64();
+        let started = Instant::now();
+        let accuracy = self.aam.accuracy(&pairs);
+        phases.accuracy_s = started.elapsed().as_secs_f64();
+        (loss, accuracy)
+    }
+
+    /// The frozen view of `self` an iteration's simulated episodes read.
+    fn sim_phase<'a>(&'a self, queries: &'a [Query]) -> SimPhase<'a> {
+        SimPhase {
+            queries,
+            originals: &self.originals,
+            optimizer: &self.optimizer,
+            encoder: &self.encoder,
+            space: &self.space,
+            aam: &self.aam,
+            buffer: &self.buffer,
+            scale: &self.scale,
+            cfg: &self.cfg,
+        }
+    }
+
+    fn episodes_per_agent(&self) -> usize {
+        (self.cfg.episodes_per_update / self.agents.len().max(1)).max(1)
+    }
+
+    /// Seed of the RNG that picks agent `a`'s episode queries in `iteration`
+    /// — split from the experiment seed rather than shared, so agents do not
+    /// depend on each other's schedule.
+    fn episode_query_seed(&self, iteration: usize, a: usize) -> u64 {
+        foss_common::SeedStream::new(self.cfg.seed)
+            .substream("episode-queries")
+            .derive_indexed("agent", (iteration * self.agents.len() + a) as u64)
+    }
+
+    /// The first agent's simulated-episode phase of iteration `iteration` and
+    /// nothing else — no PPO update, no validation, no retraining; returns
+    /// the mean episode reward. For benchmarks: the agent's sampling RNG
+    /// advances, nothing is learned.
+    pub fn simulate_episodes(&mut self, queries: &[Query], iteration: usize) -> Result<f32> {
+        if queries.is_empty() {
+            return Err(FossError::InvalidQuery("empty training workload".into()));
+        }
+        for query in queries {
+            self.original_plan(query)?;
+        }
+        let episodes = self.episodes_per_agent();
+        let seed = self.episode_query_seed(iteration, 0);
+        let mut agents = std::mem::take(&mut self.agents);
+        let run = self
+            .sim_phase(queries)
+            .run(&mut agents[0], seed, episodes, EPISODE_SHARDS);
+        self.agents = agents;
+        let run = run?;
+        Ok(run.reward_sum / run.episodes.max(1) as f32)
     }
 
     /// Phase 2: one training iteration (agent updates + validation + AAM
@@ -249,7 +469,8 @@ impl Foss {
         if queries.is_empty() {
             return Err(FossError::InvalidQuery("empty training workload".into()));
         }
-        let episodes_per_agent = (self.cfg.episodes_per_update / self.agents.len().max(1)).max(1);
+        let episodes_per_agent = self.episodes_per_agent();
+        let mut phases = PhaseTimes::default();
         let mut mean_reward = 0.0f32;
         let mut episodes_run = 0usize;
         // Promising plans flagged during simulated interaction, deduped.
@@ -257,58 +478,34 @@ impl Foss {
         let mut promising_seen: FxHashSet<(QueryId, u64)> = FxHashSet::default();
 
         if self.cfg.use_simulated_env {
-            // Simulated episodes only read the AAM and the buffer, so the
-            // agents run in parallel — one episode runner per agent, each
-            // with its own query-selection RNG split from the experiment
-            // seed by (iteration, agent). The split (rather than sharing
-            // `self.rng`) is what makes the schedule independent of thread
-            // interleaving: results are identical at any worker count.
+            // Simulated episodes only read frozen state, so the agents run
+            // side by side — one runner per agent, which fans its episodes
+            // out in turn (`SimPhase::run`) and then PPO-updates its agent.
+            // Each runner picks its queries with an RNG split from the
+            // experiment seed by (iteration, agent) rather than sharing
+            // `self.rng`: results are identical at any worker count.
             for query in queries {
                 self.original_plan(query)?;
             }
+            let seeds: Vec<u64> = (0..self.agents.len())
+                .map(|a| self.episode_query_seed(iteration, a))
+                .collect();
             let mut agents = std::mem::take(&mut self.agents);
-            let stream = foss_common::SeedStream::new(self.cfg.seed).substream("episode-queries");
-            let (aam, buffer, scale, cfg) = (&self.aam, &self.buffer, &self.scale, &self.cfg);
-            let (encoder, space, originals) = (&self.encoder, &self.space, &self.originals);
-            let optimizer: &TraditionalOptimizer = &self.optimizer;
-            let num_agents = agents.len() as u64;
+            let phase = self.sim_phase(queries);
             let outcomes: Vec<Result<AgentRun>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = agents
                     .iter_mut()
-                    .enumerate()
-                    .map(|(a, agent)| {
-                        let seed = stream
-                            .derive_indexed("agent", iteration as u64 * num_agents + a as u64);
+                    .zip(seeds)
+                    .map(|(agent, seed)| {
+                        let phase = &phase;
                         scope.spawn(move || -> Result<AgentRun> {
-                            let mut rng = StdRng::seed_from_u64(seed);
-                            // Concurrency-safe collection point: episodes
-                            // push whole trajectories atomically, so the
-                            // GAE pass sees them unreordered.
-                            let rollout = SharedRolloutBuffer::new();
-                            let mut run = AgentRun::default();
-                            for _ in 0..episodes_per_agent {
-                                let qidx = rng.random_range(0..queries.len());
-                                let query = &queries[qidx];
-                                let original = originals
-                                    .get(&query.id)
-                                    .expect("originals pre-resolved above")
-                                    .clone();
-                                let mut env = SimEnv::new(aam, buffer, scale.clone());
-                                let res = run_episode(
-                                    agent, optimizer, encoder, space, query, &original, &mut env,
-                                    cfg, false,
-                                )?;
-                                run.reward_sum += res.total_reward;
-                                run.episodes += 1;
-                                // AAM-estimated improvements are validation
-                                // candidates (deduped at the merge).
-                                if res.best.icp.fingerprint() != res.original.icp.fingerprint() {
-                                    run.promising.push((qidx, res.best.clone()));
-                                }
-                                rollout.push_episode(res.transitions);
-                            }
-                            let batch = rollout.into_inner().finish(agent.gamma(), agent.lambda());
+                            let mut run =
+                                phase.run(agent, seed, episodes_per_agent, EPISODE_SHARDS)?;
+                            let started = Instant::now();
+                            let batch = std::mem::take(&mut run.rollout)
+                                .finish(agent.gamma(), agent.lambda());
                             agent.update(&batch);
+                            run.ppo_update_s = started.elapsed().as_secs_f64();
                             Ok(run)
                         })
                     })
@@ -325,6 +522,8 @@ impl Foss {
                 let run = outcome?;
                 mean_reward += run.reward_sum;
                 episodes_run += run.episodes;
+                phases.episodes_s = phases.episodes_s.max(run.episodes_s);
+                phases.ppo_update_s = phases.ppo_update_s.max(run.ppo_update_s);
                 for (qidx, ctx) in run.promising {
                     if promising_seen.insert((queries[qidx].id, ctx.icp.fingerprint())) {
                         promising.push((qidx, ctx));
@@ -338,7 +537,8 @@ impl Foss {
             let mut agents = std::mem::take(&mut self.agents);
             let result = (|| -> Result<()> {
                 for agent in agents.iter_mut() {
-                    let rollout = SharedRolloutBuffer::new();
+                    let started = Instant::now();
+                    let mut rollout = RolloutBuffer::new();
                     for _ in 0..episodes_per_agent {
                         let qidx = self.rng.random_range(0..queries.len());
                         let query = &queries[qidx];
@@ -364,8 +564,11 @@ impl Foss {
                         episodes_run += 1;
                         rollout.push_episode(res.transitions);
                     }
-                    let batch = rollout.into_inner().finish(agent.gamma(), agent.lambda());
+                    phases.episodes_s += started.elapsed().as_secs_f64();
+                    let started = Instant::now();
+                    let batch = rollout.finish(agent.gamma(), agent.lambda());
                     agent.update(&batch);
+                    phases.ppo_update_s += started.elapsed().as_secs_f64();
                 }
                 Ok(())
             })();
@@ -374,6 +577,7 @@ impl Foss {
         }
 
         // Promising-plan validation (§V-B / Table II "Off-Validation").
+        let started = Instant::now();
         if self.cfg.validate_promising {
             promising.truncate(self.cfg.promising_per_update);
             for (qidx, ctx) in promising {
@@ -408,7 +612,9 @@ impl Foss {
             }
         }
 
-        let (loss, acc) = self.retrain_aam();
+        phases.validation_s = started.elapsed().as_secs_f64();
+
+        let (loss, acc) = self.retrain_aam(&mut phases);
         Ok(TrainReport {
             iteration,
             aam_loss: loss,
@@ -416,6 +622,7 @@ impl Foss {
             mean_reward: mean_reward / episodes_run.max(1) as f32,
             plans_executed: self.executor.executions(),
             buffer_plans: self.buffer.total_plans(),
+            phases,
         })
     }
 
@@ -661,6 +868,132 @@ mod tests {
             (rewards, plan, foss.buffer().total_plans())
         };
         assert_eq!(reports_and_plan(0), reports_and_plan(1));
+    }
+
+    /// What the episode phase hands on, as comparable bits.
+    fn phase_bits(
+        run: AgentRun,
+        agent: &PlannerAgent,
+    ) -> (Vec<u32>, Vec<(usize, u64)>, Vec<String>) {
+        let promising = run
+            .promising
+            .iter()
+            .map(|(qidx, ctx)| (*qidx, ctx.icp.fingerprint()))
+            .collect();
+        let rollout = run
+            .rollout
+            .finish(agent.gamma(), agent.lambda())
+            .transitions
+            .iter()
+            .map(|t| {
+                format!(
+                    "{:?} {:?} {} {:08x} {} {:08x} {:08x}",
+                    t.state,
+                    t.mask,
+                    t.action,
+                    t.reward.to_bits(),
+                    t.done,
+                    t.value.to_bits(),
+                    t.logp.to_bits()
+                )
+            })
+            .collect();
+        (
+            vec![run.reward_sum.to_bits(), run.episodes as u32],
+            promising,
+            rollout,
+        )
+    }
+
+    /// The fan-out must not be observable: the production shard count and a
+    /// single inline shard yield the same reward bits, promising list and
+    /// rollout order — so nothing depends on how many cores ran the shards.
+    #[test]
+    fn sharded_episode_phase_equals_the_inline_phase() {
+        for num_agents in [1usize, 3] {
+            let world = TestWorld::new(12);
+            let mut second = world.query.clone();
+            second.id = QueryId::new(1);
+            let queries = vec![world.query.clone(), second];
+            let phase_with = |shards: usize| {
+                let cfg = FossConfig {
+                    num_agents,
+                    episodes_per_update: 11 * num_agents,
+                    ..FossConfig::tiny()
+                };
+                let mut foss = foss_over(&world, cfg);
+                foss.bootstrap(&queries, 1).unwrap();
+                let episodes = foss.episodes_per_agent();
+                let seeds: Vec<u64> = (0..num_agents)
+                    .map(|a| foss.episode_query_seed(1, a))
+                    .collect();
+                let mut agents = std::mem::take(&mut foss.agents);
+                let phase = foss.sim_phase(&queries);
+                agents
+                    .iter_mut()
+                    .zip(seeds)
+                    .map(|(agent, seed)| {
+                        let run = phase.run(agent, seed, episodes, shards).unwrap();
+                        phase_bits(run, agent)
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let sharded = phase_with(EPISODE_SHARDS);
+            assert_eq!(sharded, phase_with(1), "{num_agents} agent(s)");
+            assert_eq!(sharded.len(), num_agents);
+            for (totals, _, rollout) in &sharded {
+                assert_eq!(totals[1], 11);
+                assert_eq!(rollout.len(), 11 * FossConfig::tiny().max_steps);
+            }
+        }
+    }
+
+    /// A one-relation query has no legal doctor action. Training over a
+    /// workload that contains one must skip it quietly (episodes of zero
+    /// steps), and inference must hand back the expert plan.
+    #[test]
+    fn query_without_a_legal_action_trains_and_keeps_the_expert_plan() {
+        let world = TestWorld::new(13);
+        let single = world.single_relation_query(1);
+        for simulated in [true, false] {
+            let mut foss = foss_over(
+                &world,
+                FossConfig {
+                    episodes_per_update: 8,
+                    use_simulated_env: simulated,
+                    ..FossConfig::tiny()
+                },
+            );
+            let queries = vec![world.query.clone(), single.clone()];
+            foss.train(&queries, 2).unwrap();
+            let inference = foss.optimize_detailed(&single).unwrap();
+            assert_eq!(inference.selected_step, 0);
+            assert_eq!(inference.aam_confidence, 0);
+            assert_eq!(
+                inference.plan.fingerprint(),
+                world.opt.optimize(&single).unwrap().fingerprint()
+            );
+            let served = foss.snapshot().optimize_detailed(&single).unwrap();
+            assert_eq!(served.selected_step, 0);
+            assert_eq!(served.plan.fingerprint(), inference.plan.fingerprint());
+        }
+    }
+
+    #[test]
+    fn reports_carry_phase_times() {
+        let world = TestWorld::new(14);
+        let cfg = FossConfig {
+            episodes_per_update: 6,
+            ..FossConfig::tiny()
+        };
+        let mut foss = foss_over(&world, cfg);
+        let queries = vec![world.query.clone()];
+        let boot = foss.bootstrap(&queries, 1).unwrap().phases;
+        assert!(boot.episodes_s > 0.0 && boot.aam_epochs_s > 0.0 && boot.accuracy_s > 0.0);
+        assert_eq!((boot.ppo_update_s, boot.validation_s), (0.0, 0.0));
+        let iter = foss.train_iteration(&queries, 1).unwrap().phases;
+        assert!(iter.episodes_s > 0.0 && iter.ppo_update_s > 0.0 && iter.validation_s > 0.0);
+        assert!(iter.pair_build_s > 0.0 && iter.aam_epochs_s > 0.0 && iter.accuracy_s > 0.0);
     }
 
     #[test]

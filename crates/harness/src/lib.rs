@@ -34,7 +34,7 @@ use std::time::Instant;
 use foss_baselines::LearnedOptimizer;
 use foss_common::{FossError, Result};
 use foss_core::encoding::PlanEncoder;
-use foss_core::{Foss, FossConfig, PlannerSnapshot};
+use foss_core::{Foss, FossConfig, PlannerSnapshot, TrainReport};
 use foss_executor::CachingExecutor;
 use foss_query::Query;
 use foss_workloads::{
@@ -95,6 +95,7 @@ pub struct FossAdapter {
     pub foss: Foss,
     snapshot: Arc<PlannerSnapshot>,
     iteration: usize,
+    last_report: Option<TrainReport>,
 }
 
 impl FossAdapter {
@@ -105,6 +106,7 @@ impl FossAdapter {
             foss,
             snapshot,
             iteration: 0,
+            last_report: None,
         }
     }
 
@@ -112,6 +114,12 @@ impl FossAdapter {
     /// (refreshed after every training round).
     pub fn snapshot(&self) -> &Arc<PlannerSnapshot> {
         &self.snapshot
+    }
+
+    /// Diagnostics of the latest training round (the trait's `train_round`
+    /// returns none), per-phase wall times included.
+    pub fn last_report(&self) -> Option<&TrainReport> {
+        self.last_report.as_ref()
     }
 }
 
@@ -121,11 +129,11 @@ impl LearnedOptimizer for FossAdapter {
     }
 
     fn train_round(&mut self, queries: &[Query]) -> Result<()> {
-        if self.iteration == 0 {
-            self.foss.bootstrap(queries, 1)?;
+        self.last_report = Some(if self.iteration == 0 {
+            self.foss.bootstrap(queries, 1)?
         } else {
-            self.foss.train_iteration(queries, self.iteration)?;
-        }
+            self.foss.train_iteration(queries, self.iteration)?
+        });
         self.iteration += 1;
         self.snapshot = Arc::new(self.foss.snapshot());
         Ok(())

@@ -10,6 +10,20 @@
 use crate::matrix::{dot, Matrix};
 use crate::params::{GradSink, ParamId, ParamSet};
 
+/// Gradient entries smaller than this (2⁻¹⁰⁰ ≈ 7.9e-31) are flushed to zero
+/// on their way into the tape.
+///
+/// A well-trained focal loss drives whole rows of `d loss / d logits` below
+/// `f32::MIN_POSITIVE`, and every multiply-accumulate that touches a
+/// subnormal costs on the order of a hundred normal ones. 2⁻¹⁰⁰ is the
+/// threshold at which a *kept* gradient times any operand ≥ 2⁻²⁶ is still
+/// normal, so the products downstream stay normal too. Far below anything
+/// Adam can see (its second moment squares the gradient; 2⁻²⁰⁰ is zero in
+/// `f32`). Done here in portable arithmetic and not through the CPU's
+/// flush-to-zero mode: Rust defines float arithmetic only under the default
+/// floating-point environment, and results would differ per architecture.
+const GRAD_FLUSH: f32 = f32::from_bits((127 - 100) << 23);
+
 /// Handle to a node on the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Var(usize);
@@ -827,7 +841,9 @@ impl Graph {
             let Some(g) = self.nodes[i].grad.clone() else {
                 continue;
             };
-            let op = self.nodes[i].op.clone();
+            // Moved out and put back after the match: a clone would copy index
+            // vectors and the attention op's saved softmax matrices per visit.
+            let op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf);
             match op {
                 Op::Leaf => {}
                 Op::Param(id) => sink.accumulate(id, &g),
@@ -951,9 +967,9 @@ impl Graph {
                     }
                     self.accum(a, ga);
                 }
-                Op::ConcatCols(vars) => {
+                Op::ConcatCols(ref vars) => {
                     let mut offset = 0;
-                    for v in vars {
+                    for &v in vars {
                         let m = &self.nodes[v.0].value;
                         let mut gv = Matrix::zeros(m.rows, m.cols);
                         for r in 0..m.rows {
@@ -965,9 +981,9 @@ impl Graph {
                         self.accum(v, gv);
                     }
                 }
-                Op::ConcatRows(vars) => {
+                Op::ConcatRows(ref vars) => {
                     let mut offset = 0;
-                    for v in vars {
+                    for &v in vars {
                         let m = &self.nodes[v.0].value;
                         let gv = Matrix::from_vec(
                             m.rows,
@@ -978,7 +994,7 @@ impl Graph {
                         self.accum(v, gv);
                     }
                 }
-                Op::Gather(table, indices) => {
+                Op::Gather(table, ref indices) => {
                     let t = &self.nodes[table.0].value;
                     let mut gt = Matrix::zeros(t.rows, t.cols);
                     for (r, &idx) in indices.iter().enumerate() {
@@ -988,7 +1004,7 @@ impl Graph {
                     }
                     self.accum(table, gt);
                 }
-                Op::PickPerRow(a, indices) => {
+                Op::PickPerRow(a, ref indices) => {
                     let m = &self.nodes[a.0].value;
                     let mut ga = Matrix::zeros(m.rows, m.cols);
                     for (r, &c) in indices.iter().enumerate() {
@@ -1116,7 +1132,7 @@ impl Graph {
                     }
                     self.accum(a, ga);
                 }
-                Op::SegAttnScores { q, k, segs } => {
+                Op::SegAttnScores { q, k, ref segs } => {
                     let qm = &self.nodes[q.0].value;
                     let km = &self.nodes[k.0].value;
                     let d = qm.cols;
@@ -1124,7 +1140,7 @@ impl Graph {
                     let mut gq = Matrix::zeros(qm.rows, d);
                     let mut gk = Matrix::zeros(km.rows, d);
                     let mut base = 0;
-                    for &l in &segs {
+                    for &l in segs {
                         for i in 0..l {
                             let grow = &g.data[(base + i) * lmax..(base + i) * lmax + l];
                             for (j, &gij) in grow.iter().enumerate() {
@@ -1149,7 +1165,7 @@ impl Graph {
                     q,
                     k,
                     mask,
-                    segs,
+                    ref segs,
                     scale,
                 } => {
                     let qm = &self.nodes[q.0].value;
@@ -1160,7 +1176,7 @@ impl Graph {
                     let mut gq = Matrix::zeros(qm.rows, d);
                     let mut gk = Matrix::zeros(km.rows, d);
                     let mut base = 0;
-                    for &l in &segs {
+                    for &l in segs {
                         for i in 0..l {
                             let grow = &g.data[(base + i) * lmax..(base + i) * lmax + l];
                             let mrow = &mm.data[(base + i) * lmax..(base + i) * lmax + l];
@@ -1190,7 +1206,7 @@ impl Graph {
                     self.accum(q, gq);
                     self.accum(k, gk);
                 }
-                Op::SegAttnApply { attn, v, segs } => {
+                Op::SegAttnApply { attn, v, ref segs } => {
                     let am = &self.nodes[attn.0].value;
                     let vm = &self.nodes[v.0].value;
                     let d = vm.cols;
@@ -1198,7 +1214,7 @@ impl Graph {
                     let mut ga = Matrix::zeros(am.rows, am.cols);
                     let mut gv = Matrix::zeros(vm.rows, d);
                     let mut base = 0;
-                    for &l in &segs {
+                    for &l in segs {
                         for i in 0..l {
                             let grow = &g.data[(base + i) * d..(base + i + 1) * d];
                             let garow = &mut ga.data[(base + i) * lmax..(base + i) * lmax + l];
@@ -1224,10 +1240,10 @@ impl Graph {
                 Op::SegMultiHeadAttention {
                     qkv,
                     mask,
-                    segs,
+                    ref segs,
                     heads,
                     scale,
-                    attn,
+                    ref attn,
                 } => {
                     let qm = &self.nodes[qkv.0].value;
                     let mm = &self.nodes[mask.0].value;
@@ -1240,7 +1256,7 @@ impl Graph {
                     for (h, y) in attn.iter().enumerate() {
                         let (qo, ko, vo) = (h * dk, d_model + h * dk, 2 * d_model + h * dk);
                         let mut base = 0;
-                        for &l in &segs {
+                        for &l in segs {
                             for i in 0..l {
                                 let grow = &g.data[(base + i) * d_model + h * dk
                                     ..(base + i) * d_model + h * dk + dk];
@@ -1285,7 +1301,7 @@ impl Graph {
                     }
                     self.accum(qkv, gqkv);
                 }
-                Op::SegMeanRows(a, segs) => {
+                Op::SegMeanRows(a, ref segs) => {
                     let m = &self.nodes[a.0].value;
                     let d = m.cols;
                     let mut ga = Matrix::zeros(m.rows, d);
@@ -1304,12 +1320,21 @@ impl Graph {
                     self.accum(a, ga);
                 }
             }
+            self.nodes[i].op = op;
         }
     }
 
-    fn accum(&mut self, v: Var, g: Matrix) {
+    /// The one place every backward gradient passes. Entries below
+    /// [`GRAD_FLUSH`] in magnitude are stored as `0.0`, so no backward kernel
+    /// ever multiplies a subnormal.
+    fn accum(&mut self, v: Var, mut g: Matrix) {
         if !self.nodes[v.0].needs_grad {
             return;
+        }
+        for x in &mut g.data {
+            if x.abs() < GRAD_FLUSH {
+                *x = 0.0;
+            }
         }
         match &mut self.nodes[v.0].grad {
             Some(existing) => existing.add_assign(&g),
@@ -1875,6 +1900,40 @@ mod tests {
         for (d, v) in doubled.data.iter().zip(&via_set.data) {
             assert!((d - 2.0 * v).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn backward_stores_no_subnormal_gradient() {
+        // loss = 1e-20 · (1e-20 · Σ p·x): the upstream gradient reaching the
+        // sum is 1e-40 — subnormal — and every node below it would otherwise
+        // carry subnormal entries through its backward kernel.
+        let run = |inner: f32| {
+            let mut set = ParamSet::new();
+            let id = set.alloc(rand_matrix(3, 4, 5));
+            let mut g = Graph::new();
+            let p = g.param(id, &set);
+            let x = g.input(rand_matrix(3, 4, 6));
+            let px = g.mul(p, x);
+            let s = g.sum_all(px);
+            let inner = g.scale(s, inner);
+            let loss = g.scale(inner, 1e-20);
+            set.zero_grad();
+            g.backward(loss, &mut set);
+            let stored: Vec<f32> = g
+                .nodes
+                .iter()
+                .filter_map(|n| n.grad.as_ref())
+                .flat_map(|m| m.data.iter().copied())
+                .collect();
+            (stored, set.grad(id).clone())
+        };
+        let (stored, param_grad) = run(1e-20);
+        assert!(stored.iter().all(|v| !v.is_subnormal()), "{stored:?}");
+        assert!(param_grad.data.iter().all(|&v| v == 0.0));
+        // A small but normal gradient (1e-25 ≫ 2⁻¹⁰⁰) passes untouched.
+        let (stored, param_grad) = run(1e-5);
+        assert!(stored.iter().all(|v| !v.is_subnormal()));
+        assert!(param_grad.data.iter().all(|&v| v != 0.0 && v.abs() < 1e-24));
     }
 
     #[test]

@@ -56,6 +56,12 @@ impl<S> RolloutBuffer<S> {
         self.transitions.push(t);
     }
 
+    /// Store a whole episode: its steps, in order, after everything stored
+    /// so far.
+    pub fn push_episode(&mut self, steps: impl IntoIterator<Item = Transition<S>>) {
+        self.transitions.extend(steps);
+    }
+
     /// Append every transition of `other` (in order) after this buffer's.
     /// The merge point for sharded collection: workers fill private buffers
     /// and the owner merges them in a fixed shard order, keeping GAE results
@@ -115,57 +121,6 @@ impl<S> RolloutBuffer<S> {
             advantages,
             returns,
         }
-    }
-}
-
-/// A [`RolloutBuffer`] behind a mutex, shareable across the
-/// scoped worker threads that collect episodes concurrently.
-///
-/// Within one episode, transition order is preserved by pushing the whole
-/// episode under a single lock ([`SharedRolloutBuffer::push_episode`]);
-/// interleaving across episodes does not affect GAE because advantage
-/// accumulation resets at every `done` boundary. Workers that need a fully
-/// deterministic global order should instead fill private buffers and
-/// [`RolloutBuffer::merge`] them in shard order.
-#[derive(Debug, Default)]
-pub struct SharedRolloutBuffer<S> {
-    inner: foss_common::sync::Mutex<RolloutBuffer<S>>,
-}
-
-impl<S> SharedRolloutBuffer<S> {
-    /// Empty shared buffer.
-    pub fn new() -> Self {
-        Self {
-            inner: foss_common::sync::Mutex::new(RolloutBuffer::new()),
-        }
-    }
-
-    /// Store one step.
-    pub fn push(&self, t: Transition<S>) {
-        self.inner.lock().push(t);
-    }
-
-    /// Store a whole episode atomically (its steps stay contiguous).
-    pub fn push_episode(&self, steps: impl IntoIterator<Item = Transition<S>>) {
-        let mut guard = self.inner.lock();
-        for t in steps {
-            guard.push(t);
-        }
-    }
-
-    /// Number of stored steps.
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// True when nothing has been collected.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
-    }
-
-    /// Unwrap into the plain buffer for [`RolloutBuffer::finish`].
-    pub fn into_inner(self) -> RolloutBuffer<S> {
-        self.inner.into_inner()
     }
 }
 
@@ -234,28 +189,6 @@ mod tests {
         // Episode boundaries survive the merge: ep1 return 1, ep2 return 2.
         assert!((batch.returns[0] - 1.0).abs() < 1e-6);
         assert!((batch.returns[2] - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn shared_buffer_collects_from_scoped_threads() {
-        let shared: SharedRolloutBuffer<u32> = SharedRolloutBuffer::new();
-        std::thread::scope(|scope| {
-            for w in 0..4 {
-                let shared = &shared;
-                scope.spawn(move || {
-                    // One episode per worker, pushed atomically.
-                    shared.push_episode([step(w as f32, 0.0, false), step(1.0, 0.0, true)]);
-                });
-            }
-        });
-        assert_eq!(shared.len(), 8);
-        let batch = shared.into_inner().finish(1.0, 1.0);
-        assert_eq!(batch.transitions.len(), 8);
-        // Every episode stayed contiguous: rewards alternate (w, 1.0) pairs,
-        // so every odd index is terminal.
-        for i in (1..8).step_by(2) {
-            assert!(batch.transitions[i].done);
-        }
     }
 
     #[test]

@@ -13,5 +13,5 @@
 pub mod buffer;
 pub mod ppo;
 
-pub use buffer::{RolloutBatch, RolloutBuffer, SharedRolloutBuffer, Transition};
-pub use ppo::{sample_masked, PolicyValueNet, Ppo, PpoConfig, PpoStats};
+pub use buffer::{RolloutBatch, RolloutBuffer, Transition};
+pub use ppo::{sample_masked, sample_masked_at, PolicyValueNet, Ppo, PpoConfig, PpoStats};

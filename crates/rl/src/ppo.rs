@@ -193,8 +193,16 @@ impl Ppo {
 
 /// Sample an action from masked logits; returns `(action, logp, probs)`.
 ///
-/// Used at collection time (no gradients needed).
+/// Used at collection time (no gradients needed). Draws one uniform from
+/// `rng` and defers to [`sample_masked_at`].
 pub fn sample_masked(logits: &[f32], mask: &[bool], rng: &mut StdRng) -> (usize, f32, Vec<f32>) {
+    sample_masked_at(logits, mask, rng.random_range(0.0..1.0))
+}
+
+/// [`sample_masked`] with the uniform `u ∈ [0, 1)` supplied by the caller —
+/// a pure function of its arguments, so collection can draw its randomness
+/// up front and run episodes on any thread.
+pub fn sample_masked_at(logits: &[f32], mask: &[bool], u: f32) -> (usize, f32, Vec<f32>) {
     debug_assert_eq!(logits.len(), mask.len());
     let max = logits
         .iter()
@@ -212,7 +220,6 @@ pub fn sample_masked(logits: &[f32], mask: &[bool], rng: &mut StdRng) -> (usize,
     for p in &mut probs {
         *p /= sum;
     }
-    let u: f32 = rng.random_range(0.0..1.0);
     let mut acc = 0.0;
     let mut action = probs.len() - 1;
     for (i, &p) in probs.iter().enumerate() {
@@ -339,6 +346,26 @@ mod tests {
             assert_eq!(probs[0], 0.0);
             assert_eq!(probs[3], 0.0);
         }
+    }
+
+    #[test]
+    fn supplied_uniform_samples_exactly_like_the_rng_form() {
+        let logits = vec![0.3, -1.2, 2.0, 0.0, 1.1];
+        let mask = vec![true, true, false, true, true];
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut draws = StdRng::seed_from_u64(77);
+        for _ in 0..200 {
+            let (a, logp, probs) = sample_masked(&logits, &mask, &mut rng);
+            let u: f32 = draws.random_range(0.0..1.0);
+            let (a2, logp2, probs2) = sample_masked_at(&logits, &mask, u);
+            assert_eq!((a, logp.to_bits()), (a2, logp2.to_bits()));
+            assert_eq!(probs, probs2);
+        }
+        // Both generators consumed exactly one draw per sample.
+        assert_eq!(
+            rng.random_range(0..u64::MAX),
+            draws.random_range(0..u64::MAX)
+        );
     }
 
     #[test]

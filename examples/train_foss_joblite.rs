@@ -43,6 +43,7 @@ fn main() -> Result<()> {
         "  buffer={} plans, {} real executions, AAM loss {:.3} acc {:.2}",
         report.buffer_plans, report.plans_executed, report.aam_loss, report.aam_accuracy
     );
+    println!("  phases: {}", report.phases);
 
     for i in 1..=iters {
         let report = foss.train_iteration(&wl.train, i)?;
@@ -62,6 +63,7 @@ fn main() -> Result<()> {
             report.buffer_plans,
             expert / learned
         );
+        println!("  phases: {}", report.phases);
     }
 
     // Final per-split totals.

@@ -206,3 +206,49 @@ fn joblite_expert_leaves_doctoring_headroom() {
         "no query of {checked} has ≥10% one-step headroom — substrate lost its premise"
     );
 }
+
+/// A valid one-relation query gives the doctor nothing to do — no swap, no
+/// override — and used to take the planning thread down with it. Inference
+/// and the serving front end must hand back the expert plan instead.
+#[test]
+fn one_relation_query_is_served_the_expert_plan() {
+    let wl = skewstress::build(WorkloadSpec {
+        seed: 42,
+        scale: 0.05,
+    })
+    .unwrap();
+    let schema = wl.db.schema();
+    let mut qb = QueryBuilder::new(QueryId::new(100_000), 99);
+    qb.relation(wl.train[0].relations[0].table, "only");
+    let single = qb.build(schema).unwrap();
+    assert_eq!(single.relation_count(), 1);
+
+    let executor = Arc::new(CachingExecutor::new(
+        wl.db.clone(),
+        *wl.optimizer.cost_model(),
+    ));
+    let mut foss = Foss::new(
+        wl.optimizer.clone(),
+        executor.clone(),
+        wl.max_relations,
+        wl.table_rows(),
+        FossConfig {
+            episodes_per_update: 6,
+            ..FossConfig::tiny()
+        },
+    );
+    let train: Vec<Query> = wl.train.iter().take(4).cloned().collect();
+    foss.train(&train, 1).unwrap();
+    let snapshot = foss.snapshot();
+    let expert = wl.optimizer.optimize(&single).unwrap().fingerprint();
+
+    let inference = snapshot.optimize_detailed(&single).unwrap();
+    assert_eq!(inference.selected_step, 0);
+    assert_eq!(inference.plan.fingerprint(), expert);
+
+    let doctor = PlanDoctor::new(snapshot, executor, ServiceConfig::default());
+    let decision = doctor.submit(QueryRequest::new(single)).unwrap();
+    assert_eq!(decision.selected_step, 0);
+    assert_eq!(decision.plan.fingerprint(), expert);
+    assert!(decision.latency > 0.0);
+}
