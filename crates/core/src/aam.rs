@@ -89,6 +89,11 @@ impl AdvantageModel {
         self.k
     }
 
+    /// Rows of the state network's table-id embedding.
+    pub(crate) fn table_vocab(&self) -> usize {
+        self.state_net.table_vocab()
+    }
+
     /// Record the batched forward pass on ONE tape; returns `B×K` logits.
     ///
     /// All left plans and all right plans go through the state network as two

@@ -141,9 +141,14 @@ impl ActionSpace {
     ///
     /// `last_swap` is `Some((l, r))` when the previous action in this episode
     /// was `Swap(T_l, T_r)` — the `LimitSpace` restriction then applies.
+    /// A query wider than the space has no action in it: its mask is all
+    /// `false`, so the episode ends and the expert plan stands.
     pub fn mask(&self, query: &Query, icp: &Icp, last_swap: Option<(usize, usize)>) -> Vec<bool> {
         let n = icp.relation_count();
         let mut mask = vec![false; self.len()];
+        if n > self.max_n {
+            return mask;
+        }
 
         if let Some((l, r)) = last_swap {
             // Only overrides of the parent joins of the swapped leaves.
@@ -335,6 +340,14 @@ mod tests {
         // Everything referencing positions 5, 6 must be masked out.
         assert!(!mask[sp.encode(Action::Swap { l: 1, r: 6 })]);
         assert!(!mask[sp.encode(Action::Override { i: 5, j: 2 })]);
+    }
+
+    #[test]
+    fn query_wider_than_the_space_has_no_action() {
+        let q = chain4();
+        let sp = ActionSpace::new(3);
+        assert!(sp.mask(&q, &icp4(), None).iter().all(|&m| !m));
+        assert!(sp.mask(&q, &icp4(), Some((1, 2))).iter().all(|&m| !m));
     }
 
     #[test]

@@ -73,24 +73,6 @@ impl AdvantageScale {
     }
 }
 
-impl foss_common::Codec for AdvantageScale {
-    fn encode(&self, w: &mut foss_common::ByteWriter) {
-        foss_common::Codec::encode(&self.points, w);
-    }
-    fn decode(r: &mut foss_common::ByteReader<'_>) -> foss_common::Result<Self> {
-        let points: Vec<f64> = foss_common::Codec::decode(r)?;
-        if points.is_empty()
-            || !points.windows(2).all(|w| w[0] < w[1])
-            || !points.iter().all(|&d| (0.0..1.0).contains(&d))
-        {
-            return Err(foss_common::FossError::Serde(format!(
-                "decoded advantage scale invalid: {points:?}"
-            )));
-        }
-        Ok(Self { points })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -138,6 +138,16 @@ impl FrozenPolicy {
     pub fn evaluate(&self, state: &EncodedPlan) -> (Vec<f32>, f32) {
         eval_model(&self.model, &self.set, state)
     }
+
+    /// Rows of the state network's table-id embedding.
+    pub(crate) fn table_vocab(&self) -> usize {
+        self.model.state_net.table_vocab()
+    }
+
+    /// Width of the policy head (one logit per action).
+    pub(crate) fn action_count(&self) -> usize {
+        self.model.policy_out.out_dim
+    }
 }
 
 impl Codec for FrozenPolicy {

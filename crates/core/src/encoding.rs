@@ -103,6 +103,11 @@ impl PlanEncoder {
         }
     }
 
+    /// Row count per table, by which scan selectivities are bucketed.
+    pub(crate) fn table_rows(&self) -> &[u64] {
+        &self.table_rows
+    }
+
     /// Table-id embedding vocabulary (`table_count + 1` for "none").
     pub fn table_vocab(&self) -> usize {
         self.table_count + 1

@@ -228,78 +228,6 @@ impl ExecutionBuffer {
     }
 }
 
-impl foss_common::Codec for ExecutedPlan {
-    fn encode(&self, w: &mut foss_common::ByteWriter) {
-        self.icp.encode(w);
-        self.plan.encode(w);
-        self.encoded.encode(w);
-        w.put_f64(self.latency);
-        w.put_bool(self.timed_out);
-    }
-    fn decode(r: &mut foss_common::ByteReader<'_>) -> foss_common::Result<Self> {
-        Ok(Self {
-            icp: Icp::decode(r)?,
-            plan: PhysicalPlan::decode(r)?,
-            encoded: EncodedPlan::decode(r)?,
-            latency: r.get_f64()?,
-            timed_out: r.get_bool()?,
-        })
-    }
-}
-
-/// Maps and sets are canonicalised by sorting keys so the same buffer always
-/// serialises to the same bytes regardless of hash-map iteration order.
-impl foss_common::Codec for ExecutionBuffer {
-    fn encode(&self, w: &mut foss_common::ByteWriter) {
-        let mut orig_keys: Vec<QueryId> = self.originals.keys().copied().collect();
-        orig_keys.sort_unstable();
-        w.put_usize(orig_keys.len());
-        for qid in orig_keys {
-            qid.encode(w);
-            self.originals[&qid].encode(w);
-        }
-        let mut plan_keys: Vec<QueryId> = self.plans.keys().copied().collect();
-        plan_keys.sort_unstable();
-        w.put_usize(plan_keys.len());
-        for qid in plan_keys {
-            qid.encode(w);
-            self.plans[&qid].encode(w);
-        }
-        let mut seen_keys: Vec<QueryId> = self.seen.keys().copied().collect();
-        seen_keys.sort_unstable();
-        w.put_usize(seen_keys.len());
-        for qid in seen_keys {
-            qid.encode(w);
-            let mut fps: Vec<u64> = self.seen[&qid].iter().copied().collect();
-            fps.sort_unstable();
-            fps.encode(w);
-        }
-    }
-    fn decode(r: &mut foss_common::ByteReader<'_>) -> foss_common::Result<Self> {
-        let mut originals = FxHashMap::default();
-        for _ in 0..r.get_len()? {
-            let qid = QueryId::decode(r)?;
-            originals.insert(qid, ExecutedPlan::decode(r)?);
-        }
-        let mut plans = FxHashMap::default();
-        for _ in 0..r.get_len()? {
-            let qid = QueryId::decode(r)?;
-            plans.insert(qid, Vec::<ExecutedPlan>::decode(r)?);
-        }
-        let mut seen = FxHashMap::default();
-        for _ in 0..r.get_len()? {
-            let qid = QueryId::decode(r)?;
-            let fps: Vec<u64> = Vec::decode(r)?;
-            seen.insert(qid, fps.into_iter().collect::<FxHashSet<u64>>());
-        }
-        Ok(Self {
-            originals,
-            plans,
-            seen,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,12 +2,14 @@
 //!
 //! [`Foss`](crate::trainer::Foss) owns the mutable training state (PPO
 //! agents, execution buffer, AAM optimiser moments). A [`PlannerSnapshot`]
-//! is an immutable copy of everything inference needs — frozen agent
-//! policies, the AAM weights, the plan encoder/action space, the expert
-//! optimizer handle and a frozen view of the execution buffer — behind
-//! `Arc`s, so cloning a snapshot is a handful of reference-count bumps and
+//! is an immutable copy of what inference reads — frozen agent policies,
+//! the AAM weights, the plan encoder/action space, the expert optimizer
+//! handle and the expert plans of the training queries — behind `Arc`s, so
+//! cloning a snapshot is a handful of reference-count bumps and
 //! [`PlannerSnapshot::optimize`] takes `&self`: any number of threads can
 //! plan concurrently over one snapshot while training continues elsewhere.
+//! The execution buffer and the advantage scale are training machinery for
+//! the simulated environment and stay with the trainer.
 //!
 //! [`SnapshotCell`] is the publication point: the trainer calls
 //! [`SnapshotCell::publish`] after an update round (hot model swap), servers
@@ -25,13 +27,11 @@ use foss_query::Query;
 
 use crate::aam::AdvantageModel;
 use crate::actions::ActionSpace;
-use crate::advantage::AdvantageScale;
 use crate::agent::{FrozenPolicy, PlanPolicy};
 use crate::config::FossConfig;
 use crate::encoding::{EncodedPlan, PlanEncoder};
 use crate::envs::RewardOracle;
 use crate::episode::{run_episode_greedy, PlanCtx};
-use crate::execbuf::ExecutionBuffer;
 use crate::selector::select_best;
 use crate::trainer::Inference;
 
@@ -41,7 +41,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x504e_5346;
 /// Version of the snapshot wire/file format produced by
 /// [`PlannerSnapshot::to_bytes`]. Bump on any layout change; decode rejects
 /// versions it does not understand.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// An immutable, cheaply-cloneable view of a trained FOSS planner.
 ///
@@ -50,38 +50,31 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 #[derive(Clone)]
 pub struct PlannerSnapshot {
     cfg: FossConfig,
-    scale: AdvantageScale,
     optimizer: Arc<TraditionalOptimizer>,
     encoder: Arc<PlanEncoder>,
     space: Arc<ActionSpace>,
     policies: Arc<Vec<FrozenPolicy>>,
     aam: Arc<AdvantageModel>,
-    buffer: Arc<ExecutionBuffer>,
     originals: Arc<FxHashMap<QueryId, PhysicalPlan>>,
 }
 
 impl PlannerSnapshot {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         cfg: FossConfig,
-        scale: AdvantageScale,
         optimizer: Arc<TraditionalOptimizer>,
         encoder: Arc<PlanEncoder>,
         space: Arc<ActionSpace>,
         policies: Arc<Vec<FrozenPolicy>>,
         aam: Arc<AdvantageModel>,
-        buffer: Arc<ExecutionBuffer>,
         originals: Arc<FxHashMap<QueryId, PhysicalPlan>>,
     ) -> Self {
         Self {
             cfg,
-            scale,
             optimizer,
             encoder,
             space,
             policies,
             aam,
-            buffer,
             originals,
         }
     }
@@ -99,11 +92,6 @@ impl PlannerSnapshot {
     /// The expert optimizer this snapshot repairs plans from.
     pub fn optimizer(&self) -> &Arc<TraditionalOptimizer> {
         &self.optimizer
-    }
-
-    /// Executed plans frozen into this snapshot (staleness indicator).
-    pub fn buffer_plans(&self) -> usize {
-        self.buffer.total_plans()
     }
 
     /// The expert (DP) plan for `query` — the fallback every serving-path
@@ -164,14 +152,12 @@ impl PlannerSnapshot {
         w.put_u32(SNAPSHOT_MAGIC);
         w.put_u32(SNAPSHOT_VERSION);
         self.cfg.encode(&mut w);
-        self.scale.encode(&mut w);
         // Fully-qualified: PlanEncoder/ActionSpace have inherent `encode`
         // methods (plan encoding / action decoding) that shadow the trait.
         Codec::encode(self.encoder.as_ref(), &mut w);
         Codec::encode(self.space.as_ref(), &mut w);
         self.policies.as_ref().encode(&mut w);
         self.aam.encode(&mut w);
-        self.buffer.encode(&mut w);
         let mut keys: Vec<QueryId> = self.originals.keys().copied().collect();
         keys.sort_unstable();
         w.put_usize(keys.len());
@@ -188,6 +174,12 @@ impl PlannerSnapshot {
     /// was trained on (rebuilt deterministically from the same workload name,
     /// seed and scale). Plans produced by the result are bit-identical to
     /// the snapshot that was serialized.
+    ///
+    /// A snapshot that does not fit `optimizer`'s catalog — another table
+    /// count, other row counts (the same workload at another scale or seed) —
+    /// or whose networks do not fit its own encoder, action space and config
+    /// is refused with [`FossError::Serde`] here rather than panicking at its
+    /// first inference.
     pub fn from_bytes(bytes: &[u8], optimizer: Arc<TraditionalOptimizer>) -> Result<Self> {
         let mut r = ByteReader::new(bytes);
         let magic = r.get_u32()?;
@@ -203,29 +195,60 @@ impl PlannerSnapshot {
             )));
         }
         let cfg = FossConfig::decode(&mut r)?;
-        let scale = AdvantageScale::decode(&mut r)?;
         let encoder = <PlanEncoder as Codec>::decode(&mut r)?;
         let space = <ActionSpace as Codec>::decode(&mut r)?;
         let policies: Vec<FrozenPolicy> = Vec::decode(&mut r)?;
         let aam = AdvantageModel::decode(&mut r)?;
-        let buffer = ExecutionBuffer::decode(&mut r)?;
         let mut originals = FxHashMap::default();
         for _ in 0..r.get_len()? {
             let qid = QueryId::decode(&mut r)?;
             originals.insert(qid, PhysicalPlan::decode(&mut r)?);
         }
         r.finish()?;
-        Ok(Self {
+        let snapshot = Self {
             cfg,
-            scale,
             optimizer,
             encoder: Arc::new(encoder),
             space: Arc::new(space),
             policies: Arc::new(policies),
             aam: Arc::new(aam),
-            buffer: Arc::new(buffer),
             originals: Arc::new(originals),
-        })
+        };
+        snapshot.check_fit()?;
+        Ok(snapshot)
+    }
+
+    /// Every dimension inference relies on, checked against the serving
+    /// catalog and against the snapshot's own encoder, action space and
+    /// config.
+    fn check_fit(&self) -> Result<()> {
+        let tables = self.optimizer.schema().table_count();
+        fit("the table count", self.encoder.table_count, tables)?;
+        for (t, &rows) in self.encoder.table_rows().iter().enumerate() {
+            let catalog = self.optimizer.estimator().table_stats(t).row_count;
+            fit(&format!("table {t}'s row count"), rows, catalog)?;
+        }
+        // The trainer builds at least one agent whatever `num_agents` says.
+        fit(
+            "the policy count",
+            self.policies.len(),
+            self.cfg.num_agents.max(1),
+        )?;
+        let vocab = self.encoder.table_vocab();
+        for policy in self.policies.iter() {
+            fit("a policy's table vocabulary", policy.table_vocab(), vocab)?;
+            fit(
+                "a policy's action count",
+                policy.action_count(),
+                self.space.len(),
+            )?;
+        }
+        fit("the AAM's table vocabulary", self.aam.table_vocab(), vocab)?;
+        fit(
+            "the AAM's class count",
+            self.aam.num_classes(),
+            self.cfg.num_classes(),
+        )
     }
 
     /// Write the snapshot to `path` (atomic enough for single-writer use:
@@ -247,6 +270,18 @@ impl PlannerSnapshot {
             .map_err(|e| FossError::Serde(format!("cannot read {}: {e}", path.display())))?;
         Self::from_bytes(&bytes, optimizer)
     }
+}
+
+/// `Ok` when the snapshot's `what` equals the serving side's, else the
+/// [`FossError::Serde`] that refuses the snapshot.
+fn fit<T: PartialEq + std::fmt::Display>(what: &str, snapshot: T, serving: T) -> Result<()> {
+    if snapshot == serving {
+        return Ok(());
+    }
+    Err(FossError::Serde(format!(
+        "snapshot does not fit the serving catalog: {what} is {snapshot} in the snapshot, \
+         {serving} here"
+    )))
 }
 
 /// The reward oracle of inference: none. `infer` reads an episode's plans,
@@ -381,20 +416,36 @@ impl<T> SnapshotCell<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::advantage::AdvantageScale;
     use crate::envs::tests_support::TestWorld;
     use crate::trainer::Foss;
     use foss_executor::CachingExecutor;
 
-    fn trained_foss(world: &TestWorld, seed: u64) -> Foss {
+    /// An untrained FOSS over `world`'s expert with the given action-space
+    /// width, per-table row counts and config.
+    fn foss_with(world: &TestWorld, max_n: usize, table_rows: Vec<u64>, cfg: FossConfig) -> Foss {
         let executor = Arc::new(CachingExecutor::new(
             world.db.clone(),
             *world.opt.cost_model(),
         ));
-        let mut foss = Foss::new(
+        Foss::new(
             Arc::new(world.opt.clone()),
             executor,
+            max_n,
+            table_rows,
+            cfg,
+        )
+    }
+
+    fn world_rows(world: &TestWorld) -> Vec<u64> {
+        world.db.stats().iter().map(|s| s.row_count).collect()
+    }
+
+    fn trained_foss(world: &TestWorld, seed: u64) -> Foss {
+        let mut foss = foss_with(
+            world,
             3,
-            world.db.stats().iter().map(|s| s.row_count).collect(),
+            world_rows(world),
             FossConfig {
                 episodes_per_update: 6,
                 seed,
@@ -425,7 +476,8 @@ mod tests {
         // dropped: same trajectory under the simulated environment training
         // uses and under `NoReward`.
         let world = TestWorld::new(24);
-        let snap = trained_foss(&world, 24).snapshot();
+        let foss = trained_foss(&world, 24);
+        let snap = foss.snapshot();
         let original = snap.expert_plan(&world.query).unwrap();
         for policy in snap.policies.iter() {
             let run = |oracle: &mut dyn RewardOracle| {
@@ -441,7 +493,8 @@ mod tests {
                 )
                 .unwrap()
             };
-            let mut sim = crate::envs::SimEnv::new(&snap.aam, &snap.buffer, snap.scale.clone());
+            let scale = AdvantageScale::new(foss.config().adv_points.clone());
+            let mut sim = crate::envs::SimEnv::new(foss.aam(), foss.buffer(), scale);
             let with_rewards = run(&mut sim);
             let without = run(&mut NoReward);
             assert_eq!(with_rewards.original.encoded, without.original.encoded);
@@ -540,6 +593,72 @@ mod tests {
         // Truncation fails loudly too.
         let good = snap.to_bytes();
         assert!(PlannerSnapshot::from_bytes(&good[..good.len() - 3], opt).is_err());
+    }
+
+    #[test]
+    fn a_version_1_snapshot_is_refused_by_name() {
+        let world = TestWorld::new(27);
+        let snap = trained_foss(&world, 27).snapshot();
+        let mut bytes = snap.to_bytes();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let Err(FossError::Serde(msg)) =
+            PlannerSnapshot::from_bytes(&bytes, snap.optimizer().clone())
+        else {
+            panic!("a v1 snapshot must be refused");
+        };
+        assert!(msg.contains("version 1"), "{msg}");
+    }
+
+    /// `snapshot`'s bytes decoded against `world`'s expert: the error text.
+    fn refusal(world: &TestWorld, snapshot: &PlannerSnapshot) -> String {
+        let opt = Arc::new(world.opt.clone());
+        match PlannerSnapshot::from_bytes(&snapshot.to_bytes(), opt) {
+            Err(FossError::Serde(msg)) => msg,
+            other => panic!("expected a Serde refusal, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn a_snapshot_that_does_not_fit_is_refused() {
+        let world = TestWorld::new(29);
+        let build = |max_n, rows| foss_with(&world, max_n, rows, FossConfig::tiny()).snapshot();
+        let mut four_tables = world_rows(&world);
+        four_tables.push(1_000);
+        let four_tables = build(3, four_tables);
+        let rescaled = build(3, world_rows(&world).iter().map(|r| r * 2).collect());
+        let wider = build(4, world_rows(&world));
+        let base = build(3, world_rows(&world));
+        let spliced = |f: &dyn Fn(&mut PlannerSnapshot)| {
+            let mut snap = base.clone();
+            f(&mut snap);
+            snap
+        };
+        for (snap, why) in [
+            // Built for another catalog: a fourth table, or another scale.
+            (four_tables.clone(), "the table count"),
+            (rescaled, "table 0's row count"),
+            // Parts that disagree with each other.
+            (
+                spliced(&|s| s.space = wider.space.clone()),
+                "a policy's action count",
+            ),
+            (
+                spliced(&|s| s.policies = four_tables.policies.clone()),
+                "a policy's table vocabulary",
+            ),
+            (
+                spliced(&|s| s.aam = four_tables.aam.clone()),
+                "the AAM's table vocabulary",
+            ),
+            (spliced(&|s| s.cfg.num_agents = 2), "the policy count"),
+            (
+                spliced(&|s| s.cfg.adv_points = vec![0.05, 0.3, 0.6]),
+                "the AAM's class count",
+            ),
+        ] {
+            let msg = refusal(&world, &snap);
+            assert!(msg.contains(why), "{why}: {msg}");
+        }
     }
 
     #[test]

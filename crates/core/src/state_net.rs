@@ -145,6 +145,11 @@ impl StateNetwork {
         let with_step = g.concat_cols(&[pooled, steps]);
         self.out.forward(g, set, with_step)
     }
+
+    /// Rows of the table-id embedding (the encoder's `table_vocab`).
+    pub(crate) fn table_vocab(&self) -> usize {
+        self.table_emb.vocab
+    }
 }
 
 impl Codec for Block {

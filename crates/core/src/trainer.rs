@@ -719,20 +719,19 @@ impl Foss {
     }
 
     /// Freeze the current planner into an immutable [`PlannerSnapshot`]
-    /// (frozen agent policies + AAM weights + execution-buffer view behind
-    /// `Arc`s). The snapshot is a deep copy: subsequent training rounds do
-    /// not affect plans served from it. Publish through a
+    /// (frozen agent policies, AAM weights and the training queries' expert
+    /// plans behind `Arc`s). The snapshot is a deep copy: subsequent training
+    /// rounds do not affect plans served from it. The execution buffer is
+    /// not part of it — inference never reads the buffer. Publish through a
     /// [`crate::snapshot::SnapshotCell`] for hot model swaps.
     pub fn snapshot(&self) -> PlannerSnapshot {
         PlannerSnapshot::new(
             self.cfg.clone(),
-            self.scale.clone(),
             self.optimizer.clone(),
             Arc::new(self.encoder.clone()),
             Arc::new(self.space),
             Arc::new(self.agents.iter().map(|a| a.freeze()).collect()),
             Arc::new(self.aam.clone()),
-            Arc::new(self.buffer.clone()),
             Arc::new(self.originals.clone()),
         )
     }

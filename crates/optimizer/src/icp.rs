@@ -209,19 +209,6 @@ impl Codec for JoinMethod {
     }
 }
 
-impl Codec for Icp {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.order.encode(w);
-        self.methods.encode(w);
-    }
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
-        // Re-validate through the constructor so corrupt bytes cannot smuggle
-        // in a non-permutation order.
-        Icp::new(Vec::decode(r)?, Vec::decode(r)?)
-            .map_err(|e| FossError::Serde(format!("decoded ICP invalid: {e}")))
-    }
-}
-
 impl fmt::Display for Icp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "order={:?} methods=[", self.order)?;

@@ -1162,6 +1162,52 @@ mod tests {
     }
 
     #[test]
+    fn publishing_a_snapshot_for_another_catalog_is_refused() {
+        let net = serve(68, ServiceConfig::default());
+        let client = net.server.client();
+        let plan = || {
+            let PlanOutcome::Decision(reply) = client.plan(&PlanRequest::for_index(0)).unwrap()
+            else {
+                panic!("plan must succeed")
+            };
+            PlanReply {
+                planning_us: 0.0,
+                ..reply
+            }
+        };
+        let before = plan();
+        let rows: Vec<u64> = net.world.db.stats().iter().map(|s| s.row_count).collect();
+        // A catalog with a fourth table, and the same tables at another scale.
+        let mut four_tables = rows.clone();
+        four_tables.push(1_000);
+        let rescaled = rows.iter().map(|r| r * 2).collect();
+        let executor = Arc::new(CachingExecutor::new(
+            net.world.db.clone(),
+            *net.world.opt.cost_model(),
+        ));
+        for table_rows in [four_tables, rescaled] {
+            let foreign = Foss::new(
+                Arc::new(net.world.opt.clone()),
+                executor.clone(),
+                3,
+                table_rows,
+                FossConfig::tiny(),
+            );
+            let bytes = foreign.snapshot().to_bytes();
+            let (status, body) = client.request("POST", "/publish", &bytes).unwrap();
+            assert_eq!(status, 400);
+            let parsed = Json::parse(&String::from_utf8_lossy(&body)).unwrap();
+            assert_eq!(parsed.get("code").and_then(Json::as_str), Some("malformed"));
+            assert_eq!(net.doctor.snapshot_generation(), 0);
+            assert_eq!(
+                plan(),
+                before,
+                "the refused publish must not change serving"
+            );
+        }
+    }
+
+    #[test]
     fn shutdown_stops_accepting() {
         let Net { server, .. } = serve(65, ServiceConfig::default());
         let addr = server.addr();

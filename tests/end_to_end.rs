@@ -208,8 +208,10 @@ fn joblite_expert_leaves_doctoring_headroom() {
 }
 
 /// A valid one-relation query gives the doctor nothing to do — no swap, no
-/// override — and used to take the planning thread down with it. Inference
-/// and the serving front end must hand back the expert plan instead.
+/// override — and used to take the planning thread down with it. So does a
+/// query wider than the action space, which has no action in it. Inference
+/// through the trainer and the snapshot, and the serving front end, must hand
+/// back the expert plan instead.
 #[test]
 fn one_relation_query_is_served_the_expert_plan() {
     let wl = skewstress::build(WorkloadSpec {
@@ -222,6 +224,14 @@ fn one_relation_query_is_served_the_expert_plan() {
     qb.relation(wl.train[0].relations[0].table, "only");
     let single = qb.build(schema).unwrap();
     assert_eq!(single.relation_count(), 1);
+    // The action space is sized one relation short of the widest query.
+    let max_relations = wl.max_relations - 1;
+    let wide = wl
+        .train
+        .iter()
+        .find(|q| q.relation_count() > max_relations)
+        .unwrap()
+        .clone();
 
     let executor = Arc::new(CachingExecutor::new(
         wl.db.clone(),
@@ -230,25 +240,36 @@ fn one_relation_query_is_served_the_expert_plan() {
     let mut foss = Foss::new(
         wl.optimizer.clone(),
         executor.clone(),
-        wl.max_relations,
+        max_relations,
         wl.table_rows(),
         FossConfig {
             episodes_per_update: 6,
             ..FossConfig::tiny()
         },
     );
-    let train: Vec<Query> = wl.train.iter().take(4).cloned().collect();
+    let train: Vec<Query> = wl
+        .train
+        .iter()
+        .filter(|q| q.relation_count() <= max_relations)
+        .take(4)
+        .cloned()
+        .collect();
     foss.train(&train, 1).unwrap();
     let snapshot = foss.snapshot();
-    let expert = wl.optimizer.optimize(&single).unwrap().fingerprint();
+    let doctor = PlanDoctor::new(snapshot.clone(), executor, ServiceConfig::default());
 
-    let inference = snapshot.optimize_detailed(&single).unwrap();
-    assert_eq!(inference.selected_step, 0);
-    assert_eq!(inference.plan.fingerprint(), expert);
-
-    let doctor = PlanDoctor::new(snapshot, executor, ServiceConfig::default());
-    let decision = doctor.submit(QueryRequest::new(single)).unwrap();
-    assert_eq!(decision.selected_step, 0);
-    assert_eq!(decision.plan.fingerprint(), expert);
-    assert!(decision.latency > 0.0);
+    for query in [single, wide] {
+        let expert = wl.optimizer.optimize(&query).unwrap().fingerprint();
+        for inference in [
+            foss.optimize_detailed(&query).unwrap(),
+            snapshot.optimize_detailed(&query).unwrap(),
+        ] {
+            assert_eq!(inference.selected_step, 0);
+            assert_eq!(inference.plan.fingerprint(), expert);
+        }
+        let decision = doctor.submit(QueryRequest::new(query)).unwrap();
+        assert_eq!(decision.selected_step, 0);
+        assert_eq!(decision.plan.fingerprint(), expert);
+        assert!(decision.latency > 0.0);
+    }
 }

@@ -4,13 +4,21 @@
 //! (`FossConfig::tiny()` + 100 simulated episodes per update — what
 //! `benchmark`'s `serve_*` workloads and `plan-doctor serve` train):
 //! bootstrap plus N iterations must reproduce, bit for bit, the snapshot
-//! bytes and every [`TrainReport`]'s learned figures. The constants were
-//! taken at commit `af9b32c` — before simulated episodes fanned out, before
-//! the backward pass flushed sub-2⁻¹⁰⁰ gradients and before the accuracy pass
-//! was chunked — so a perf or cleanup PR that changes what the doctor learns
-//! fails here instead of passing silently. A PR that changes learning on
-//! purpose re-pins them and says which mechanism moved them.
+//! bytes, the execution buffer and every [`TrainReport`]'s learned figures.
+//! The report constants were taken at commit `af9b32c` — before simulated
+//! episodes fanned out, before the backward pass flushed sub-2⁻¹⁰⁰ gradients
+//! and before the accuracy pass was chunked — so a perf or cleanup PR that
+//! changes what the doctor learns fails here instead of passing silently. A
+//! PR that changes learning on purpose re-pins them and says which mechanism
+//! moved them.
+//!
+//! The buffer digests were taken before `.fsnp` v2 dropped the buffer from
+//! the snapshot, and the v2 snapshot digests are the v1 snapshots of the same
+//! runs with the version word changed and the buffer and advantage-scale
+//! sections cut out: the format change moved no learned bit. A v2 snapshot
+//! no longer grows with training, hence one length for both runs.
 
+use foss_repro::core::ExecutionBuffer;
 use foss_repro::prelude::*;
 
 /// FNV-1a-64 over `bytes`.
@@ -20,12 +28,29 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// What a run learned: the snapshot's digest and length, and per report the
-/// bits of `(mean_reward, aam_loss, aam_accuracy)`.
+/// What a run learned: the snapshot's digest and length, the execution
+/// buffer's digest, and per report the bits of
+/// `(mean_reward, aam_loss, aam_accuracy)`.
 struct Learned {
     snapshot_fnv: u64,
     snapshot_len: usize,
+    buffer_fnv: u64,
     reports: Vec<[u32; 3]>,
+}
+
+/// FNV-1a-64 over every executed plan in `buffer`, through its public
+/// accessors: queries in `queries()` order, per query the original and then
+/// each of `plans(q)`, each as (plan fingerprint, latency bits, timed out).
+fn buffer_fnv(buffer: &ExecutionBuffer) -> u64 {
+    let mut bytes = Vec::new();
+    for qid in buffer.queries() {
+        for p in buffer.original(qid).into_iter().chain(buffer.plans(qid)) {
+            bytes.extend_from_slice(&p.plan.fingerprint().to_le_bytes());
+            bytes.extend_from_slice(&p.latency.to_bits().to_le_bytes());
+            bytes.push(u8::from(p.timed_out));
+        }
+    }
+    fnv1a64(&bytes)
 }
 
 impl Learned {
@@ -61,6 +86,7 @@ fn train(iterations: usize) -> Learned {
     Learned {
         snapshot_fnv: fnv1a64(&bytes),
         snapshot_len: bytes.len(),
+        buffer_fnv: buffer_fnv(foss.buffer()),
         reports: reports
             .iter()
             .map(|r| {
@@ -90,9 +116,14 @@ fn five_iterations_reproduce_the_pinned_snapshot_and_reports() {
         assert_eq!(got, want, "report {i} diverged: {got:08x?}");
     }
     assert_eq!(got.reports.len(), REPORTS.len());
-    assert_eq!(got.snapshot_len, 349_014);
     assert_eq!(
-        got.snapshot_fnv, 0xa67b_e0a4_eadd_8967,
+        got.buffer_fnv, 0x4aea_f725_67cb_41a6,
+        "execution buffer diverged: {:016x}",
+        got.buffer_fnv
+    );
+    assert_eq!(got.snapshot_len, 117_268);
+    assert_eq!(
+        got.snapshot_fnv, 0xeb86_c594_8ec2_8103,
         "snapshot bytes diverged: {:016x}",
         got.snapshot_fnv
     );
@@ -116,9 +147,14 @@ fn thirty_iterations_reproduce_the_pinned_snapshot_and_reports() {
         "some report of the 31 diverged: {:08x?}",
         got.reports
     );
-    assert_eq!(got.snapshot_len, 541_438);
     assert_eq!(
-        got.snapshot_fnv, 0xdeb0_f699_77e8_026c,
+        got.buffer_fnv, 0xe0d2_96ce_ae24_92db,
+        "execution buffer diverged: {:016x}",
+        got.buffer_fnv
+    );
+    assert_eq!(got.snapshot_len, 117_268);
+    assert_eq!(
+        got.snapshot_fnv, 0x1a88_fdc9_81e0_4dac,
         "snapshot bytes diverged: {:016x}",
         got.snapshot_fnv
     );
