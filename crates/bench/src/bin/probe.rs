@@ -33,8 +33,7 @@ use std::time::Duration;
 /// inference, end-to-end PlanDoctor submits and the warm round trip over a
 /// reused loopback connection) plus the chunked executor
 /// operators — including the heavy-tail skewed hash join, the tier-2
-/// fused pipeline and count mode on a wide plan — and the bounded-cache
-/// eviction path.
+/// fused pipeline and count mode on a wide plan.
 const GUARDED: &[&str] = &[
     "aam/pair_inference",
     "exec/scan_filter",
@@ -42,7 +41,6 @@ const GUARDED: &[&str] = &[
     "exec/fused_hot_path",
     "exec/count_wide",
     "exec/hash_join_skewed",
-    "cache/eviction",
     "service/submit_throughput",
     "service/wire_roundtrip",
 ];

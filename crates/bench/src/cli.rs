@@ -16,9 +16,11 @@
 //! Every flag takes exactly one value (`--flag value`). Shared flags
 //! (`--workload`, `--scale`, `--rounds`, `--budget-us`, `--max-in-flight`,
 //! `--faults`) are parsed once in [`SharedArgs`]; each subcommand adds its
-//! own. Errors (unknown subcommand, unknown flag, bad value) are returned
-//! as readable strings — the binary prints them and exits 2, matching the
-//! workload-typo and fault-spec UX.
+//! own. Errors (unknown subcommand, unknown flag, bad value — including a
+//! scale that is not a finite number above 0, from `--scale` or
+//! `FOSS_SCALE`, and `--max-in-flight 0`) are returned as readable strings
+//! before any workload is built — the binary prints them and exits 2,
+//! matching the workload-typo and fault-spec UX.
 
 use std::str::FromStr;
 
@@ -46,7 +48,7 @@ pub enum Command {
 pub struct SharedArgs {
     /// Workload registry name (`--workload`).
     pub workload: String,
-    /// Row-count multiplier (`--scale`, default `FOSS_SCALE` or 1.0).
+    /// Row-count multiplier (`--scale`, else `FOSS_SCALE`, else 1.0).
     pub scale: f64,
     /// Training rounds before serving (`--rounds`).
     pub rounds: usize,
@@ -64,13 +66,9 @@ pub struct SharedArgs {
 
 impl Default for SharedArgs {
     fn default() -> Self {
-        let env_scale = std::env::var("FOSS_SCALE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1.0);
         Self {
             workload: "tpcdslite".into(),
-            scale: env_scale,
+            scale: 1.0,
             rounds: 1,
             budget_us: None,
             max_in_flight: 16,
@@ -86,7 +84,7 @@ impl SharedArgs {
     fn apply(&mut self, flag: &str, value: &str) -> Result<bool, String> {
         match flag {
             "--workload" => self.workload = value.to_string(),
-            "--scale" => self.scale = num(flag, value)?,
+            "--scale" => self.scale = parse_scale(flag, value)?,
             "--rounds" => self.rounds = num(flag, value)?,
             "--budget-us" => self.budget_us = Some(num(flag, value)?),
             "--max-in-flight" => self.max_in_flight = num(flag, value)?,
@@ -99,6 +97,18 @@ impl SharedArgs {
             _ => return Ok(false),
         }
         Ok(true)
+    }
+
+    /// Fill in what the flags in `pairs` left unset from the environment
+    /// (`--scale` beats `FOSS_SCALE`) and check the combined values.
+    fn finish(&mut self, pairs: &[(&str, &str)]) -> Result<(), String> {
+        if !pairs.iter().any(|&(flag, _)| flag == "--scale") {
+            self.scale = scale_from_env(std::env::var("FOSS_SCALE").ok().as_deref())?;
+        }
+        if self.max_in_flight == 0 {
+            return Err("--max-in-flight must be positive".into());
+        }
+        Ok(())
     }
 }
 
@@ -192,6 +202,27 @@ fn num<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
         .map_err(|_| format!("{flag} must be a number, got `{value}`"))
 }
 
+/// A workload scale from `what` (a flag or an environment variable): a
+/// finite row-count multiplier above 0. Anything else would be clamped to
+/// the generators' minimum table size without a word.
+pub(crate) fn parse_scale(what: &str, value: &str) -> Result<f64, String> {
+    match value.trim().parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
+        _ => Err(format!(
+            "{what} must be a finite number above 0, got `{value}`"
+        )),
+    }
+}
+
+/// The scale `FOSS_SCALE` asks for, given the variable's value: 1.0 when it
+/// is unset or blank, an error naming the variable when it does not parse.
+pub(crate) fn scale_from_env(value: Option<&str>) -> Result<f64, String> {
+    match value {
+        Some(v) if !v.trim().is_empty() => parse_scale("FOSS_SCALE", v),
+        _ => Ok(1.0),
+    }
+}
+
 /// Split argv into `(--flag, value)` pairs (every flag takes one value).
 fn flag_pairs(argv: &[String]) -> Result<Vec<(&str, &str)>, String> {
     let mut pairs = Vec::new();
@@ -240,7 +271,8 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     match sub {
         "bench" => {
             let mut args = BenchArgs::default();
-            for (flag, value) in flag_pairs(rest)? {
+            let pairs = flag_pairs(rest)?;
+            for &(flag, value) in &pairs {
                 if args.shared.apply(flag, value)? {
                     continue;
                 }
@@ -252,13 +284,15 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     other => return Err(format!("unknown flag {other} for `bench`")),
                 }
             }
+            args.shared.finish(&pairs)?;
             check_threads(args.threads)?;
             check_mix(args.priority_mix)?;
             Ok(Command::Bench(args))
         }
         "serve" => {
             let mut args = ServeArgs::default();
-            for (flag, value) in flag_pairs(rest)? {
+            let pairs = flag_pairs(rest)?;
+            for &(flag, value) in &pairs {
                 if args.shared.apply(flag, value)? {
                     continue;
                 }
@@ -269,6 +303,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     other => return Err(format!("unknown flag {other} for `serve`")),
                 }
             }
+            args.shared.finish(&pairs)?;
             Ok(Command::Serve(args))
         }
         "load" => {
@@ -376,6 +411,42 @@ mod tests {
         assert!(parse(&argv("load --threads 0"))
             .unwrap_err()
             .contains("positive"));
+    }
+
+    #[test]
+    fn values_that_cannot_run_are_rejected_at_parse_time() {
+        for sub in ["bench", "serve"] {
+            for scale in ["-1", "0", "nan", "inf"] {
+                let err = parse(&argv(&format!("{sub} --scale {scale}"))).unwrap_err();
+                assert!(
+                    err.contains("--scale must be a finite number above 0"),
+                    "{err}"
+                );
+            }
+            let err = parse(&argv(&format!("{sub} --max-in-flight 0"))).unwrap_err();
+            assert!(err.contains("--max-in-flight must be positive"), "{err}");
+        }
+    }
+
+    #[test]
+    fn env_scale_resolves_or_names_the_variable() {
+        let cases: &[(Option<&str>, Option<f64>)] = &[
+            (None, Some(1.0)),
+            (Some(""), Some(1.0)),
+            (Some("0.05"), Some(0.05)),
+            (Some("0"), None),
+            (Some("-1"), None),
+            (Some("nan"), None),
+            (Some("inf"), None),
+            (Some("0,3"), None),
+        ];
+        for &(value, want) in cases {
+            match (scale_from_env(value), want) {
+                (Ok(got), Some(want)) => assert_eq!(got, want, "{value:?}"),
+                (Err(err), None) => assert!(err.contains("FOSS_SCALE"), "{value:?}: {err}"),
+                (got, want) => panic!("{value:?}: got {got:?}, want {want:?}"),
+            }
+        }
     }
 
     #[test]

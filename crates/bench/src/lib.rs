@@ -7,6 +7,10 @@
 //! * `FOSS_SCALE` — workload row-count multiplier (default 1.0, the full
 //!   generator size; the chunked executor makes this the practical default);
 //! * `FOSS_ROUNDS` — training rounds / iterations (default 3).
+//!
+//! A value that does not parse (or a scale that is not a finite number
+//! above 0) stops the binary with exit code 2 and a message naming the
+//! variable, rather than silently running at the default.
 
 pub mod cli;
 pub mod lint;
@@ -16,7 +20,7 @@ use criterion::Criterion;
 use foss_common::QueryId;
 use foss_core::encoding::PlanEncoder;
 use foss_core::{AdvantageModel, AdvantageScale, Foss, FossConfig};
-use foss_executor::{CachingExecutor, EvictionPolicy, ExecMode, Executor, FusedPipeline};
+use foss_executor::{CachingExecutor, ExecMode, Executor, FusedPipeline};
 use foss_harness::table1::RunConfig;
 use foss_nn::{Graph, Linear, Matrix, ParamSet};
 use foss_optimizer::{AccessPath, Icp, JoinMethod, PhysicalPlan, PlanNode};
@@ -30,22 +34,33 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use std::sync::Arc;
 
-/// Build the shared run configuration from the environment.
+/// Build the shared run configuration from the environment; on a value
+/// that cannot work, print the error and exit 2 (see the crate docs).
 pub fn run_config_from_env() -> RunConfig {
-    let scale: f64 = std::env::var("FOSS_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
-    let rounds: usize = std::env::var("FOSS_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    RunConfig {
+    let var = |name| std::env::var(name).ok();
+    run_config(var("FOSS_SCALE").as_deref(), var("FOSS_ROUNDS").as_deref()).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    })
+}
+
+/// The run configuration for the given `FOSS_SCALE` / `FOSS_ROUNDS` values
+/// (`None` or blank = unset).
+fn run_config(scale: Option<&str>, rounds: Option<&str>) -> Result<RunConfig, String> {
+    let scale = cli::scale_from_env(scale)?;
+    let rounds: usize = match rounds {
+        Some(v) if !v.trim().is_empty() => v
+            .trim()
+            .parse()
+            .map_err(|_| format!("FOSS_ROUNDS must be a whole number, got `{v}`"))?,
+        _ => 3,
+    };
+    Ok(RunConfig {
         spec: WorkloadSpec { seed: 42, scale },
         baseline_rounds: rounds,
         foss_iterations: rounds,
         foss_episodes: 30 * rounds,
-    }
+    })
 }
 
 /// The micro-benchmark suite behind `benches/micro.rs` *and*
@@ -192,24 +207,6 @@ pub fn micro_suite(c: &mut Criterion) {
     let (skew_query, skew_plan) = hash_join_skewed_case(&skew);
     c.bench_function("exec/hash_join_skewed", |b| {
         b.iter(|| black_box(skew_exec.execute(&skew_query, &skew_plan, None).unwrap()))
-    });
-
-    // Eviction-policy overhead on a skewed serving-style stream: a 4-plan
-    // hot set re-referenced between one-shot cold queries through a bounded
-    // LRU cache, so every pass mixes hits, misses and evictions.
-    let (cache_queries, cache_plan, trace) = eviction_case(&full);
-    let bounded =
-        CachingExecutor::with_capacity_policy(full.db.clone(), cost, 16, EvictionPolicy::Lru);
-    c.bench_function("cache/eviction", |b| {
-        b.iter(|| {
-            for &qi in &trace {
-                black_box(
-                    bounded
-                        .execute(&cache_queries[qi], &cache_plan, None)
-                        .unwrap(),
-                );
-            }
-        })
     });
 
     // PlanDoctor serving throughput: the same submission batch planned and
@@ -465,41 +462,6 @@ fn hash_join_case(wl: &foss_workloads::Workload) -> (Query, PhysicalPlan) {
     (query, plan)
 }
 
-/// Queries + trace for the `cache/eviction` bench: distinct tiny queries over
-/// `info_type` (4 hot, 44 cold) interleaved hot/cold.
-fn eviction_case(wl: &foss_workloads::Workload) -> (Vec<Query>, PhysicalPlan, Vec<usize>) {
-    let schema = wl.db.schema().clone();
-    let it = schema.table_id("info_type").expect("info_type");
-    let queries: Vec<Query> = (0..48)
-        .map(|i| {
-            let mut qb = QueryBuilder::new(QueryId::new(9100 + i), 1);
-            let r = qb.relation(it, "it");
-            qb.predicate(
-                r,
-                Predicate::Eq {
-                    column: 1,
-                    value: i as i64 % 10,
-                },
-            );
-            qb.build(&schema).expect("cache query")
-        })
-        .collect();
-    let plan = PhysicalPlan {
-        root: PlanNode::Scan {
-            relation: 0,
-            access: AccessPath::SeqScan,
-            est_rows: 1.0,
-            est_cost: 1.0,
-        },
-    };
-    let mut trace = Vec::with_capacity(88);
-    for i in 0..44 {
-        trace.push(i % 4); // hot set, re-referenced throughout
-        trace.push(4 + i); // one-shot cold keys
-    }
-    (queries, plan, trace)
-}
-
 /// Parse a `BENCH_<tag>.json` file (the format [`Criterion::summary_json`]
 /// writes) into `(name, median_ns)` entries. Hand-rolled: the format is owned
 /// by this workspace and the build is offline (no serde_json).
@@ -547,13 +509,22 @@ mod tests {
 
     #[test]
     fn env_config_defaults() {
-        std::env::remove_var("FOSS_SCALE");
-        std::env::remove_var("FOSS_ROUNDS");
-        let cfg = run_config_from_env();
-        assert_eq!(cfg.baseline_rounds, 3);
-        assert!(
-            (cfg.spec.scale - 1.0).abs() < 1e-9,
-            "generators default to full scale"
-        );
+        let defaults = run_config(None, None).unwrap();
+        assert_eq!(defaults.baseline_rounds, 3);
+        assert_eq!(defaults.spec.scale, 1.0, "generators default to full scale");
+    }
+
+    #[test]
+    fn env_config_takes_valid_values_and_names_the_bad_variable() {
+        let smoke = run_config(Some("0.05"), Some("2")).unwrap();
+        assert_eq!((smoke.spec.scale, smoke.foss_iterations), (0.05, 2));
+        for scale in ["0", "-1", "nan", "inf", "0,3"] {
+            let err = run_config(Some(scale), None).unwrap_err();
+            assert!(err.contains("FOSS_SCALE"), "{scale}: {err}");
+        }
+        for rounds in ["abc", "-1", "2.5"] {
+            let err = run_config(None, Some(rounds)).unwrap_err();
+            assert!(err.contains("FOSS_ROUNDS"), "{rounds}: {err}");
+        }
     }
 }

@@ -3,10 +3,11 @@
 //! Three rules, each encoding an invariant this repo actually relies on:
 //!
 //! * **panic-habits** (`A`) — no `.unwrap()` / `.expect(` / `panic!(` in
-//!   `crates/service` or `crates/executor/src/{fused,probe}.rs` non-test
-//!   code. The serving layer (and the tier-2 fused engine it dispatches to,
-//!   with the join kernels that engine runs) must degrade (fallback, shed,
-//!   wire error), never abort a worker thread.
+//!   `crates/service` or `crates/executor/src/{cache,fused,probe}.rs`
+//!   non-test code. The serving layer (and the latency cache every one of
+//!   its executions passes through, the tier-2 fused engine it dispatches
+//!   to and the join kernels that engine runs) must degrade (fallback,
+//!   shed, wire error), never abort a worker thread.
 //! * **sync-facade** (`B`) — no direct `std::sync` lock/atomic imports and
 //!   no `parking_lot` anywhere outside the `foss_common::sync` facade, the
 //!   `crates/analysis` checker (which implements the shims) and the vendor
@@ -195,18 +196,19 @@ const PANIC_PATTERNS: &[(&str, &str)] = &[
     ),
 ];
 
-/// Paths rule A covers: the whole serving layer, plus the tier-2 fused
-/// engine and the join kernels it drives — they run inside serving threads
-/// on the latency path, so they must degrade (decline to compile, return
-/// `FossError`) rather than abort.
+/// Paths rule A covers: the whole serving layer, plus the latency cache,
+/// the tier-2 fused engine and the join kernels it drives — they run inside
+/// serving threads on the latency path, so they must degrade (decline to
+/// compile, return `FossError`) rather than abort.
 fn panic_rule_applies(rel_path: &str) -> bool {
     rel_path.starts_with("crates/service/")
+        || rel_path == "crates/executor/src/cache.rs"
         || rel_path == "crates/executor/src/fused.rs"
         || rel_path == "crates/executor/src/probe.rs"
 }
 
-/// Rule A: panic habits in `crates/service` (and the fused tier-2 engine)
-/// non-test code.
+/// Rule A: panic habits in `crates/service` (and the executor files it
+/// runs through) non-test code.
 pub fn scan_panic_habits(rel_path: &str, source: &str) -> Vec<Finding> {
     if !panic_rule_applies(rel_path) {
         return Vec::new();
@@ -454,9 +456,10 @@ mod tests {
         let found = scan_panic_habits("crates/service/src/lib.rs", src);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].line, 2);
-        // The fused tier-2 engine and its join kernels are in scope too;
-        // the rest of the executor crate is not.
+        // The latency cache, the fused tier-2 engine and its join kernels
+        // are in scope too; the rest of the executor crate is not.
         for path in [
+            "crates/executor/src/cache.rs",
             "crates/executor/src/fused.rs",
             "crates/executor/src/probe.rs",
         ] {

@@ -14,8 +14,13 @@
 //!   it keep only the slots a later join reads — while
 //!   [`Executor::execute_rows`] keeps every slot of every tuple.
 //! * **Scalar** — the reference row-at-a-time interpreter, kept for
-//!   differential testing (see the chunked-vs-scalar property tests). It
-//!   always materialises full tuples.
+//!   differential testing (see the chunked-vs-scalar property tests) and
+//!   reachable only through [`Executor::with_mode`]. It always materialises
+//!   full tuples.
+//!
+//! Every query is a `COUNT(*)` join block, so a result is its tuple count;
+//! [`Executor::execute_rows`] hands back the tuples themselves only for
+//! comparison.
 //!
 //! Both engines share one *chunk-granular metering discipline*: work-unit
 //! charges are accrued per chunk, in the same order, with the same floating
@@ -58,30 +63,15 @@ pub struct ExecOutcome {
 ///
 /// Public so differential tests can compare full result sets (not just
 /// counts) across [`ExecMode`]s; see [`Executor::execute_rows`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RowSet {
     /// Relation index corresponding to each tuple slot.
     pub rels: Vec<usize>,
     /// Flattened tuples; stride = `rels.len()`.
     pub data: Vec<u32>,
-    /// The query's projection list (group key and aggregate input columns),
-    /// populated at the plan root by [`Executor::execute_rows`] so downstream
-    /// consumers — the group-by aggregator above all — know which columns to
-    /// gather out of the tuples. Empty for plain `COUNT(*)` queries.
-    pub proj: Vec<foss_query::ColRef>,
 }
 
 impl RowSet {
-    /// A result set with an empty projection list (operators build these;
-    /// the root attaches the query's projection).
-    pub(crate) fn bare(rels: Vec<usize>, data: Vec<u32>) -> Self {
-        Self {
-            rels,
-            data,
-            proj: Vec::new(),
-        }
-    }
-
     pub(crate) fn stride(&self) -> usize {
         self.rels.len()
     }
@@ -330,9 +320,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Like [`Executor::execute`], but materialises and returns the full
-    /// result tuples, one slot per joined relation — what the aggregator
-    /// folds and what the differential tests compare across [`ExecMode`]s
-    /// and against the fused tier.
+    /// result tuples, one slot per joined relation — what the differential
+    /// tests compare across [`ExecMode`]s and against the fused tier.
     pub fn execute_rows(
         &self,
         query: &Query,
@@ -340,48 +329,13 @@ impl<'a> Executor<'a> {
         budget: Option<f64>,
     ) -> Result<(ExecOutcome, RowSet)> {
         let mut meter = WorkMeter::new(budget);
-        let rows = self.exec_full(query, plan, &mut meter)?;
+        let (_, rows) = self.run(query, plan, true, &mut meter)?;
+        let rows = rows.unwrap_or_default();
         let outcome = ExecOutcome {
             latency: meter.spent,
             rows: rows.len() as u64,
         };
         Ok((outcome, rows))
-    }
-
-    /// Like [`Executor::execute_rows`], but folds the join result through
-    /// the query's aggregation spec ([`foss_query::AggSpec`], defaulting to
-    /// a global `COUNT(*)`) chunk at a time. The returned outcome's
-    /// `latency` includes the aggregation charges and its `rows` counts the
-    /// aggregate's *output* groups; the fold runs over the final tuple set,
-    /// so the result and latency stay bit-identical across [`ExecMode`]s.
-    pub fn execute_agg(
-        &self,
-        query: &Query,
-        plan: &PhysicalPlan,
-        budget: Option<f64>,
-    ) -> Result<(ExecOutcome, crate::agg::AggResult)> {
-        let mut meter = WorkMeter::new(budget);
-        let rows = self.exec_full(query, plan, &mut meter)?;
-        let agg = crate::agg::aggregate(self, query, &rows, &mut meter)?;
-        let outcome = ExecOutcome {
-            latency: meter.spent,
-            rows: agg.rows.len() as u64,
-        };
-        Ok((outcome, agg))
-    }
-
-    /// The plan's full-width result (every relation live) with the query's
-    /// projection attached.
-    fn exec_full(
-        &self,
-        query: &Query,
-        plan: &PhysicalPlan,
-        meter: &mut WorkMeter,
-    ) -> Result<RowSet> {
-        let (_, rows) = self.run(query, plan, true, meter)?;
-        let mut rows = rows.unwrap_or_else(|| RowSet::bare(Vec::new(), Vec::new()));
-        rows.proj = query.projection();
-        Ok(rows)
     }
 
     /// Run `plan` — its leftmost scan, then its joins bottom-up (plans are
@@ -404,7 +358,10 @@ impl<'a> Executor<'a> {
                     relation, access, ..
                 } => {
                     let data = self.exec_scan(query, *relation, access, meter)?;
-                    break RowSet::bare(vec![*relation], data);
+                    break RowSet {
+                        rels: vec![*relation],
+                        data,
+                    };
                 }
                 PlanNode::Join {
                     method,
@@ -458,7 +415,10 @@ impl<'a> Executor<'a> {
             self.join(query, &step, meter, &mut rows)?;
             let mut rels = step.outer.rels;
             layout.apply(&mut rels, step.inner_rel);
-            outer = RowSet::bare(rels, rows.out);
+            outer = RowSet {
+                rels,
+                data: rows.out,
+            };
         }
         Ok((outer.len() as u64, want_rows.then_some(outer)))
     }
@@ -1442,128 +1402,5 @@ mod tests {
         let plan = opt.optimize(&q).unwrap();
         let exec = Executor::new(&db, *opt.cost_model());
         assert_eq!(exec.execute(&q, &plan, None).unwrap().rows, 4);
-    }
-
-    /// The setup() join with COUNT/SUM/MIN/MAX over `b.id`, optionally
-    /// grouped by `a.v`.
-    fn agg_query(db: &Database, qid: usize, group: bool) -> Query {
-        use foss_query::{AggFunc, ColRef};
-        let schema = db.schema().clone();
-        let mut qb = QueryBuilder::new(QueryId::new(qid), 1);
-        let ra = qb.relation(schema.table_id("a").unwrap(), "a");
-        let rb = qb.relation(schema.table_id("b").unwrap(), "b");
-        qb.join(ra, 0, rb, 1);
-        if group {
-            qb.group_by(ra, 1);
-        }
-        let b_id = ColRef { rel: rb, column: 0 };
-        qb.aggregate(AggFunc::Count)
-            .aggregate(AggFunc::Sum(b_id))
-            .aggregate(AggFunc::Min(b_id))
-            .aggregate(AggFunc::Max(b_id));
-        qb.build(&schema).unwrap()
-    }
-
-    #[test]
-    fn group_by_aggregates_match_hand_computed_values() {
-        let (db, opt, _) = setup();
-        let q = agg_query(&db, 11, true);
-        let plan = opt.optimize(&q).unwrap();
-        let exec = Executor::new(&db, *opt.cost_model());
-        let (out, agg) = exec.execute_agg(&q, &plan, None).unwrap();
-        // a.v = id % 3 groups the 10 a-rows into {0,3,6,9}, {1,4,7},
-        // {2,5,8}; each a-row matches b ids {k, k+10, k+20}.
-        let expect = [(0, 12, 174, 0, 29), (1, 9, 126, 1, 27), (2, 9, 135, 2, 28)];
-        assert_eq!(out.rows, 3);
-        assert_eq!(agg.rows.len(), 3);
-        for (row, (key, count, sum, min, max)) in agg.rows.iter().zip(expect) {
-            assert_eq!(row.group, Some(key));
-            assert_eq!(
-                row.values,
-                vec![Some(count), Some(sum), Some(min), Some(max)]
-            );
-        }
-    }
-
-    #[test]
-    fn aggregation_is_engine_independent() {
-        let (db, opt, _) = setup_sized(3000, 9000);
-        let q = agg_query(&db, 12, true);
-        let plan = opt.optimize(&q).unwrap();
-        let chunked = Executor::new(&db, *opt.cost_model());
-        let scalar = Executor::with_mode(&db, *opt.cost_model(), ExecMode::Scalar);
-        let (oc, rc) = chunked.execute_agg(&q, &plan, None).unwrap();
-        let (os, rs) = scalar.execute_agg(&q, &plan, None).unwrap();
-        assert_eq!(rc, rs);
-        assert_eq!(oc.latency.to_bits(), os.latency.to_bits());
-    }
-
-    #[test]
-    fn global_aggregate_on_empty_input_yields_one_row() {
-        let (db, opt, _) = setup();
-        let schema = db.schema().clone();
-        let mut qb = QueryBuilder::new(QueryId::new(13), 1);
-        let ra = qb.relation(schema.table_id("a").unwrap(), "a");
-        let rb = qb.relation(schema.table_id("b").unwrap(), "b");
-        qb.join(ra, 0, rb, 1);
-        qb.predicate(
-            ra,
-            Predicate::Range {
-                column: 0,
-                lo: 100,
-                hi: 200,
-            },
-        );
-        use foss_query::{AggFunc, ColRef};
-        let b_id = ColRef { rel: rb, column: 0 };
-        qb.aggregate(AggFunc::Count)
-            .aggregate(AggFunc::Sum(b_id))
-            .aggregate(AggFunc::Min(b_id))
-            .aggregate(AggFunc::Max(b_id));
-        let q = qb.build(&schema).unwrap();
-        let plan = opt.optimize(&q).unwrap();
-        let exec = Executor::new(&db, *opt.cost_model());
-        let (out, agg) = exec.execute_agg(&q, &plan, None).unwrap();
-        assert_eq!(out.rows, 1);
-        assert_eq!(agg.rows.len(), 1);
-        assert_eq!(agg.rows[0].group, None);
-        // COUNT and SUM fold to zero; MIN/MAX are undefined on no rows.
-        assert_eq!(agg.rows[0].values, vec![Some(0), Some(0), None, None]);
-    }
-
-    #[test]
-    fn execute_rows_threads_the_projection_list() {
-        use foss_query::ColRef;
-        let (db, opt, _) = setup();
-        let q = agg_query(&db, 14, true);
-        let plan = opt.optimize(&q).unwrap();
-        let exec = Executor::new(&db, *opt.cost_model());
-        let (_, rows) = exec.execute_rows(&q, &plan, None).unwrap();
-        // Group key first, then agg inputs, deduplicated in first-use order.
-        assert_eq!(
-            rows.proj,
-            vec![ColRef { rel: 0, column: 1 }, ColRef { rel: 1, column: 0 }]
-        );
-        // A plain COUNT(*) query projects nothing.
-        let (db2, opt2, q2) = setup();
-        let plan2 = opt2.optimize(&q2).unwrap();
-        let exec2 = Executor::new(&db2, *opt2.cost_model());
-        let (_, rows2) = exec2.execute_rows(&q2, &plan2, None).unwrap();
-        assert!(rows2.proj.is_empty());
-    }
-
-    #[test]
-    fn aggregation_charges_count_toward_the_budget() {
-        let (db, opt, _) = setup();
-        let q = agg_query(&db, 15, true);
-        let plan = opt.optimize(&q).unwrap();
-        let exec = Executor::new(&db, *opt.cost_model());
-        let (out, _) = exec.execute_agg(&q, &plan, None).unwrap();
-        let bare = exec.execute(&q, &plan, None).unwrap();
-        assert!(out.latency > bare.latency);
-        // A budget between the two must time out inside the aggregation.
-        let mid = (bare.latency + out.latency) / 2.0;
-        let err = exec.execute_agg(&q, &plan, Some(mid)).unwrap_err();
-        assert!(matches!(err, FossError::Timeout { .. }));
     }
 }

@@ -322,12 +322,8 @@ impl FusedPipeline {
         query: &Query,
         budget: Option<f64>,
     ) -> Result<(ExecOutcome, RowSet)> {
-        self.run(db, cost, query, budget, true).map(|(out, rows)| {
-            (
-                out,
-                rows.unwrap_or_else(|| RowSet::bare(Vec::new(), Vec::new())),
-            )
-        })
+        self.run(db, cost, query, budget, true)
+            .map(|(out, rows)| (out, rows.unwrap_or_default()))
     }
 
     fn run(
@@ -383,10 +379,9 @@ impl FusedPipeline {
             }
         }
 
-        let rows = want_rows.then(|| {
-            let mut rows = RowSet::bare(self.rels.clone(), current);
-            rows.proj = query.projection();
-            rows
+        let rows = want_rows.then(|| RowSet {
+            rels: self.rels.clone(),
+            data: current,
         });
         Ok((
             ExecOutcome {

@@ -22,22 +22,22 @@
 //! vectors) and the scalar row-at-a-time reference kept for differential
 //! testing. Both charge identical work units and produce identical tuples.
 //! Every plan runs on the calling thread; there is no other scheduling knob.
-//! [`Executor::execute`] never materialises the `COUNT(*)` result it counts,
-//! nor the slots of an intermediate tuple no later join reads;
-//! [`Executor::execute_rows`] returns full tuples for the aggregator and the
+//! Every query is a `COUNT(*)` join block: [`Executor::execute`] never
+//! materialises the result it counts, nor the slots of an intermediate tuple
+//! no later join reads; [`Executor::execute_rows`] returns full tuples for the
 //! differential tests. Hot left-deep shapes can additionally be compiled to a
 //! [`FusedPipeline`], which drives the same join kernels and output sinks
 //! (`probe`) as the chunked engine with the per-join analysis done once.
+//! [`CachingExecutor`] memoises outcomes in an unbounded cache; its misses
+//! always run the chunked engine (or a fused pipeline the caller supplies).
 
-pub mod agg;
 pub mod cache;
 pub mod database;
 pub mod exec;
 pub mod fused;
 mod probe;
 
-pub use agg::{AggResult, AggRow};
-pub use cache::{CacheStats, CachingExecutor, EvictionPolicy};
+pub use cache::{CacheStats, CachingExecutor};
 pub use database::Database;
 pub use exec::{ExecMode, ExecOutcome, Executor, RowSet, CHUNK_SIZE};
 pub use fused::FusedPipeline;

@@ -66,73 +66,7 @@ impl foss_common::Codec for JoinEdge {
     }
 }
 
-/// A column reference `relations[rel].columns[column]` in a query's
-/// projection or aggregation list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ColRef {
-    /// Index into [`Query::relations`].
-    pub rel: usize,
-    /// Column index within that relation's table.
-    pub column: usize,
-}
-
-/// An aggregate function over the join result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AggFunc {
-    /// `COUNT(*)` — no input column.
-    Count,
-    /// `SUM(col)`.
-    Sum(ColRef),
-    /// `MIN(col)`.
-    Min(ColRef),
-    /// `MAX(col)`.
-    Max(ColRef),
-}
-
-impl AggFunc {
-    /// The input column, if the function reads one.
-    pub fn input(&self) -> Option<ColRef> {
-        match *self {
-            AggFunc::Count => None,
-            AggFunc::Sum(c) | AggFunc::Min(c) | AggFunc::Max(c) => Some(c),
-        }
-    }
-}
-
-impl fmt::Display for AggFunc {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AggFunc::Count => write!(f, "COUNT(*)"),
-            AggFunc::Sum(c) => write!(f, "SUM(r{}.c{})", c.rel, c.column),
-            AggFunc::Min(c) => write!(f, "MIN(r{}.c{})", c.rel, c.column),
-            AggFunc::Max(c) => write!(f, "MAX(r{}.c{})", c.rel, c.column),
-        }
-    }
-}
-
-/// The aggregation block of a query: an optional single group-by key and a
-/// list of aggregate functions evaluated per group (or globally when no
-/// group key is given). Absent on plain `COUNT(*)` queries.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AggSpec {
-    /// Group rows by this column's value; `None` aggregates globally.
-    pub group_by: Option<ColRef>,
-    /// Aggregates evaluated per group, in projection order.
-    pub aggs: Vec<AggFunc>,
-}
-
-impl AggSpec {
-    /// The default aggregation every query carries implicitly: a global
-    /// `COUNT(*)`.
-    pub fn count_star() -> Self {
-        Self {
-            group_by: None,
-            aggs: vec![AggFunc::Count],
-        }
-    }
-}
-
-/// A select-project-join query.
+/// A select-project-join query whose result is its `COUNT(*)`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Query {
     /// Stable id within its workload.
@@ -143,8 +77,6 @@ pub struct Query {
     pub relations: Vec<Relation>,
     /// Equi-join edges; the join graph must be connected.
     pub joins: Vec<JoinEdge>,
-    /// Aggregation over the join result; `None` means plain `COUNT(*)`.
-    pub agg: Option<AggSpec>,
 }
 
 impl Query {
@@ -181,29 +113,6 @@ impl Query {
             .collect()
     }
 
-    /// The distinct columns the aggregation block projects out of the join
-    /// result (group key first, then aggregate inputs, first-use order).
-    /// Empty for plain `COUNT(*)` queries, which project nothing.
-    pub fn projection(&self) -> Vec<ColRef> {
-        let mut cols: Vec<ColRef> = Vec::new();
-        if let Some(spec) = &self.agg {
-            let mut push = |c: ColRef| {
-                if !cols.contains(&c) {
-                    cols.push(c);
-                }
-            };
-            if let Some(g) = spec.group_by {
-                push(g);
-            }
-            for a in &spec.aggs {
-                if let Some(c) = a.input() {
-                    push(c);
-                }
-            }
-        }
-        cols
-    }
-
     /// Validate structure against a schema: column bounds, connectivity.
     pub fn validate(&self, schema: &Schema) -> Result<()> {
         if self.relations.is_empty() {
@@ -230,25 +139,6 @@ impl Query {
                     return Err(FossError::InvalidQuery(format!(
                         "join column {c} out of range for {}",
                         rel.alias
-                    )));
-                }
-            }
-        }
-        if let Some(spec) = &self.agg {
-            if spec.aggs.is_empty() {
-                return Err(FossError::InvalidQuery(
-                    "aggregation block with no aggregate functions".into(),
-                ));
-            }
-            let cols = spec.group_by.iter().copied();
-            for c in cols.chain(spec.aggs.iter().filter_map(|a| a.input())) {
-                let rel = self.relations.get(c.rel).ok_or_else(|| {
-                    FossError::InvalidQuery(format!("aggregation references relation {}", c.rel))
-                })?;
-                if c.column >= schema.table(rel.table).columns.len() {
-                    return Err(FossError::InvalidQuery(format!(
-                        "aggregation column {} out of range for {}",
-                        c.column, rel.alias
                     )));
                 }
             }
@@ -285,31 +175,7 @@ impl Query {
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let aliases: Vec<&str> = self.relations.iter().map(|r| r.alias.as_str()).collect();
-        match &self.agg {
-            None => write!(f, "SELECT COUNT(*) FROM ")?,
-            Some(spec) => {
-                let mut items: Vec<String> = Vec::new();
-                if let Some(g) = spec.group_by {
-                    items.push(format!("{}.c{}", aliases[g.rel], g.column));
-                }
-                for a in &spec.aggs {
-                    items.push(match a.input() {
-                        None => "COUNT(*)".into(),
-                        Some(c) => {
-                            let name = match a {
-                                AggFunc::Sum(_) => "SUM",
-                                AggFunc::Min(_) => "MIN",
-                                AggFunc::Max(_) => "MAX",
-                                AggFunc::Count => unreachable!("COUNT has no input"),
-                            };
-                            format!("{}({}.c{})", name, aliases[c.rel], c.column)
-                        }
-                    });
-                }
-                write!(f, "SELECT {} FROM ", items.join(", "))?;
-            }
-        }
-        write!(f, "{}", aliases.join(", "))?;
+        write!(f, "SELECT COUNT(*) FROM {}", aliases.join(", "))?;
         let mut conds: Vec<String> = self
             .joins
             .iter()
@@ -328,9 +194,6 @@ impl fmt::Display for Query {
         if !conds.is_empty() {
             write!(f, " WHERE {}", conds.join(" AND "))?;
         }
-        if let Some(g) = self.agg.as_ref().and_then(|s| s.group_by) {
-            write!(f, " GROUP BY {}.c{}", aliases[g.rel], g.column)?;
-        }
         Ok(())
     }
 }
@@ -342,7 +205,6 @@ pub struct QueryBuilder {
     template: u32,
     relations: Vec<Relation>,
     joins: Vec<JoinEdge>,
-    agg: Option<AggSpec>,
 }
 
 impl QueryBuilder {
@@ -353,7 +215,6 @@ impl QueryBuilder {
             template,
             relations: Vec::new(),
             joins: Vec::new(),
-            agg: None,
         }
     }
 
@@ -390,30 +251,6 @@ impl QueryBuilder {
         self
     }
 
-    /// Group the result by `relations[rel].columns[column]` (replaces any
-    /// previous group key; creates the aggregation block if absent).
-    pub fn group_by(&mut self, rel: usize, column: usize) -> &mut Self {
-        self.agg
-            .get_or_insert_with(|| AggSpec {
-                group_by: None,
-                aggs: Vec::new(),
-            })
-            .group_by = Some(ColRef { rel, column });
-        self
-    }
-
-    /// Append an aggregate function to the projection list.
-    pub fn aggregate(&mut self, agg: AggFunc) -> &mut Self {
-        self.agg
-            .get_or_insert_with(|| AggSpec {
-                group_by: None,
-                aggs: Vec::new(),
-            })
-            .aggs
-            .push(agg);
-        self
-    }
-
     /// Finalise, validating against the schema.
     pub fn build(self, schema: &Schema) -> Result<Query> {
         let q = self.build_unchecked();
@@ -423,19 +260,11 @@ impl QueryBuilder {
 
     /// Finalise without validation (tests for invalid structures).
     pub fn build_unchecked(self) -> Query {
-        let mut agg = self.agg;
-        // A group key without any aggregate still projects a count per group.
-        if let Some(spec) = agg.as_mut() {
-            if spec.aggs.is_empty() {
-                spec.aggs.push(AggFunc::Count);
-            }
-        }
         Query {
             id: self.id,
             template: self.template,
             relations: self.relations,
             joins: self.joins,
-            agg,
         }
     }
 }
@@ -518,7 +347,7 @@ mod tests {
         let s = schema3();
         let q = chain_query(&s);
         let text = q.to_string();
-        assert!(text.contains("FROM a, b, c"));
+        assert!(text.starts_with("SELECT COUNT(*) FROM a, b, c"));
         assert!(text.contains("a.c1 = 3"));
     }
 
@@ -529,73 +358,5 @@ mod tests {
         qb.relation(s.table_id("a").unwrap(), "a");
         let q = qb.build(&s).unwrap();
         assert!(q.is_connected());
-    }
-
-    fn agg_chain_query(s: &Schema) -> Query {
-        let mut qb = QueryBuilder::new(QueryId::new(2), 1);
-        let a = qb.relation(s.table_id("a").unwrap(), "a");
-        let b = qb.relation(s.table_id("b").unwrap(), "b");
-        qb.join(a, 0, b, 1);
-        qb.group_by(a, 1)
-            .aggregate(AggFunc::Sum(ColRef { rel: b, column: 0 }))
-            .aggregate(AggFunc::Count)
-            .aggregate(AggFunc::Max(ColRef { rel: b, column: 1 }));
-        qb.build(s).unwrap()
-    }
-
-    #[test]
-    fn projection_lists_group_key_then_agg_inputs_deduped() {
-        let s = schema3();
-        let q = agg_chain_query(&s);
-        assert_eq!(
-            q.projection(),
-            vec![
-                ColRef { rel: 0, column: 1 },
-                ColRef { rel: 1, column: 0 },
-                ColRef { rel: 1, column: 1 },
-            ]
-        );
-        // Without an agg spec the query is a bare COUNT(*): no projection.
-        assert!(chain_query(&s).projection().is_empty());
-    }
-
-    #[test]
-    fn display_renders_select_list_and_group_by() {
-        let s = schema3();
-        let text = agg_chain_query(&s).to_string();
-        assert!(text.starts_with("SELECT a.c1, SUM(b.c0), COUNT(*), MAX(b.c1) FROM a, b"));
-        assert!(text.ends_with("GROUP BY a.c1"));
-    }
-
-    #[test]
-    fn group_by_without_aggs_defaults_to_count() {
-        let s = schema3();
-        let mut qb = QueryBuilder::new(QueryId::new(3), 1);
-        let a = qb.relation(s.table_id("a").unwrap(), "a");
-        let b = qb.relation(s.table_id("b").unwrap(), "b");
-        qb.join(a, 0, b, 1);
-        qb.group_by(a, 0);
-        let q = qb.build(&s).unwrap();
-        let spec = q.agg.as_ref().unwrap();
-        assert_eq!(spec.aggs, vec![AggFunc::Count]);
-        assert_eq!(spec.group_by, Some(ColRef { rel: 0, column: 0 }));
-    }
-
-    #[test]
-    fn agg_referencing_bad_column_rejected() {
-        let s = schema3();
-        let mut qb = QueryBuilder::new(QueryId::new(4), 1);
-        let a = qb.relation(s.table_id("a").unwrap(), "a");
-        let b = qb.relation(s.table_id("b").unwrap(), "b");
-        qb.join(a, 0, b, 1);
-        qb.aggregate(AggFunc::Sum(ColRef { rel: b, column: 99 }));
-        assert!(qb.build(&s).is_err());
-
-        let mut qb = QueryBuilder::new(QueryId::new(5), 1);
-        let a = qb.relation(s.table_id("a").unwrap(), "a");
-        let b = qb.relation(s.table_id("b").unwrap(), "b");
-        qb.join(a, 0, b, 1);
-        qb.group_by(7, 0);
-        assert!(qb.build(&s).is_err());
     }
 }

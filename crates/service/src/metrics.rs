@@ -335,7 +335,6 @@ mod tests {
             CacheStats {
                 executions: 25,
                 hits: 75,
-                evictions: 0,
                 entries: 25,
             },
             7,

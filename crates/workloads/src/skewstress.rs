@@ -5,14 +5,10 @@
 //! heavy-tail Zipf (s ≥ 1.5, so the hottest key owns ~40% of each fact
 //! table) and every template carries a range predicate whose width is drawn
 //! across almost the whole domain, giving per-query selectivities that swing
-//! from ≪1% to ~100%. That combination stresses exactly two subsystems:
-//!
-//! * the chunked executor's **hash joins** — one bucket holds nearly half of
-//!   every build side, so probe costs are dominated by a single chain and
-//!   join outputs explode or vanish depending on which side of the skew the
-//!   drawn constants land;
-//! * the executor cache's **eviction policy** — the selectivity spread makes
-//!   result sizes (and thus the value of caching) wildly non-uniform.
+//! from ≪1% to ~100%. That combination stresses the chunked executor's
+//! **hash joins**: one bucket holds nearly half of every build side, so
+//! probe costs are dominated by a single chain and join outputs explode or
+//! vanish depending on which side of the skew the drawn constants land.
 //!
 //! 10 templates around a single `hub` table, 8 queries each, 6 train /
 //! 2 test per template.
