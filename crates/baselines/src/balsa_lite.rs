@@ -140,6 +140,10 @@ impl LearnedOptimizer for BalsaLite {
         Ok(())
     }
 
+    fn plan_rng(&self) -> Option<&Mutex<StdRng>> {
+        Some(&self.rng)
+    }
+
     fn plan(&self, query: &Query) -> Result<PhysicalPlan> {
         if query.relation_count() < 2 {
             return self.recorder.optimizer.optimize(query);

@@ -172,6 +172,10 @@ impl LearnedOptimizer for HybridQo {
         Ok(())
     }
 
+    fn plan_rng(&self) -> Option<&Mutex<StdRng>> {
+        Some(&self.rng)
+    }
+
     fn plan(&self, query: &Query) -> Result<PhysicalPlan> {
         let cands = self.candidates(query)?;
         let encs: Vec<EncodedPlan> = cands

@@ -27,6 +27,7 @@ pub mod loger_lite;
 pub(crate) mod support;
 pub mod value_model;
 
+use foss_common::sync::Mutex;
 use foss_common::Result;
 use foss_optimizer::PhysicalPlan;
 use foss_query::Query;
@@ -59,6 +60,13 @@ pub trait LearnedOptimizer {
 
     /// Produce the plan this optimizer would run for `query` (read-only).
     fn plan(&self, query: &Query) -> Result<PhysicalPlan>;
+
+    /// The RNG [`plan`](Self::plan) draws from, if it draws at all. A probe
+    /// between training rounds restores it afterwards, so measuring a
+    /// method mid-training does not change how it goes on to train.
+    fn plan_rng(&self) -> Option<&Mutex<StdRng>> {
+        None
+    }
 }
 
 /// The expert optimizer as a baseline (PostgreSQL row of Table I).

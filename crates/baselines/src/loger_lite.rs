@@ -158,6 +158,10 @@ impl LearnedOptimizer for LogerLite {
         Ok(())
     }
 
+    fn plan_rng(&self) -> Option<&Mutex<StdRng>> {
+        Some(&self.rng)
+    }
+
     fn plan(&self, query: &Query) -> Result<PhysicalPlan> {
         if query.relation_count() < 2 {
             return self.recorder.optimizer.optimize(query);

@@ -8,7 +8,9 @@
 //!   stdout. `--quick` shrinks sample counts for CI smoke runs;
 //!   `--baseline <path>` + `--max-regress <factor>` turn the run into a
 //!   regression gate (non-zero exit when a guarded benchmark's median
-//!   exceeds `factor ×` its baseline median).
+//!   exceeds `factor ×` its baseline median, or the run did not produce
+//!   it). The factor must be a finite number above 0; a bad flag exits 2
+//!   before anything is measured.
 //! * **Headroom mode** (no `--out`): exhaustively search small queries for
 //!   the expert-vs-optimal latency headroom that motivates plan doctoring,
 //!   on any registered workload (`--workload <name>`, default `joblite`).
@@ -45,6 +47,7 @@ const GUARDED: &[&str] = &[
     "service/wire_roundtrip",
 ];
 
+#[derive(Debug, PartialEq)]
 struct BenchArgs {
     out: String,
     quick: bool,
@@ -52,65 +55,94 @@ struct BenchArgs {
     max_regress: f64,
 }
 
+#[derive(Debug, PartialEq)]
 enum Mode {
     Bench(BenchArgs),
     Headroom { workload: String },
 }
 
-fn parse_args() -> Mode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+/// The mode the arguments (after the program name) ask for, or why they
+/// cannot work.
+fn parse_args(argv: &[String]) -> Result<Mode, String> {
     let mut out = None;
     let mut quick = false;
     let mut baseline = None;
-    let mut max_regress = 2.0;
-    let mut workload: Option<String> = None;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--out" => {
-                out = Some(argv.get(i + 1).expect("--out needs a path").clone());
-                i += 2;
-            }
-            "--quick" => {
-                quick = true;
-                i += 1;
-            }
-            "--baseline" => {
-                baseline = Some(argv.get(i + 1).expect("--baseline needs a path").clone());
-                i += 2;
-            }
+    let mut max_regress = None;
+    let mut workload = None;
+    let mut args = argv.iter();
+    while let Some(flag) = args.next() {
+        let mut value = |what: &str| {
+            args.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} needs {what}"))
+        };
+        match flag.as_str() {
+            "--out" => out = Some(value("a path")?),
+            "--quick" => quick = true,
+            "--baseline" => baseline = Some(value("a path")?),
             "--max-regress" => {
-                max_regress = argv
-                    .get(i + 1)
-                    .expect("--max-regress needs a factor")
-                    .parse()
-                    .expect("--max-regress must be a number");
-                i += 2;
+                let v = value("a factor")?;
+                match v.trim().parse::<f64>() {
+                    Ok(f) if f.is_finite() && f > 0.0 => max_regress = Some(f),
+                    _ => {
+                        return Err(format!(
+                            "--max-regress must be a finite number above 0, got `{v}`"
+                        ))
+                    }
+                }
             }
-            "--workload" => {
-                workload = Some(argv.get(i + 1).expect("--workload needs a name").clone());
-                i += 2;
-            }
-            other => panic!("unknown argument {other}"),
+            "--workload" => workload = Some(value("a name")?),
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    if out.is_none() && (quick || baseline.is_some()) {
-        panic!("--quick/--baseline/--max-regress require --out <path> (bench mode)");
-    }
-    if out.is_some() && workload.is_some() {
-        panic!("--workload selects the headroom workload; it has no effect with --out (the bench suite's workloads are fixed)");
-    }
     match out {
-        Some(out) => Mode::Bench(BenchArgs {
+        Some(_) if workload.is_some() => Err("--workload selects the headroom workload; it has no effect with --out (the bench suite's workloads are fixed)".into()),
+        Some(out) => Ok(Mode::Bench(BenchArgs {
             out,
             quick,
             baseline,
-            max_regress,
-        }),
-        None => Mode::Headroom {
+            max_regress: max_regress.unwrap_or(2.0),
+        })),
+        None if quick || baseline.is_some() || max_regress.is_some() => {
+            Err("--quick/--baseline/--max-regress require --out <path> (bench mode)".into())
+        }
+        None => Ok(Mode::Headroom {
             workload: workload.unwrap_or_else(|| "joblite".to_string()),
-        },
+        }),
     }
+}
+
+/// The gate's report, one line per guarded benchmark, and whether it fails:
+/// a guarded benchmark this run did not produce fails by name, one slower
+/// than `max_regress ×` its baseline median fails as a regression, and one
+/// the baseline lacks is skipped.
+fn gate(
+    results: &[(String, f64)],
+    baseline: &[(String, f64)],
+    baseline_path: &str,
+    max_regress: f64,
+) -> (Vec<String>, bool) {
+    let median =
+        |set: &[(String, f64)], name: &str| set.iter().find(|(n, _)| n == name).map(|&(_, ns)| ns);
+    let mut failed = false;
+    let lines = GUARDED
+        .iter()
+        .map(|&name| match (median(results, name), median(baseline, name)) {
+            (None, _) => {
+                failed = true;
+                format!("{name:<32} MISSING: guarded but not produced by this run")
+            }
+            (Some(_), None) => format!("{name:<32} not in baseline {baseline_path}, skipping"),
+            (Some(now), Some(base)) => {
+                let factor = now / base;
+                let regressed = factor > max_regress;
+                failed |= regressed;
+                let verdict = if regressed { "REGRESSION" } else { "ok" };
+                format!("{name:<32} {now:>12.1} ns vs baseline {base:>12.1} ns ({factor:.2}x) {verdict}")
+            }
+        })
+        .collect();
+    (lines, failed)
 }
 
 fn bench_mode(args: BenchArgs) {
@@ -133,32 +165,23 @@ fn bench_mode(args: BenchArgs) {
         return;
     };
     let text = std::fs::read_to_string(&baseline_path).expect("read baseline");
-    let baseline = parse_bench_json(&text);
-    let mut failed = false;
-    for r in c.results() {
-        if !GUARDED.contains(&r.name.as_str()) {
-            continue;
-        }
-        let Some((_, base)) = baseline.iter().find(|(n, _)| n == &r.name) else {
-            println!("{:<32} not in baseline {baseline_path}, skipping", r.name);
-            continue;
-        };
-        let now = r.median_ns();
-        let factor = now / base;
-        let verdict = if factor > args.max_regress {
-            "REGRESSION"
-        } else {
-            "ok"
-        };
-        println!(
-            "{:<32} {now:>12.1} ns vs baseline {base:>12.1} ns ({factor:.2}x) {verdict}",
-            r.name
-        );
-        failed |= factor > args.max_regress;
+    let results: Vec<(String, f64)> = c
+        .results()
+        .iter()
+        .map(|r| (r.name.clone(), r.median_ns()))
+        .collect();
+    let (lines, failed) = gate(
+        &results,
+        &parse_bench_json(&text),
+        &baseline_path,
+        args.max_regress,
+    );
+    for line in lines {
+        println!("{line}");
     }
     if failed {
         eprintln!(
-            "perf regression gate failed (>{:.1}x baseline)",
+            "perf regression gate failed (>{:.1}x baseline or a guarded benchmark missing)",
             args.max_regress
         );
         std::process::exit(1);
@@ -248,8 +271,103 @@ fn headroom_mode(workload: &str) {
 }
 
 fn main() {
-    match parse_args() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mode = parse_args(&argv).unwrap_or_else(|msg| {
+        eprintln!("probe: {msg}");
+        std::process::exit(2);
+    });
+    match mode {
         Mode::Bench(args) => bench_mode(args),
         Mode::Headroom { workload } => headroom_mode(&workload),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &str) -> Result<Mode, String> {
+        let argv: Vec<String> = argv.split_whitespace().map(String::from).collect();
+        parse_args(&argv)
+    }
+
+    #[test]
+    fn args_parse_into_modes() {
+        let bench = |quick, baseline: Option<&str>, max_regress| {
+            Ok(Mode::Bench(BenchArgs {
+                out: "x.json".into(),
+                quick,
+                baseline: baseline.map(String::from),
+                max_regress,
+            }))
+        };
+        let headroom = |w: &str| Ok(Mode::Headroom { workload: w.into() });
+        let cases = [
+            ("", headroom("joblite")),
+            ("--workload dsblite", headroom("dsblite")),
+            ("--out x.json", bench(false, None, 2.0)),
+            ("--quick --out x.json", bench(true, None, 2.0)),
+            (
+                "--out x.json --baseline b.json --max-regress 1.5",
+                bench(false, Some("b.json"), 1.5),
+            ),
+        ];
+        for (argv, want) in cases {
+            assert_eq!(parse(argv), want, "{argv}");
+        }
+    }
+
+    #[test]
+    fn bad_args_are_refused_with_a_reason() {
+        let cases = [
+            ("--out x.json --max-regress nan", "finite number above 0"),
+            ("--out x.json --max-regress inf", "finite number above 0"),
+            ("--out x.json --max-regress 0", "finite number above 0"),
+            ("--out x.json --max-regress -2", "finite number above 0"),
+            ("--out x.json --max-regress two", "finite number above 0"),
+            ("--out x.json --max-regress", "--max-regress needs a factor"),
+            ("--out", "--out needs a path"),
+            ("--out x.json --baseline", "--baseline needs a path"),
+            ("--workload", "--workload needs a name"),
+            ("--bogus", "unknown argument `--bogus`"),
+            ("--quick", "require --out"),
+            ("--baseline b.json", "require --out"),
+            ("--max-regress 2", "require --out"),
+            ("--out x.json --workload joblite", "no effect with --out"),
+        ];
+        for (argv, reason) in cases {
+            let err = parse(argv).unwrap_err();
+            assert!(err.contains(reason), "{argv}: {err}");
+        }
+    }
+
+    #[test]
+    fn gate_fails_on_regressions_and_on_missing_guarded_benchmarks() {
+        let set = |scale: f64| -> Vec<(String, f64)> {
+            GUARDED
+                .iter()
+                .map(|n| (n.to_string(), 100.0 * scale))
+                .collect()
+        };
+        let (lines, failed) = gate(&set(1.5), &set(1.0), "b.json", 2.0);
+        assert!(!failed);
+        assert_eq!(lines.len(), GUARDED.len());
+        assert!(gate(&set(2.5), &set(1.0), "b.json", 2.0).1);
+
+        // A guarded name the run did not produce fails the gate by name.
+        let mut partial = set(1.0);
+        let dropped = partial.pop().unwrap().0;
+        let (lines, failed) = gate(&partial, &set(1.0), "b.json", 2.0);
+        assert!(failed);
+        assert!(lines
+            .iter()
+            .any(|l| l.contains(&dropped) && l.contains("MISSING")));
+
+        // One the baseline lacks is reported and skipped.
+        let (lines, failed) = gate(&set(1.0), &partial, "b.json", 2.0);
+        assert!(!failed);
+        assert!(lines
+            .iter()
+            .any(|l| l.contains(&dropped) && l.contains("skipping")));
     }
 }

@@ -1,16 +1,18 @@
-//! Benchmark crate: criterion micro-benchmarks (`benches/micro.rs`) and one
-//! binary per paper table/figure (`src/bin/*`).
+//! Benchmark crate: criterion micro-benchmarks (`benches/micro.rs`), the
+//! `repro` experiment runner that prints the paper's tables and figures,
+//! and the `plan-doctor`, `probe` and `foss-lint` binaries (`src/bin/*`).
 //!
-//! Binaries read two environment variables so the same targets serve both
-//! smoke runs and fuller reproductions:
+//! `repro` reads two environment variables so the same runs serve both
+//! smoke checks and fuller reproductions:
 //!
 //! * `FOSS_SCALE` — workload row-count multiplier (default 1.0, the full
 //!   generator size; the chunked executor makes this the practical default);
 //! * `FOSS_ROUNDS` — training rounds / iterations (default 3).
 //!
 //! A value that does not parse (or a scale that is not a finite number
-//! above 0) stops the binary with exit code 2 and a message naming the
-//! variable, rather than silently running at the default.
+//! above 0, or more rounds than the episode count can hold) stops the
+//! binary with exit code 2 and a message naming the variable, rather than
+//! silently running at the default.
 
 pub mod cli;
 pub mod lint;
@@ -21,7 +23,7 @@ use foss_common::QueryId;
 use foss_core::encoding::PlanEncoder;
 use foss_core::{AdvantageModel, AdvantageScale, Foss, FossConfig};
 use foss_executor::{CachingExecutor, ExecMode, Executor, FusedPipeline};
-use foss_harness::table1::RunConfig;
+use foss_harness::RunConfig;
 use foss_nn::{Graph, Linear, Matrix, ParamSet};
 use foss_optimizer::{AccessPath, Icp, JoinMethod, PhysicalPlan, PlanNode};
 use foss_query::{Predicate, Query, QueryBuilder};
@@ -55,11 +57,13 @@ fn run_config(scale: Option<&str>, rounds: Option<&str>) -> Result<RunConfig, St
             .map_err(|_| format!("FOSS_ROUNDS must be a whole number, got `{v}`"))?,
         _ => 3,
     };
+    let foss_episodes = rounds
+        .checked_mul(30)
+        .ok_or_else(|| format!("FOSS_ROUNDS is too large to run, got `{rounds}`"))?;
     Ok(RunConfig {
         spec: WorkloadSpec { seed: 42, scale },
-        baseline_rounds: rounds,
-        foss_iterations: rounds,
-        foss_episodes: 30 * rounds,
+        rounds,
+        foss_episodes,
     })
 }
 
@@ -510,19 +514,19 @@ mod tests {
     #[test]
     fn env_config_defaults() {
         let defaults = run_config(None, None).unwrap();
-        assert_eq!(defaults.baseline_rounds, 3);
+        assert_eq!(defaults.rounds, 3);
         assert_eq!(defaults.spec.scale, 1.0, "generators default to full scale");
     }
 
     #[test]
     fn env_config_takes_valid_values_and_names_the_bad_variable() {
         let smoke = run_config(Some("0.05"), Some("2")).unwrap();
-        assert_eq!((smoke.spec.scale, smoke.foss_iterations), (0.05, 2));
+        assert_eq!((smoke.spec.scale, smoke.rounds), (0.05, 2));
         for scale in ["0", "-1", "nan", "inf", "0,3"] {
             let err = run_config(Some(scale), None).unwrap_err();
             assert!(err.contains("FOSS_SCALE"), "{scale}: {err}");
         }
-        for rounds in ["abc", "-1", "2.5"] {
+        for rounds in ["abc", "-1", "2.5", "1000000000000000000"] {
             let err = run_config(None, Some(rounds)).unwrap_err();
             assert!(err.contains("FOSS_ROUNDS"), "{rounds}: {err}");
         }

@@ -6,16 +6,11 @@ use foss_baselines::LearnedOptimizer;
 use foss_common::Result;
 use foss_core::FossConfig;
 
-use crate::table1::RunConfig;
-use crate::{evaluate_on, Experiment, FossAdapter};
+use crate::{evaluate_on, foss_config, Experiment, FossAdapter, RunConfig};
 
 /// The paper's eight configurations (Table II).
 pub fn configurations(base_episodes: usize, seed: u64) -> Vec<(String, FossConfig)> {
-    let base = FossConfig {
-        episodes_per_update: base_episodes,
-        seed,
-        ..FossConfig::tiny()
-    };
+    let base = foss_config(base_episodes, seed);
     vec![
         (
             "2-Maxsteps".into(),
@@ -102,7 +97,7 @@ pub fn run(workload: &str, cfg: &RunConfig) -> Result<Vec<AblationRow>> {
         let mut adapter = FossAdapter::new(exp.foss(foss_cfg));
         let t0 = Instant::now();
         let mut gmrl_curve = Vec::new();
-        for _ in 0..=cfg.foss_iterations {
+        for _ in 0..cfg.foss_rounds() {
             adapter.train_round(&train)?;
             let eval = evaluate_on(&exp, &adapter, &train)?;
             gmrl_curve.push(eval.gmrl);
@@ -117,8 +112,12 @@ pub fn run(workload: &str, cfg: &RunConfig) -> Result<Vec<AblationRow>> {
             let inf = snapshot.optimize_detailed(q)?;
             step_histogram[inf.selected_step.min(max_steps)] += 1;
         }
-        let opt_time_us =
-            eval.opt_times_us.iter().sum::<f64>() / eval.opt_times_us.len().max(1) as f64;
+        let opt_time_us = eval
+            .outcomes
+            .iter()
+            .map(|o| o.learned_opt_time)
+            .sum::<f64>()
+            / eval.outcomes.len().max(1) as f64;
         rows.push(AblationRow {
             name,
             training_time_s,
@@ -160,7 +159,6 @@ pub fn render_fig9(workload: &str, rows: &[AblationRow]) -> String {
 pub fn render_fig7(workload: &str, rows: &[AblationRow]) -> String {
     let mut out = format!("Fig.7 — selected-plan step distribution on {workload}\n");
     for r in rows.iter().filter(|r| r.name.contains("Maxsteps")) {
-        let total: usize = r.step_histogram.len();
         let pts: Vec<String> = r
             .step_histogram
             .iter()
@@ -168,7 +166,6 @@ pub fn render_fig7(workload: &str, rows: &[AblationRow]) -> String {
             .map(|(s, c)| format!("step{s}:{c}"))
             .collect();
         out.push_str(&format!("{:<20} {}\n", r.name, pts.join("  ")));
-        let _ = total;
     }
     out
 }
@@ -199,7 +196,6 @@ mod tests {
         // shrinking the workload hard.
         let mut cfg = RunConfig::smoke();
         cfg.spec.scale = 0.04;
-        cfg.foss_iterations = 0;
         cfg.foss_episodes = 4;
         let exp = Experiment::new("tpcdslite", cfg.spec).unwrap();
         let train: Vec<_> = exp.workload.train.iter().take(2).cloned().collect();

@@ -1,13 +1,11 @@
-//! Fig. 8 — known best plans: for each learned optimizer, the best plan it
-//! ever produced per query across several runs, ranked by time savings
-//! relative to the expert plan (`1 − lat_best / lat_expert`).
+//! Fig. 8 — known best plans: for each method of the roster, the best plan
+//! it ever produced per query across several runs, ranked by time savings
+//! relative to the expert plan (`1 − lat_best / lat_expert`; PostgreSQL's
+//! row is the zero line).
 
-use foss_baselines::{BalsaLite, Bao, HybridQo, LearnedOptimizer, LogerLite};
-use foss_common::{FossError, Result};
-use foss_core::FossConfig;
+use foss_common::Result;
 
-use crate::table1::RunConfig;
-use crate::{Experiment, FossAdapter, EVAL_TIMEOUT_FACTOR};
+use crate::{evaluate_on, roster, Experiment, RunConfig};
 
 /// Savings series for one method, sorted descending (the figure's x-axis is
 /// the per-method ranking).
@@ -28,84 +26,44 @@ impl SavingsSeries {
     }
 }
 
-/// Run each method `runs` times with different seeds; keep the best latency
-/// observed per query.
+/// Train the roster `runs` times, run `r` seeded `seed ^ (r << 8)` (run 0
+/// is Table I's), and keep the best latency each method reached per query.
 pub fn run(workload: &str, cfg: &RunConfig, runs: usize) -> Result<Vec<SavingsSeries>> {
     let exp = Experiment::new(workload, cfg.spec)?;
     let queries = exp.workload.all_queries();
-    let train = exp.workload.train.clone();
-    let encoder = exp.encoder();
-    let opt = exp.workload.optimizer.clone();
-    let exec = exp.executor.clone();
-
-    let method_names = ["Bao", "Balsa", "Loger", "HybridQO", "FOSS"];
-    let mut all = Vec::new();
-    for name in method_names {
-        let mut best: Vec<f64> = vec![f64::INFINITY; queries.len()];
-        let mut expert: Vec<f64> = vec![0.0; queries.len()];
-        for run_idx in 0..runs {
-            let seed = cfg.spec.seed ^ ((run_idx as u64 + 1) << 8);
-            let mut method: Box<dyn LearnedOptimizer> = match name {
-                "Bao" => Box::new(Bao::new(opt.clone(), exec.clone(), encoder.clone(), seed)),
-                "Balsa" => Box::new(BalsaLite::new(
-                    opt.clone(),
-                    exec.clone(),
-                    encoder.clone(),
-                    seed,
-                )),
-                "Loger" => Box::new(LogerLite::new(
-                    opt.clone(),
-                    exec.clone(),
-                    encoder.clone(),
-                    seed,
-                )),
-                "HybridQO" => Box::new(HybridQo::new(
-                    opt.clone(),
-                    exec.clone(),
-                    encoder.clone(),
-                    seed,
-                )),
-                "FOSS" => {
-                    let foss_cfg = FossConfig {
-                        episodes_per_update: cfg.foss_episodes,
-                        seed,
-                        ..FossConfig::tiny()
-                    };
-                    Box::new(FossAdapter::new(exp.foss(foss_cfg)))
-                }
-                _ => unreachable!(),
-            };
-            for _ in 0..cfg.baseline_rounds.max(1) {
-                method.train_round(&train)?;
+    // Per method: its name and the best latency it reached per query.
+    let mut best: Vec<(&'static str, Vec<f64>)> = Vec::new();
+    let mut expert = Vec::new();
+    for run_idx in 0..runs {
+        let seed = cfg.spec.seed ^ ((run_idx as u64) << 8);
+        for (i, mut m) in roster(&exp, cfg, seed).into_iter().enumerate() {
+            for _ in 0..m.rounds {
+                m.optimizer.train_round(&exp.workload.train)?;
             }
-            for (i, q) in queries.iter().enumerate() {
-                let expert_plan = exp.workload.optimizer.optimize(q)?;
-                let e = exp.executor.execute(q, &expert_plan, None)?;
-                expert[i] = e.latency;
-                let plan = method.plan(q)?;
-                let budget = e.latency * EVAL_TIMEOUT_FACTOR;
-                let lat = match exp.executor.execute(q, &plan, Some(budget)) {
-                    Ok(out) => out.latency,
-                    Err(FossError::Timeout { .. }) => budget,
-                    Err(e) => return Err(e),
-                };
-                if lat < best[i] {
-                    best[i] = lat;
-                }
+            let eval = evaluate_on(&exp, &*m.optimizer, &queries)?;
+            expert = eval.outcomes.iter().map(|o| o.expert_latency).collect();
+            let latencies = eval.outcomes.iter().map(|o| o.learned_latency);
+            match best.get_mut(i) {
+                Some((_, b)) => b.iter_mut().zip(latencies).for_each(|(b, l)| *b = b.min(l)),
+                None => best.push((m.optimizer.name(), latencies.collect())),
             }
         }
-        let mut savings: Vec<f64> = best
-            .iter()
-            .zip(&expert)
-            .map(|(b, e)| 1.0 - b / e.max(1e-9))
-            .collect();
-        savings.sort_by(|a, b| b.total_cmp(a));
-        all.push(SavingsSeries {
-            method: name.to_string(),
-            savings,
-        });
     }
-    Ok(all)
+    Ok(best
+        .into_iter()
+        .map(|(method, best)| {
+            let mut savings: Vec<f64> = best
+                .iter()
+                .zip(&expert)
+                .map(|(b, e)| 1.0 - b / e.max(1e-9))
+                .collect();
+            savings.sort_by(|a, b| b.total_cmp(a));
+            SavingsSeries {
+                method: method.to_string(),
+                savings,
+            }
+        })
+        .collect())
 }
 
 /// Render the ranking plus the paper's ≥25% / ≥75% counts.
@@ -138,7 +96,7 @@ mod tests {
         let mut cfg = RunConfig::smoke();
         cfg.spec.scale = 0.05;
         let series = run("tpcdslite", &cfg, 1).unwrap();
-        assert_eq!(series.len(), 5);
+        assert_eq!(series.len(), 6);
         for s in &series {
             for w in s.savings.windows(2) {
                 assert!(w[0] >= w[1]);

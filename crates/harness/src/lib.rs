@@ -1,16 +1,20 @@
 //! Experiment harness: regenerates every table and figure of the paper's
-//! evaluation (§VI) on the synthetic substrates.
+//! evaluation (§VI) on the synthetic substrates, from three runs of the
+//! `repro` binary (`foss-bench`), each printing every artefact it yields.
 //!
-//! | Paper artefact | Runner | Binary (`foss-bench`) |
+//! | Paper artefact | Derived from | `repro` run |
 //! |---|---|---|
-//! | Table I (WRL/GMRL/runtime, 3 workloads × 6 methods) | [`table1::run`] | `table1` |
-//! | Fig. 4 (relative speedups) | derived from Table I | `fig4` |
-//! | Fig. 5 (training curves) | [`curves::run`] | `fig5` |
-//! | Fig. 6 (optimisation-time box plots) | [`opt_time::run`] | `fig6` |
-//! | Fig. 7 (step distribution vs maxsteps) | [`ablation::render_fig7`] | `fig7` |
-//! | Fig. 8 (known-best-plan savings ranking) | [`best_plans::run`] | `fig8` |
-//! | Fig. 9 (GMRL curves per configuration) | [`ablation::run`] | `fig9` |
+//! | Table I (WRL/GMRL/runtime, 5 workloads × 6 methods) | [`table1::run`] | `table1` |
+//! | Fig. 4 (relative speedups) | Table I's final evaluations | `table1` |
+//! | Fig. 5 (training curves) | Table I's test probe after every round | `table1` |
+//! | Fig. 6 (optimisation-time box plots) | Table I's `joblite` opt times | `table1` |
 //! | Table II (design-choice ablations) | [`ablation::run`] | `table2` |
+//! | Fig. 7 (step distribution vs maxsteps) | [`ablation::run`] | `table2` |
+//! | Fig. 9 (GMRL curves per configuration) | [`ablation::run`] | `table2` |
+//! | Fig. 8 (known-best-plan savings ranking) | [`best_plans::run`], 3 seeds | `fig8` |
+//!
+//! Every run trains the same [`roster`] to the same horizon
+//! ([`RunConfig::rounds`]) and scores it with one loop, [`evaluate_on`].
 //!
 //! **Unit convention**: execution latency is deterministic executor work
 //! units, which we equate to microseconds when combining with measured
@@ -24,14 +28,12 @@
 
 pub mod ablation;
 pub mod best_plans;
-pub mod curves;
-pub mod opt_time;
 pub mod table1;
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use foss_baselines::LearnedOptimizer;
+use foss_baselines::{BalsaLite, Bao, HybridQo, LearnedOptimizer, LogerLite, PostgresBaseline};
 use foss_common::{FossError, Result};
 use foss_core::encoding::PlanEncoder;
 use foss_core::{Foss, FossConfig, PlannerSnapshot, TrainReport};
@@ -45,6 +47,100 @@ use foss_workloads::{
 /// Hard cap on how much worse than the expert an evaluated plan may run
 /// (bounds catastrophic Balsa plans exactly like the paper's TLE handling).
 pub const EVAL_TIMEOUT_FACTOR: f64 = 10.0;
+
+/// Knobs bounding experiment cost.
+#[derive(Debug, Clone, Copy)]
+pub struct RunConfig {
+    /// Workload seed + scale.
+    pub spec: WorkloadSpec,
+    /// Training rounds of every baseline; FOSS trains one more
+    /// ([`RunConfig::foss_rounds`]).
+    pub rounds: usize,
+    /// Simulated episodes per FOSS iteration.
+    pub foss_episodes: usize,
+}
+
+impl RunConfig {
+    /// A configuration small enough for CI smoke runs.
+    pub fn smoke() -> Self {
+        Self {
+            spec: WorkloadSpec {
+                seed: 42,
+                scale: 0.08,
+            },
+            rounds: 1,
+            foss_episodes: 12,
+        }
+    }
+
+    /// Training rounds of FOSS: its first round is the bootstrap, so it
+    /// trains `rounds` iterations after it.
+    pub fn foss_rounds(&self) -> usize {
+        self.rounds + 1
+    }
+}
+
+/// FOSS's configuration in every run (the ablation varies it from here).
+pub fn foss_config(episodes: usize, seed: u64) -> FossConfig {
+    FossConfig {
+        episodes_per_update: episodes,
+        seed,
+        ..FossConfig::tiny()
+    }
+}
+
+/// One method of the [`roster`] and the rounds it trains.
+pub struct Method {
+    /// The optimizer.
+    pub optimizer: Box<dyn LearnedOptimizer>,
+    /// Training rounds before it is evaluated.
+    pub rounds: usize,
+}
+
+/// Table I's methods, PostgreSQL first and FOSS last, each seeded from
+/// `seed` with its own salt and given its training horizon.
+pub fn roster(exp: &Experiment, cfg: &RunConfig, seed: u64) -> Vec<Method> {
+    let opt = &exp.workload.optimizer;
+    let exec = &exp.executor;
+    let encoder = exp.encoder();
+    let baseline = |optimizer: Box<dyn LearnedOptimizer>| Method {
+        optimizer,
+        rounds: cfg.rounds,
+    };
+    vec![
+        baseline(Box::new(PostgresBaseline::new(opt.clone()))),
+        baseline(Box::new(Bao::new(
+            opt.clone(),
+            exec.clone(),
+            encoder.clone(),
+            seed ^ 0xBA0,
+        ))),
+        baseline(Box::new(BalsaLite::new(
+            opt.clone(),
+            exec.clone(),
+            encoder.clone(),
+            seed ^ 0xBA15A,
+        ))),
+        baseline(Box::new(LogerLite::new(
+            opt.clone(),
+            exec.clone(),
+            encoder.clone(),
+            seed ^ 0x106E5,
+        ))),
+        baseline(Box::new(HybridQo::new(
+            opt.clone(),
+            exec.clone(),
+            encoder,
+            seed ^ 0x4B1D,
+        ))),
+        Method {
+            optimizer: Box::new(FossAdapter::new(
+                exp.foss(foss_config(cfg.foss_episodes, seed)),
+            )),
+            rounds: cfg.foss_rounds(),
+        },
+    ]
+}
 
 /// A workload plus the shared executor every method measures against.
 pub struct Experiment {
@@ -153,8 +249,8 @@ pub struct SplitEval {
     pub gmrl: f64,
     /// Total learned runtime (latency + optimisation, work units ≡ µs → s).
     pub runtime_s: f64,
-    /// Per-query optimisation times (µs) — feeds Fig. 6.
-    pub opt_times_us: Vec<f64>,
+    /// Per-query measurements, in query order — feed Figs. 6 and 8.
+    pub outcomes: Vec<QueryOutcome>,
 }
 
 /// Evaluate `method` on `queries`, comparing against the expert.
@@ -167,7 +263,6 @@ pub fn evaluate_on(
     queries: &[Query],
 ) -> Result<SplitEval> {
     let mut outcomes = Vec::with_capacity(queries.len());
-    let mut opt_times = Vec::with_capacity(queries.len());
     for query in queries {
         // Expert measurement.
         let e0 = Instant::now();
@@ -184,7 +279,6 @@ pub fn evaluate_on(
             Err(FossError::Timeout { .. }) => budget,
             Err(e) => return Err(e),
         };
-        opt_times.push(opt_us);
         outcomes.push(QueryOutcome {
             learned_latency,
             expert_latency: expert.latency,
@@ -200,8 +294,24 @@ pub fn evaluate_on(
         wrl: workload_relevant_latency(&outcomes),
         gmrl: geometric_mean_relevant_latency(&outcomes),
         runtime_s,
-        opt_times_us: opt_times,
+        outcomes,
     })
+}
+
+/// [`evaluate_on`] between training rounds: restores the RNG `plan` draws
+/// from ([`LearnedOptimizer::plan_rng`]), so the method trains on exactly
+/// as if it had not been measured.
+pub fn probe(
+    exp: &Experiment,
+    method: &dyn LearnedOptimizer,
+    queries: &[Query],
+) -> Result<SplitEval> {
+    let saved = method.plan_rng().map(|rng| rng.lock().clone());
+    let eval = evaluate_on(exp, method, queries);
+    if let (Some(rng), Some(saved)) = (method.plan_rng(), saved) {
+        *rng.lock() = saved;
+    }
+    eval
 }
 
 /// Simple percentile over a sample (linear interpolation), shared with the
@@ -227,7 +337,28 @@ mod tests {
         // differs through measured planning wall time.
         assert!((eval.gmrl - 1.0).abs() < 1e-9, "gmrl={}", eval.gmrl);
         assert!(eval.wrl > 0.5 && eval.wrl < 2.0, "wrl={}", eval.wrl);
-        assert_eq!(eval.opt_times_us.len(), 4);
+        assert_eq!(eval.outcomes.len(), 4);
+    }
+
+    #[test]
+    fn probe_between_rounds_leaves_training_unchanged() {
+        // Balsa draws random candidates while it plans; a probe must not
+        // shift what it draws in the next training round.
+        let exp = Experiment::new("tpcdslite", WorkloadSpec::tiny(6)).unwrap();
+        let train: Vec<_> = exp.workload.train.iter().take(4).cloned().collect();
+        let test: Vec<_> = exp.workload.test.iter().take(3).cloned().collect();
+        let cfg = RunConfig::smoke();
+        let balsa = || roster(&exp, &cfg, 7).swap_remove(2).optimizer;
+        let (mut probed, mut unprobed) = (balsa(), balsa());
+        assert_eq!(probed.name(), "Balsa");
+        for _ in 0..2 {
+            probed.train_round(&train).unwrap();
+            probe(&exp, &*probed, &test).unwrap();
+            unprobed.train_round(&train).unwrap();
+        }
+        let a = evaluate_on(&exp, &*probed, &test).unwrap();
+        let b = evaluate_on(&exp, &*unprobed, &test).unwrap();
+        assert_eq!(a.gmrl.to_bits(), b.gmrl.to_bits());
     }
 
     #[test]

@@ -11,10 +11,9 @@ fn main() -> Result<()> {
     let name = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "tpcdslite".into());
-    let mut cfg = foss_repro::harness::table1::RunConfig::smoke();
+    let mut cfg = foss_repro::harness::RunConfig::smoke();
     cfg.spec.scale = 0.12;
-    cfg.baseline_rounds = 2;
-    cfg.foss_iterations = 2;
+    cfg.rounds = 2;
     cfg.foss_episodes = 40;
     eprintln!("running {name} with {cfg:?} ...");
     let table = foss_repro::harness::table1::run_workload(&name, &cfg)?;
