@@ -17,6 +17,11 @@
 //! runs with the version word changed and the buffer and advantage-scale
 //! sections cut out: the format change moved no learned bit. A v2 snapshot
 //! no longer grows with training, hence one length for both runs.
+//!
+//! Two shorter pins cover the paths the serving configuration never takes:
+//! the Off-Simulated ablation (real-environment episodes in every iteration)
+//! and the 2-Agents ablation (a bootstrap that alternates agents, agents
+//! trained side by side).
 
 use foss_repro::core::ExecutionBuffer;
 use foss_repro::prelude::*;
@@ -66,8 +71,23 @@ impl Learned {
     }
 }
 
-/// Bootstrap + `iterations` training rounds.
+/// The serving configuration: `FossConfig::tiny()` + 100 simulated episodes
+/// per update.
+fn serving() -> FossConfig {
+    FossConfig {
+        episodes_per_update: 100,
+        ..FossConfig::tiny()
+    }
+}
+
+/// Bootstrap + `iterations` training rounds of the serving configuration.
 fn train(iterations: usize) -> Learned {
+    train_with(serving(), 1, iterations)
+}
+
+/// Bootstrap with `bootstrap_episodes` real episodes per query, then
+/// `iterations` training rounds of `cfg`.
+fn train_with(cfg: FossConfig, bootstrap_episodes: usize, iterations: usize) -> Learned {
     let exp = Experiment::new(
         "skewstress",
         WorkloadSpec {
@@ -76,11 +96,10 @@ fn train(iterations: usize) -> Learned {
         },
     )
     .unwrap();
-    let mut foss = exp.foss(FossConfig {
-        episodes_per_update: 100,
-        ..FossConfig::tiny()
-    });
-    let reports = foss.train(&exp.workload.train, iterations).unwrap();
+    let mut foss = exp.foss(cfg);
+    let train = &exp.workload.train;
+    let mut reports = vec![foss.bootstrap(train, bootstrap_episodes).unwrap()];
+    reports.extend(foss.train(train, iterations).unwrap());
     assert_eq!(reports.len(), iterations + 1);
     let bytes = foss.snapshot().to_bytes();
     Learned {
@@ -155,6 +174,80 @@ fn thirty_iterations_reproduce_the_pinned_snapshot_and_reports() {
     assert_eq!(got.snapshot_len, 117_268);
     assert_eq!(
         got.snapshot_fnv, 0x1a88_fdc9_81e0_4dac,
+        "snapshot bytes diverged: {:016x}",
+        got.snapshot_fnv
+    );
+}
+
+/// The Off-Simulated row of Table II (`harness::ablation::configurations`)
+/// over the serving configuration: every episode runs in the real
+/// environment, with episodes cut to 2/9 of the simulated count. Constants
+/// taken at commit `24f57df`, before the real-environment paths were merged.
+#[test]
+fn off_simulated_reproduces_the_pinned_snapshot_and_reports() {
+    let got = train_with(
+        FossConfig {
+            use_simulated_env: false,
+            episodes_per_update: 100 * 2 / 9,
+            ..serving()
+        },
+        1,
+        2,
+    );
+    const REPORTS: [[u32; 3]; 3] = [
+        [0x00000000, 0x3eaac5bb, 0x3f56cc5c],
+        [0xbfa887cf, 0x3e985559, 0x3f4cbd45],
+        [0xbe81392c, 0x3e6d1737, 0x3f560ec7],
+    ];
+    assert_eq!(
+        got.reports, REPORTS,
+        "reports diverged: {:08x?}",
+        got.reports
+    );
+    assert_eq!(
+        got.buffer_fnv, 0xb82b_447d_aa2a_6dcc,
+        "execution buffer diverged: {:016x}",
+        got.buffer_fnv
+    );
+    assert_eq!(got.snapshot_len, 117_268);
+    assert_eq!(
+        got.snapshot_fnv, 0x1def_b774_9695_ea35,
+        "snapshot bytes diverged: {:016x}",
+        got.snapshot_fnv
+    );
+}
+
+/// The 2-Agents row of Table II over the serving configuration, with two
+/// bootstrap episodes per query so the bootstrap alternates its agents.
+/// Constants taken at commit `24f57df`.
+#[test]
+fn two_agents_reproduce_the_pinned_snapshot_and_reports() {
+    let got = train_with(
+        FossConfig {
+            num_agents: 2,
+            ..serving()
+        },
+        2,
+        2,
+    );
+    const REPORTS: [[u32; 3]; 3] = [
+        [0x00000000, 0x3e9db159, 0x3f4d0215],
+        [0xbfe0d752, 0x3e67d6a6, 0x3f5667b0],
+        [0xbfce5d03, 0x3e3b1950, 0x3f5f736b],
+    ];
+    assert_eq!(
+        got.reports, REPORTS,
+        "reports diverged: {:08x?}",
+        got.reports
+    );
+    assert_eq!(
+        got.buffer_fnv, 0x3252_3114_ac05_7591,
+        "execution buffer diverged: {:016x}",
+        got.buffer_fnv
+    );
+    assert_eq!(got.snapshot_len, 169_688);
+    assert_eq!(
+        got.snapshot_fnv, 0x0f69_0fc0_6ea2_b8b7,
         "snapshot bytes diverged: {:016x}",
         got.snapshot_fnv
     );
