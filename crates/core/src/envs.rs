@@ -7,7 +7,7 @@
 //!   timeout and feeds the execution buffer — expensive, exact;
 //! * [`SimEnv`] asks the asymmetric advantage model — cheap, learned.
 
-use foss_common::{FossError, QueryId, Result};
+use foss_common::{FossError, Result};
 use foss_executor::CachingExecutor;
 use foss_query::Query;
 
@@ -27,6 +27,40 @@ pub trait RewardOracle {
 
     /// Episode-bounty reference set `(ref plan, refb_i)`, best first.
     fn references(&mut self, query: &Query) -> Vec<(PlanCtx, f64)>;
+}
+
+/// `ctx` as the buffer stores it once executed.
+fn executed(ctx: &PlanCtx, latency: f64, timed_out: bool) -> ExecutedPlan {
+    ExecutedPlan {
+        icp: ctx.icp.clone(),
+        plan: ctx.plan.clone(),
+        encoded: ctx.encoded.clone(),
+        latency,
+        timed_out,
+    }
+}
+
+/// The episode-bounty references of both environments: the buffer's
+/// executed plans for `query`, best first.
+fn references(
+    buffer: &ExecutionBuffer,
+    scale: &AdvantageScale,
+    query: &Query,
+) -> Vec<(PlanCtx, f64)> {
+    buffer
+        .references(query.id, scale)
+        .into_iter()
+        .map(|(p, refb)| {
+            (
+                PlanCtx {
+                    icp: p.icp.clone(),
+                    plan: p.plan.clone(),
+                    encoded: p.encoded.clone(),
+                },
+                refb,
+            )
+        })
+        .collect()
 }
 
 /// Real environment: rewards from actual execution latency with the paper's
@@ -54,35 +88,24 @@ impl<'a> RealEnv<'a> {
         }
     }
 
-    fn original_latency(&self, qid: QueryId) -> Result<f64> {
-        self.buffer
-            .original(qid)
-            .map(|o| o.latency)
-            .ok_or_else(|| FossError::InvalidPlan("original not prepared".into()))
-    }
-
     /// Measure (or recall) the latency of `ctx`, recording it in the buffer.
     /// Timed-out plans are labelled with the budget as their latency.
     pub fn latency_of(&mut self, query: &Query, ctx: &PlanCtx) -> Result<f64> {
         if let Some(p) = self.buffer.get(query.id, &ctx.icp) {
             return Ok(p.latency);
         }
-        let budget = self.original_latency(query.id)? * self.timeout_factor;
+        let original = self
+            .buffer
+            .original(query.id)
+            .ok_or_else(|| FossError::InvalidPlan("original not prepared".into()))?;
+        let budget = original.latency * self.timeout_factor;
         let (latency, timed_out) = match self.executor.execute(query, &ctx.plan, Some(budget)) {
             Ok(out) => (out.latency, false),
             Err(FossError::Timeout { .. }) => (budget, true),
             Err(e) => return Err(e),
         };
-        self.buffer.record(
-            query.id,
-            ExecutedPlan {
-                icp: ctx.icp.clone(),
-                plan: ctx.plan.clone(),
-                encoded: ctx.encoded.clone(),
-                latency,
-                timed_out,
-            },
-        );
+        self.buffer
+            .record(query.id, executed(ctx, latency, timed_out));
         Ok(latency)
     }
 }
@@ -93,16 +116,8 @@ impl RewardOracle for RealEnv<'_> {
             return Ok(());
         }
         let out = self.executor.execute(query, &original.plan, None)?;
-        self.buffer.record_original(
-            query.id,
-            ExecutedPlan {
-                icp: original.icp.clone(),
-                plan: original.plan.clone(),
-                encoded: original.encoded.clone(),
-                latency: out.latency,
-                timed_out: false,
-            },
-        );
+        self.buffer
+            .record_original(query.id, executed(original, out.latency, false));
         Ok(())
     }
 
@@ -116,20 +131,7 @@ impl RewardOracle for RealEnv<'_> {
     }
 
     fn references(&mut self, query: &Query) -> Vec<(PlanCtx, f64)> {
-        self.buffer
-            .references(query.id, &self.scale)
-            .into_iter()
-            .map(|(p, refb)| {
-                (
-                    PlanCtx {
-                        icp: p.icp.clone(),
-                        plan: p.plan.clone(),
-                        encoded: p.encoded.clone(),
-                    },
-                    refb,
-                )
-            })
-            .collect()
+        references(self.buffer, &self.scale, query)
     }
 }
 
@@ -162,20 +164,7 @@ impl RewardOracle for SimEnv<'_> {
     }
 
     fn references(&mut self, query: &Query) -> Vec<(PlanCtx, f64)> {
-        self.buffer
-            .references(query.id, &self.scale)
-            .into_iter()
-            .map(|(p, refb)| {
-                (
-                    PlanCtx {
-                        icp: p.icp.clone(),
-                        plan: p.plan.clone(),
-                        encoded: p.encoded.clone(),
-                    },
-                    refb,
-                )
-            })
-            .collect()
+        references(self.buffer, &self.scale, query)
     }
 }
 

@@ -22,6 +22,22 @@ pub struct PlanCtx {
     pub encoded: EncodedPlan,
 }
 
+impl PlanCtx {
+    /// The expert plan `original` of `query` as an episode's starting point
+    /// (`CP_ORI`, encoded at step 0).
+    pub(crate) fn of_original(
+        encoder: &PlanEncoder,
+        query: &Query,
+        original: &PhysicalPlan,
+    ) -> Result<Self> {
+        Ok(Self {
+            icp: original.extract_icp()?,
+            plan: original.clone(),
+            encoded: encoder.encode(query, original, 0.0),
+        })
+    }
+}
+
 /// What one episode produced.
 #[derive(Debug, Clone)]
 pub struct EpisodeResult {
@@ -37,12 +53,12 @@ pub struct EpisodeResult {
     pub total_reward: f32,
 }
 
-/// Run one episode of Algorithm 1 for `query`, starting from `original`.
+/// Run one sampling (training) episode of Algorithm 1 for `query`, starting
+/// from `original`.
 ///
-/// `greedy` switches the agent from sampling (training) to argmax
-/// (inference). The oracle decides whether rewards come from real execution
-/// or from the AAM — the loop itself is identical, which is exactly the
-/// Dyna property the paper exploits.
+/// The oracle decides whether rewards come from real execution or from the
+/// AAM — the loop itself is identical, which is exactly the Dyna property
+/// the paper exploits.
 #[allow(clippy::too_many_arguments)]
 pub fn run_episode(
     agent: &mut PlannerAgent,
@@ -53,13 +69,7 @@ pub fn run_episode(
     original: &PhysicalPlan,
     oracle: &mut dyn RewardOracle,
     cfg: &FossConfig,
-    greedy: bool,
 ) -> Result<EpisodeResult> {
-    if greedy {
-        return run_episode_greedy(
-            agent, optimizer, encoder, space, query, original, oracle, cfg,
-        );
-    }
     let mut choose = |state: &EncodedPlan, mask: &[bool]| agent.act(state, mask);
     run_episode_core(
         &mut choose,
@@ -75,8 +85,8 @@ pub fn run_episode(
 
 /// A sampling episode whose randomness was drawn beforehand: `uniforms` holds
 /// one [`PlannerAgent::draw_uniforms`] value per step (`cfg.max_steps` of
-/// them). Identical to [`run_episode`] with `greedy = false` for the same
-/// stream, but `&PlannerAgent` — episodes over frozen state can fan out.
+/// them). Identical to [`run_episode`] for the same stream, but
+/// `&PlannerAgent` — episodes over frozen state can fan out.
 #[allow(clippy::too_many_arguments)]
 pub fn run_episode_predrawn(
     agent: &PlannerAgent,
@@ -151,13 +161,9 @@ fn run_episode_core(
     oracle: &mut dyn RewardOracle,
     cfg: &FossConfig,
 ) -> Result<EpisodeResult> {
-    let icp0 = original.extract_icp()?;
-    let original_ctx = PlanCtx {
-        icp: icp0.clone(),
-        plan: original.clone(),
-        encoded: encoder.encode(query, original, 0.0),
-    };
+    let original_ctx = PlanCtx::of_original(encoder, query, original)?;
     oracle.prepare(query, &original_ctx)?;
+    let icp0 = original_ctx.icp.clone();
 
     let scale = crate::advantage::AdvantageScale::new(cfg.adv_points.clone());
     let l = scale.l() as f64;
@@ -274,7 +280,6 @@ mod tests {
             &world.original,
             &mut oracle,
             &cfg,
-            false,
         )
         .unwrap();
         assert_eq!(res.transitions.len(), 3);
@@ -308,7 +313,6 @@ mod tests {
                 &world.original,
                 &mut oracle,
                 &cfg,
-                false,
             )
             .unwrap();
             let icp0 = world.original.extract_icp().unwrap();
@@ -343,7 +347,6 @@ mod tests {
             &world.original,
             &mut oracle,
             &cfg,
-            false,
         )
         .unwrap();
         assert!(
@@ -362,8 +365,8 @@ mod tests {
         };
         let run = |world: &mut TestWorld| {
             let mut oracle = LatencyOracle::new(&world.db, &world.opt, &world.encoder);
-            let res = run_episode(
-                &mut world.agent,
+            let res = run_episode_greedy(
+                &world.agent,
                 &world.opt,
                 &world.encoder,
                 &world.space,
@@ -371,7 +374,6 @@ mod tests {
                 &world.original,
                 &mut oracle,
                 &cfg,
-                true,
             )
             .unwrap();
             res.visited
@@ -403,7 +405,6 @@ mod tests {
             &world.original,
             &mut oracle,
             &cfg,
-            false,
         )
         .unwrap();
         let lat_best = oracle.true_latency(&world.query, &res.best.plan);

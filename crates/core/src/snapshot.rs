@@ -324,6 +324,7 @@ pub(crate) fn infer(
     // Per-policy greedy episode → per-policy champion.
     let mut champions = Vec::with_capacity(policies.len());
     let mut expert_encoded = None;
+    let mut candidates = 0;
     for policy in policies {
         let res = run_episode_greedy(
             *policy,
@@ -339,6 +340,7 @@ pub(crate) fn infer(
         for v in &res.visited {
             cands.push(&v.encoded);
         }
+        candidates += cands.len();
         let idx = select_best(aam, &cands);
         let ctx = if idx == 0 {
             res.original.clone()
@@ -352,7 +354,6 @@ pub(crate) fn infer(
     let encs: Vec<&EncodedPlan> = champions.iter().map(|(c, _)| &c.encoded).collect();
     let winner = select_best(aam, &encs);
     let (ctx, step) = champions.swap_remove(winner);
-    let candidates = cfg.num_agents * (cfg.max_steps + 1);
     // Confidence: the AAM's advantage score of the selected plan over the
     // expert plan (0 when the expert plan was kept — there is nothing to be
     // confident about).

@@ -34,9 +34,9 @@ use crate::advantage::AdvantageScale;
 use crate::agent::PlannerAgent;
 use crate::config::FossConfig;
 use crate::encoding::{EncodedPlan, PlanEncoder};
-use crate::envs::{RealEnv, SimEnv};
-use crate::episode::{run_episode, run_episode_predrawn, PlanCtx};
-use crate::execbuf::{ExecutedPlan, ExecutionBuffer};
+use crate::envs::{RealEnv, RewardOracle, SimEnv};
+use crate::episode::{run_episode, run_episode_predrawn, EpisodeResult, PlanCtx};
+use crate::execbuf::ExecutionBuffer;
 use crate::snapshot::PlannerSnapshot;
 
 /// Number of shards one agent's simulated episodes are split into. Shard
@@ -108,7 +108,8 @@ pub struct Inference {
     /// How many doctor steps the selected plan is from the original
     /// (0 = the expert plan was kept).
     pub selected_step: usize,
-    /// Number of candidate plans considered.
+    /// Number of candidate plans the AAM tournaments scored: per policy, the
+    /// expert plan and every plan its greedy episode visited.
     pub candidates: usize,
     /// AAM advantage score of the selected plan over the expert plan
     /// (0 when the expert plan was kept; `K-1` is the strongest verdict).
@@ -238,6 +239,14 @@ impl SimPhase<'_> {
     }
 }
 
+/// Refuse an empty training workload.
+fn check_workload(queries: &[Query]) -> Result<()> {
+    if queries.is_empty() {
+        return Err(FossError::InvalidQuery("empty training workload".into()));
+    }
+    Ok(())
+}
+
 /// The FOSS system.
 pub struct Foss {
     cfg: FossConfig,
@@ -335,87 +344,114 @@ impl Foss {
     }
 
     /// Phase 1: seed the execution buffer with real episodes and train the
-    /// initial AAM. `episodes_per_query` real episodes are run per query.
+    /// initial AAM. `episodes_per_query` real episodes are run per query,
+    /// the agents taking turns.
     pub fn bootstrap(
         &mut self,
         queries: &[Query],
         episodes_per_query: usize,
     ) -> Result<TrainReport> {
-        let mut phases = PhaseTimes::default();
+        check_workload(queries)?;
         let started = Instant::now();
-        let mut agents = std::mem::take(&mut self.agents);
-        let mut result = Ok(());
-        'outer: for query in queries {
-            let original = match self.original_plan(query) {
-                Ok(p) => p,
-                Err(e) => {
-                    result = Err(e);
-                    break 'outer;
-                }
-            };
+        for query in queries {
+            let original = self.original_plan(query)?;
             for e in 0..episodes_per_query {
-                let n_agents = agents.len();
-                let agent = &mut agents[e % n_agents];
-                let mut env = RealEnv::new(
-                    &self.executor,
-                    &mut self.buffer,
-                    self.scale.clone(),
-                    self.cfg.timeout_factor,
-                );
-                if let Err(e) = run_episode(
-                    agent,
-                    &self.optimizer,
-                    &self.encoder,
-                    &self.space,
-                    query,
-                    &original,
-                    &mut env,
-                    &self.cfg,
-                    false,
-                ) {
-                    result = Err(e);
-                    break 'outer;
-                }
+                self.real_episode(e % self.agents.len(), query, &original)?;
             }
         }
-        self.agents = agents;
-        result?;
-        phases.episodes_s = started.elapsed().as_secs_f64();
-        let (loss, acc) = self.retrain_aam(&mut phases);
-        Ok(TrainReport {
-            iteration: 0,
-            aam_loss: loss,
-            aam_accuracy: acc,
-            mean_reward: 0.0,
-            plans_executed: self.executor.executions(),
-            buffer_plans: self.buffer.total_plans(),
-            phases,
-        })
+        let phases = PhaseTimes {
+            episodes_s: started.elapsed().as_secs_f64(),
+            ..PhaseTimes::default()
+        };
+        Ok(self.retrain_and_report(0, 0.0, phases))
     }
 
-    /// Retrain the AAM from the buffer: `(last epoch's loss, accuracy)`.
-    fn retrain_aam(&mut self, phases: &mut PhaseTimes) -> (f32, f32) {
+    /// One real-environment episode of agent `a` on `query`: every plan it
+    /// visits is executed under the dynamic timeout into the buffer.
+    fn real_episode(
+        &mut self,
+        a: usize,
+        query: &Query,
+        original: &PhysicalPlan,
+    ) -> Result<EpisodeResult> {
+        let mut env = RealEnv::new(
+            &self.executor,
+            &mut self.buffer,
+            self.scale.clone(),
+            self.cfg.timeout_factor,
+        );
+        run_episode(
+            &mut self.agents[a],
+            &self.optimizer,
+            &self.encoder,
+            &self.space,
+            query,
+            original,
+            &mut env,
+            &self.cfg,
+        )
+    }
+
+    /// Execute `plans` of `query` for real under the dynamic timeout into
+    /// the buffer, measuring the expert plan `original` first if the buffer
+    /// has no latency for it yet.
+    fn validate(&mut self, query: &Query, original: &PlanCtx, plans: &[PlanCtx]) -> Result<()> {
+        let mut env = RealEnv::new(
+            &self.executor,
+            &mut self.buffer,
+            self.scale.clone(),
+            self.cfg.timeout_factor,
+        );
+        for ctx in plans {
+            env.prepare(query, original)?;
+            env.latency_of(query, ctx)?;
+        }
+        Ok(())
+    }
+
+    /// Close a bootstrap or an iteration: retrain the AAM from the buffer,
+    /// then report.
+    fn retrain_and_report(
+        &mut self,
+        iteration: usize,
+        mean_reward: f32,
+        mut phases: PhaseTimes,
+    ) -> TrainReport {
         let started = Instant::now();
         let pairs = self.buffer.training_pairs(&self.scale, 200, &mut self.rng);
         phases.pair_build_s = started.elapsed().as_secs_f64();
-        if pairs.is_empty() {
-            return (0.0, 0.0);
+        let (mut aam_loss, mut aam_accuracy) = (0.0, 0.0);
+        if !pairs.is_empty() {
+            let started = Instant::now();
+            for _ in 0..self.cfg.aam_epochs {
+                aam_loss = self.aam.train_epoch(&pairs, &mut self.rng);
+            }
+            phases.aam_epochs_s = started.elapsed().as_secs_f64();
+            let started = Instant::now();
+            aam_accuracy = self.aam.accuracy(&pairs);
+            phases.accuracy_s = started.elapsed().as_secs_f64();
         }
-        let started = Instant::now();
-        let mut loss = 0.0;
-        for _ in 0..self.cfg.aam_epochs {
-            loss = self.aam.train_epoch(&pairs, &mut self.rng);
+        TrainReport {
+            iteration,
+            aam_loss,
+            aam_accuracy,
+            mean_reward,
+            plans_executed: self.executor.executions(),
+            buffer_plans: self.buffer.total_plans(),
+            phases,
         }
-        phases.aam_epochs_s = started.elapsed().as_secs_f64();
-        let started = Instant::now();
-        let accuracy = self.aam.accuracy(&pairs);
-        phases.accuracy_s = started.elapsed().as_secs_f64();
-        (loss, accuracy)
     }
 
-    /// The frozen view of `self` an iteration's simulated episodes read.
-    fn sim_phase<'a>(&'a self, queries: &'a [Query]) -> SimPhase<'a> {
-        SimPhase {
+    /// Resolve every query's expert plan, then split `self` into the frozen
+    /// view an iteration's simulated episodes read and the agents they train.
+    fn sim_phase<'a>(
+        &'a mut self,
+        queries: &'a [Query],
+    ) -> Result<(SimPhase<'a>, &'a mut [PlannerAgent])> {
+        for query in queries {
+            self.original_plan(query)?;
+        }
+        let phase = SimPhase {
             queries,
             originals: &self.originals,
             optimizer: &self.optimizer,
@@ -425,7 +461,8 @@ impl Foss {
             buffer: &self.buffer,
             scale: &self.scale,
             cfg: &self.cfg,
-        }
+        };
+        Ok((phase, &mut self.agents))
     }
 
     fn episodes_per_agent(&self) -> usize {
@@ -446,29 +483,18 @@ impl Foss {
     /// the mean episode reward. For benchmarks: the agent's sampling RNG
     /// advances, nothing is learned.
     pub fn simulate_episodes(&mut self, queries: &[Query], iteration: usize) -> Result<f32> {
-        if queries.is_empty() {
-            return Err(FossError::InvalidQuery("empty training workload".into()));
-        }
-        for query in queries {
-            self.original_plan(query)?;
-        }
+        check_workload(queries)?;
         let episodes = self.episodes_per_agent();
         let seed = self.episode_query_seed(iteration, 0);
-        let mut agents = std::mem::take(&mut self.agents);
-        let run = self
-            .sim_phase(queries)
-            .run(&mut agents[0], seed, episodes, EPISODE_SHARDS);
-        self.agents = agents;
-        let run = run?;
+        let (phase, agents) = self.sim_phase(queries)?;
+        let run = phase.run(&mut agents[0], seed, episodes, EPISODE_SHARDS)?;
         Ok(run.reward_sum / run.episodes.max(1) as f32)
     }
 
     /// Phase 2: one training iteration (agent updates + validation + AAM
     /// retraining). `queries` is the training workload.
     pub fn train_iteration(&mut self, queries: &[Query], iteration: usize) -> Result<TrainReport> {
-        if queries.is_empty() {
-            return Err(FossError::InvalidQuery("empty training workload".into()));
-        }
+        check_workload(queries)?;
         let episodes_per_agent = self.episodes_per_agent();
         let mut phases = PhaseTimes::default();
         let mut mean_reward = 0.0f32;
@@ -484,14 +510,10 @@ impl Foss {
             // Each runner picks its queries with an RNG split from the
             // experiment seed by (iteration, agent) rather than sharing
             // `self.rng`: results are identical at any worker count.
-            for query in queries {
-                self.original_plan(query)?;
-            }
             let seeds: Vec<u64> = (0..self.agents.len())
                 .map(|a| self.episode_query_seed(iteration, a))
                 .collect();
-            let mut agents = std::mem::take(&mut self.agents);
-            let phase = self.sim_phase(queries);
+            let (phase, agents) = self.sim_phase(queries)?;
             let outcomes: Vec<Result<AgentRun>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = agents
                     .iter_mut()
@@ -515,7 +537,6 @@ impl Foss {
                     .map(|h| h.join().expect("episode runner panicked"))
                     .collect()
             });
-            self.agents = agents;
             // Merge in agent order so rewards and the promising list are
             // deterministic regardless of which thread finished first.
             for outcome in outcomes {
@@ -534,46 +555,23 @@ impl Foss {
             // Real-environment episodes append to the execution buffer and
             // must stay sequential (the buffer is the training ground truth
             // and its insertion order feeds AAM pair sampling).
-            let mut agents = std::mem::take(&mut self.agents);
-            let result = (|| -> Result<()> {
-                for agent in agents.iter_mut() {
-                    let started = Instant::now();
-                    let mut rollout = RolloutBuffer::new();
-                    for _ in 0..episodes_per_agent {
-                        let qidx = self.rng.random_range(0..queries.len());
-                        let query = &queries[qidx];
-                        let original = self.original_plan(query)?;
-                        let mut env = RealEnv::new(
-                            &self.executor,
-                            &mut self.buffer,
-                            self.scale.clone(),
-                            self.cfg.timeout_factor,
-                        );
-                        let res = run_episode(
-                            agent,
-                            &self.optimizer,
-                            &self.encoder,
-                            &self.space,
-                            query,
-                            &original,
-                            &mut env,
-                            &self.cfg,
-                            false,
-                        )?;
-                        mean_reward += res.total_reward;
-                        episodes_run += 1;
-                        rollout.push_episode(res.transitions);
-                    }
-                    phases.episodes_s += started.elapsed().as_secs_f64();
-                    let started = Instant::now();
-                    let batch = rollout.finish(agent.gamma(), agent.lambda());
-                    agent.update(&batch);
-                    phases.ppo_update_s += started.elapsed().as_secs_f64();
+            for a in 0..self.agents.len() {
+                let started = Instant::now();
+                let mut rollout = RolloutBuffer::new();
+                for _ in 0..episodes_per_agent {
+                    let query = &queries[self.rng.random_range(0..queries.len())];
+                    let original = self.original_plan(query)?;
+                    let res = self.real_episode(a, query, &original)?;
+                    mean_reward += res.total_reward;
+                    episodes_run += 1;
+                    rollout.push_episode(res.transitions);
                 }
-                Ok(())
-            })();
-            self.agents = agents;
-            result?;
+                phases.episodes_s += started.elapsed().as_secs_f64();
+                let started = Instant::now();
+                let agent = &mut self.agents[a];
+                agent.update(&rollout.finish(agent.gamma(), agent.lambda()));
+                phases.ppo_update_s += started.elapsed().as_secs_f64();
+            }
         }
 
         // Promising-plan validation (§V-B / Table II "Off-Validation").
@@ -582,94 +580,34 @@ impl Foss {
             promising.truncate(self.cfg.promising_per_update);
             for (qidx, ctx) in promising {
                 let query = &queries[qidx];
-                self.execute_and_record(query, &ctx)?;
+                let original = self.original_plan(query)?;
+                let original = PlanCtx::of_original(&self.encoder, query, &original)?;
+                self.validate(query, &original, &[ctx])?;
             }
         }
-        // Random candidate sampling for extra AAM data.
+        // Random candidate sampling for extra AAM data: a simulated episode's
+        // visited plans, executed for real.
         for _ in 0..self.cfg.random_validation_per_update {
-            let qidx = self.rng.random_range(0..queries.len());
-            let query = queries[qidx].clone();
-            let original = self.original_plan(&query)?;
-            let mut agents = std::mem::take(&mut self.agents);
-            let agent_idx = self.rng.random_range(0..agents.len());
-            let res = {
-                let mut env = SimEnv::new(&self.aam, &self.buffer, self.scale.clone());
-                run_episode(
-                    &mut agents[agent_idx],
-                    &self.optimizer,
-                    &self.encoder,
-                    &self.space,
-                    &query,
-                    &original,
-                    &mut env,
-                    &self.cfg,
-                    false,
-                )
-            };
-            self.agents = agents;
-            for ctx in res?.visited {
-                self.execute_and_record(&query, &ctx)?;
-            }
+            let query = &queries[self.rng.random_range(0..queries.len())];
+            let original = self.original_plan(query)?;
+            let agent = self.rng.random_range(0..self.agents.len());
+            let mut env = SimEnv::new(&self.aam, &self.buffer, self.scale.clone());
+            let res = run_episode(
+                &mut self.agents[agent],
+                &self.optimizer,
+                &self.encoder,
+                &self.space,
+                query,
+                &original,
+                &mut env,
+                &self.cfg,
+            )?;
+            self.validate(query, &res.original, &res.visited)?;
         }
-
         phases.validation_s = started.elapsed().as_secs_f64();
 
-        let (loss, acc) = self.retrain_aam(&mut phases);
-        Ok(TrainReport {
-            iteration,
-            aam_loss: loss,
-            aam_accuracy: acc,
-            mean_reward: mean_reward / episodes_run.max(1) as f32,
-            plans_executed: self.executor.executions(),
-            buffer_plans: self.buffer.total_plans(),
-            phases,
-        })
-    }
-
-    /// Execute `ctx` for real under the dynamic timeout and store the result.
-    fn execute_and_record(&mut self, query: &Query, ctx: &PlanCtx) -> Result<()> {
-        // Ensure the original is measured (budget anchor).
-        if self.buffer.original(query.id).is_none() {
-            let original = self.original_plan(query)?;
-            let out = self.executor.execute(query, &original, None)?;
-            let icp = original.extract_icp()?;
-            let encoded = self.encoder.encode(query, &original, 0.0);
-            self.buffer.record_original(
-                query.id,
-                ExecutedPlan {
-                    icp,
-                    plan: original,
-                    encoded,
-                    latency: out.latency,
-                    timed_out: false,
-                },
-            );
-        }
-        if self.buffer.contains(query.id, &ctx.icp) {
-            return Ok(());
-        }
-        let budget = self
-            .buffer
-            .original(query.id)
-            .map(|o| o.latency)
-            .unwrap_or(f64::INFINITY)
-            * self.cfg.timeout_factor;
-        let (latency, timed_out) = match self.executor.execute(query, &ctx.plan, Some(budget)) {
-            Ok(out) => (out.latency, false),
-            Err(FossError::Timeout { .. }) => (budget, true),
-            Err(e) => return Err(e),
-        };
-        self.buffer.record(
-            query.id,
-            ExecutedPlan {
-                icp: ctx.icp.clone(),
-                plan: ctx.plan.clone(),
-                encoded: ctx.encoded.clone(),
-                latency,
-                timed_out,
-            },
-        );
-        Ok(())
+        let mean_reward = mean_reward / episodes_run.max(1) as f32;
+        Ok(self.retrain_and_report(iteration, mean_reward, phases))
     }
 
     /// Full training: bootstrap once, then `iterations` update rounds.
@@ -817,16 +755,19 @@ mod tests {
 
     #[test]
     fn multi_agent_mode_runs() {
-        let world = TestWorld::new(8);
-        let cfg = FossConfig {
-            num_agents: 2,
-            episodes_per_update: 4,
-            ..FossConfig::tiny()
-        };
-        let mut foss = foss_over(&world, cfg);
-        foss.train(std::slice::from_ref(&world.query), 1).unwrap();
-        let inf = foss.optimize_detailed(&world.query).unwrap();
-        assert_eq!(inf.candidates, 2 * 4);
+        // `num_agents: 0` still builds one agent, whose candidates count.
+        for (num_agents, policies) in [(2, 2), (0, 1)] {
+            let world = TestWorld::new(8);
+            let cfg = FossConfig {
+                num_agents,
+                episodes_per_update: 4,
+                ..FossConfig::tiny()
+            };
+            let mut foss = foss_over(&world, cfg);
+            foss.train(std::slice::from_ref(&world.query), 1).unwrap();
+            let inf = foss.optimize_detailed(&world.query).unwrap();
+            assert_eq!(inf.candidates, policies * 4, "{num_agents} agents");
+        }
     }
 
     #[test]
@@ -926,8 +867,7 @@ mod tests {
                 let seeds: Vec<u64> = (0..num_agents)
                     .map(|a| foss.episode_query_seed(1, a))
                     .collect();
-                let mut agents = std::mem::take(&mut foss.agents);
-                let phase = foss.sim_phase(&queries);
+                let (phase, agents) = foss.sim_phase(&queries).unwrap();
                 agents
                     .iter_mut()
                     .zip(seeds)
@@ -968,12 +908,15 @@ mod tests {
             let inference = foss.optimize_detailed(&single).unwrap();
             assert_eq!(inference.selected_step, 0);
             assert_eq!(inference.aam_confidence, 0);
+            // The episode ends at step 1: the expert plan is the only one.
+            assert_eq!(inference.candidates, 1);
             assert_eq!(
                 inference.plan.fingerprint(),
                 world.opt.optimize(&single).unwrap().fingerprint()
             );
             let served = foss.snapshot().optimize_detailed(&single).unwrap();
             assert_eq!(served.selected_step, 0);
+            assert_eq!(served.candidates, 1);
             assert_eq!(served.plan.fingerprint(), inference.plan.fingerprint());
         }
     }
@@ -1000,5 +943,6 @@ mod tests {
         let world = TestWorld::new(10);
         let mut foss = foss_over(&world, FossConfig::tiny());
         assert!(foss.train_iteration(&[], 1).is_err());
+        assert!(foss.bootstrap(&[], 1).is_err());
     }
 }
