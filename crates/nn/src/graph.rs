@@ -2,10 +2,12 @@
 //!
 //! A [`Graph`] is a tape of operations recorded during one forward pass;
 //! [`Graph::backward`] replays it in reverse, accumulating gradients into the
-//! tape and into the [`ParamSet`] for parameter leaves. The op set is exactly
-//! what the FOSS models need: dense algebra, attention building blocks
+//! tape and into the [`ParamSet`] for parameter leaves. The op set is what
+//! the FOSS models need: dense algebra, attention building blocks
 //! (matmul / transpose / masked softmax), embedding gathers, and the
-//! pointwise functions used by PPO and the asymmetric loss.
+//! pointwise functions used by PPO and the asymmetric loss. Four ops no
+//! model records stay as references the fused kernels are tested against:
+//! `add_row_broadcast` and `mean_rows`, `tanh`, and the `seg_attn_*` trio.
 
 use crate::matrix::{dot, Matrix};
 use crate::params::{GradSink, ParamId, ParamSet};
@@ -29,7 +31,6 @@ const GRAD_FLUSH: f32 = f32::from_bits((127 - 100) << 23);
 pub struct Var(usize);
 
 #[derive(Debug, Clone)]
-#[allow(dead_code)] // constant operands are kept for Debug output
 enum Op {
     Leaf,
     Param(ParamId),
@@ -45,7 +46,6 @@ enum Op {
     Sub(Var, Var),
     MulElem(Var, Var),
     Scale(Var, f32),
-    AddScalar(Var, f32),
     AddRowBroadcast(Var, Var),
     Relu(Var),
     Tanh(Var),
@@ -56,7 +56,6 @@ enum Op {
     SoftmaxRows(Var),
     LogSoftmaxRows(Var),
     ConcatCols(Vec<Var>),
-    ConcatRows(Vec<Var>),
     Gather(Var, Vec<usize>),
     PickPerRow(Var, Vec<usize>),
     MeanRows(Var),
@@ -75,7 +74,6 @@ enum Op {
         beta: Var,
         eps: f32,
     },
-    SelectRow(Var, usize),
     SegAttnScores {
         q: Var,
         k: Var,
@@ -161,7 +159,6 @@ impl Graph {
             | Op::AddRowBroadcast(a, b) => self.needs(*a) || self.needs(*b),
             Op::Transpose(a)
             | Op::Scale(a, _)
-            | Op::AddScalar(a, _)
             | Op::Relu(a)
             | Op::Tanh(a)
             | Op::Exp(a)
@@ -173,9 +170,8 @@ impl Graph {
             | Op::PickPerRow(a, _)
             | Op::MeanRows(a)
             | Op::SumAll(a)
-            | Op::MeanAll(a)
-            | Op::SelectRow(a, _) => self.needs(*a),
-            Op::ConcatCols(vs) | Op::ConcatRows(vs) => vs.iter().any(|&v| self.needs(v)),
+            | Op::MeanAll(a) => self.needs(*a),
+            Op::ConcatCols(vs) => vs.iter().any(|&v| self.needs(v)),
             Op::LayerNormRows { x, gamma, beta, .. } => {
                 self.needs(*x) || self.needs(*gamma) || self.needs(*beta)
             }
@@ -206,11 +202,6 @@ impl Graph {
     /// A constant input (no gradient): data batches, masks, targets.
     pub fn input(&mut self, m: Matrix) -> Var {
         self.push(Op::Leaf, m)
-    }
-
-    /// A scalar constant.
-    pub fn constant(&mut self, v: f32) -> Var {
-        self.input(Matrix::scalar(v))
     }
 
     /// A parameter leaf; its gradient flows into `set` on backward.
@@ -289,12 +280,6 @@ impl Graph {
         self.push(Op::Scale(a, c), v)
     }
 
-    /// `a + c` for scalar constant `c`.
-    pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let v = self.value(a).map(|x| x + c);
-        self.push(Op::AddScalar(a, c), v)
-    }
-
     /// Broadcast-add a `1×D` row vector to every row of `a`.
     pub fn add_row_broadcast(&mut self, a: Var, b: Var) -> Var {
         let (am, bm) = (self.value(a), self.value(b));
@@ -368,23 +353,6 @@ impl Graph {
             offset += m.cols;
         }
         self.push(Op::ConcatCols(vars.to_vec()), out)
-    }
-
-    /// Concatenate along rows.
-    pub fn concat_rows(&mut self, vars: &[Var]) -> Var {
-        assert!(!vars.is_empty());
-        let cols = self.value(vars[0]).cols;
-        let rows: usize = vars.iter().map(|&v| self.value(v).rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for &v in vars {
-            let m = self.value(v);
-            assert_eq!(m.cols, cols, "concat_rows col mismatch");
-            data.extend_from_slice(&m.data);
-        }
-        self.push(
-            Op::ConcatRows(vars.to_vec()),
-            Matrix::from_vec(rows, cols, data),
-        )
     }
 
     /// Gather rows of `table` by `indices` (embedding lookup).
@@ -513,13 +481,6 @@ impl Graph {
             },
             out,
         )
-    }
-
-    /// Select one row → `1×D`.
-    pub fn select_row(&mut self, a: Var, row: usize) -> Var {
-        let m = self.value(a);
-        let out = Matrix::from_vec(1, m.cols, m.row(row).to_vec());
-        self.push(Op::SelectRow(a, row), out)
     }
 
     /// Per-segment attention scores over a stacked batch.
@@ -903,7 +864,6 @@ impl Graph {
                     self.accum(b, gb);
                 }
                 Op::Scale(a, c) => self.accum(a, g.map(|x| x * c)),
-                Op::AddScalar(a, _) => self.accum(a, g),
                 Op::AddRowBroadcast(a, b) => {
                     let mut gb = Matrix::zeros(1, g.cols);
                     for r in 0..g.rows {
@@ -978,19 +938,6 @@ impl Graph {
                             }
                         }
                         offset += m.cols;
-                        self.accum(v, gv);
-                    }
-                }
-                Op::ConcatRows(ref vars) => {
-                    let mut offset = 0;
-                    for &v in vars {
-                        let m = &self.nodes[v.0].value;
-                        let gv = Matrix::from_vec(
-                            m.rows,
-                            m.cols,
-                            g.data[offset * g.cols..(offset + m.rows) * g.cols].to_vec(),
-                        );
-                        offset += m.rows;
                         self.accum(v, gv);
                     }
                 }
@@ -1123,14 +1070,6 @@ impl Graph {
                     self.accum(b, gx);
                     self.accum(gamma, ggamma);
                     self.accum(beta, gbeta);
-                }
-                Op::SelectRow(a, row) => {
-                    let m = &self.nodes[a.0].value;
-                    let mut ga = Matrix::zeros(m.rows, m.cols);
-                    for c in 0..m.cols {
-                        ga.set(row, c, g.get(0, c));
-                    }
-                    self.accum(a, ga);
                 }
                 Op::SegAttnScores { q, k, ref segs } => {
                     let qm = &self.nodes[q.0].value;
@@ -1460,7 +1399,6 @@ mod tests {
                 let e = g.exp(p);
                 let t = g.tanh(e);
                 let s = g.scale(t, 0.5);
-                let s = g.add_scalar(s, 1.0);
                 g.mean_all(s)
             },
             rand_matrix(2, 3, 9),
@@ -1531,8 +1469,7 @@ mod tests {
         check_gradient(
             |g, p| {
                 let t = g.transpose(p);
-                let r = g.select_row(t, 1);
-                let sq = g.mul(r, r);
+                let sq = g.mul(t, t);
                 g.sum_all(sq)
             },
             rand_matrix(3, 2, 17),
@@ -1545,9 +1482,8 @@ mod tests {
         check_gradient(
             |g, p| {
                 let a = g.scale(p, 2.0);
-                let stacked = g.concat_rows(&[p, a]);
-                let t = g.input(rand_matrix(4, 3, 18));
-                let d = g.sub(stacked, t);
+                let t = g.input(rand_matrix(2, 3, 18));
+                let d = g.sub(a, t);
                 let sq = g.mul(d, d);
                 g.mean_all(sq)
             },
