@@ -1,13 +1,20 @@
-//! Internal helper shared by the three workload definitions: declare tables
-//! once and get schema + generated data + database + expert optimizer.
+//! Internal helpers shared by the five workload definitions: declare tables
+//! once and get schema + generated data + database + expert optimizer, then
+//! draw the queries and assemble the [`Workload`].
 
 use std::sync::Arc;
 
 use foss_catalog::{ColumnDef, ForeignKey, Schema, TableDef};
-use foss_common::Result;
+use foss_common::{QueryId, Result};
 use foss_executor::Database;
 use foss_optimizer::{CardinalityEstimator, CostModel, TraditionalOptimizer};
+use foss_query::Query;
 use foss_storage::{ColumnSpec, Distribution, TableGenerator};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use crate::template::Template;
+use crate::{Workload, WorkloadSpec};
 
 /// One declared column: schema definition + data distribution.
 pub(crate) struct Col {
@@ -113,21 +120,58 @@ impl DbBuilder {
     }
 }
 
-/// Instantiate `per_template` queries from each template, assigning
-/// sequential query ids.
-pub(crate) fn instantiate_all(
-    templates: &[crate::template::Template],
-    schema: &Schema,
+/// Assemble a workload from its splits; `max_relations` is the largest
+/// relation count over both.
+pub(crate) fn workload(
+    name: &str,
+    db: Arc<Database>,
+    optimizer: Arc<TraditionalOptimizer>,
+    train: Vec<Query>,
+    test: Vec<Query>,
+) -> Workload {
+    let max_relations = train
+        .iter()
+        .chain(&test)
+        .map(|q| q.relation_count())
+        .max()
+        .unwrap_or(2);
+    Workload {
+        name: name.into(),
+        db,
+        optimizer,
+        train,
+        test,
+        max_relations,
+    }
+}
+
+/// A template-split workload: `per_template` instances of every template,
+/// drawn from the RNG stream `rng_label` with sequential query ids, the last
+/// `held_out` instances of each template held out for test.
+pub(crate) fn template_split(
+    name: &str,
+    rng_label: &str,
+    spec: WorkloadSpec,
+    db: DbBuilder,
+    templates: &[Template],
     per_template: usize,
-    rng: &mut rand::rngs::StdRng,
-) -> Result<Vec<foss_query::Query>> {
-    let mut queries = Vec::with_capacity(templates.len() * per_template);
+    held_out: usize,
+) -> Result<Workload> {
+    let (schema, db, optimizer) = db.build(spec.seed)?;
+    let stream = foss_common::SeedStream::new(spec.seed);
+    let mut rng = StdRng::seed_from_u64(stream.derive(rng_label));
+    let (mut train, mut test) = (Vec::new(), Vec::new());
     let mut qid = 0usize;
     for t in templates {
-        for _ in 0..per_template {
-            queries.push(t.instantiate(schema, foss_common::QueryId::new(qid), rng)?);
+        for k in 0..per_template {
+            let q = t.instantiate(&schema, QueryId::new(qid), &mut rng)?;
             qid += 1;
+            if k < per_template - held_out {
+                train.push(q);
+            } else {
+                test.push(q);
+            }
         }
     }
-    Ok(queries)
+    Ok(workload(name, db, optimizer, train, test))
 }

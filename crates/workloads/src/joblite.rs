@@ -20,7 +20,7 @@ use rand::SeedableRng;
 
 use foss_storage::Distribution as D;
 
-use crate::builder::{Col, DbBuilder};
+use crate::builder::{workload, Col, DbBuilder};
 use crate::template::{PredSpec, Template, TemplateRel};
 use crate::{Workload, WorkloadSpec};
 
@@ -575,20 +575,7 @@ pub fn build(spec: WorkloadSpec) -> Result<Workload> {
             train.push(q);
         }
     }
-    let max_relations = train
-        .iter()
-        .chain(&test)
-        .map(|q| q.relation_count())
-        .max()
-        .unwrap_or(2);
-    Ok(Workload {
-        name: "joblite".into(),
-        db,
-        optimizer,
-        train,
-        test,
-        max_relations,
-    })
+    Ok(workload("joblite", db, optimizer, train, test))
 }
 
 #[cfg(test)]

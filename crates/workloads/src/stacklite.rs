@@ -8,12 +8,10 @@
 //! 8 train / 2 test per template.
 
 use foss_common::Result;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use foss_storage::Distribution as D;
 
-use crate::builder::{instantiate_all, Col, DbBuilder};
+use crate::builder::{template_split, Col, DbBuilder};
 use crate::template::{PredSpec, Template, TemplateRel};
 use crate::{Workload, WorkloadSpec};
 
@@ -274,34 +272,15 @@ pub fn templates() -> Vec<Template> {
 
 /// Materialise Stack-lite: 10 queries per template, 8/2 split.
 pub fn build(spec: WorkloadSpec) -> Result<Workload> {
-    let (schema, db, optimizer) = schema(&spec).build(spec.seed)?;
-    let stream = foss_common::SeedStream::new(spec.seed);
-    let mut rng = StdRng::seed_from_u64(stream.derive("stack-queries"));
-    let templates = templates();
-    let queries = instantiate_all(&templates, &schema, 10, &mut rng)?;
-    let mut train = Vec::new();
-    let mut test = Vec::new();
-    for (i, q) in queries.into_iter().enumerate() {
-        if i % 10 >= 8 {
-            test.push(q);
-        } else {
-            train.push(q);
-        }
-    }
-    let max_relations = train
-        .iter()
-        .chain(&test)
-        .map(|q| q.relation_count())
-        .max()
-        .unwrap_or(2);
-    Ok(Workload {
-        name: "stacklite".into(),
-        db,
-        optimizer,
-        train,
-        test,
-        max_relations,
-    })
+    template_split(
+        "stacklite",
+        "stack-queries",
+        spec,
+        schema(&spec),
+        &templates(),
+        10,
+        2,
+    )
 }
 
 #[cfg(test)]

@@ -10,12 +10,10 @@
 //! 99), 6 queries each, 5 train / 1 test per template.
 
 use foss_common::Result;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use foss_storage::Distribution as D;
 
-use crate::builder::{instantiate_all, Col, DbBuilder};
+use crate::builder::{template_split, Col, DbBuilder};
 use crate::template::{PredSpec, Template, TemplateRel};
 use crate::{Workload, WorkloadSpec};
 
@@ -251,34 +249,15 @@ pub fn templates() -> Vec<Template> {
 
 /// Materialise TPC-DS-lite: 6 queries per template, 5/1 split.
 pub fn build(spec: WorkloadSpec) -> Result<Workload> {
-    let (schema, db, optimizer) = schema(&spec).build(spec.seed)?;
-    let stream = foss_common::SeedStream::new(spec.seed);
-    let mut rng = StdRng::seed_from_u64(stream.derive("tpcds-queries"));
-    let templates = templates();
-    let queries = instantiate_all(&templates, &schema, 6, &mut rng)?;
-    let mut train = Vec::new();
-    let mut test = Vec::new();
-    for (i, q) in queries.into_iter().enumerate() {
-        if i % 6 == 5 {
-            test.push(q);
-        } else {
-            train.push(q);
-        }
-    }
-    let max_relations = train
-        .iter()
-        .chain(&test)
-        .map(|q| q.relation_count())
-        .max()
-        .unwrap_or(2);
-    Ok(Workload {
-        name: "tpcdslite".into(),
-        db,
-        optimizer,
-        train,
-        test,
-        max_relations,
-    })
+    template_split(
+        "tpcdslite",
+        "tpcds-queries",
+        spec,
+        schema(&spec),
+        &templates(),
+        6,
+        1,
+    )
 }
 
 #[cfg(test)]
