@@ -2,8 +2,8 @@
 //! PostgreSQL (the expert itself), Bao, HybridQO, Balsa and Loger.
 //!
 //! Each baseline is a *functional reimplementation of the idea*, scaled to
-//! this repository's substrates (see DESIGN.md for the simplification
-//! notes):
+//! this repository's substrates (README's *Layout* section places the crate;
+//! each module's header notes how it simplifies its paper):
 //!
 //! * [`PostgresBaseline`] — the expert optimizer unmodified.
 //! * [`Bao`] — plan-steerer: five operator-disabling hint sets, a learned

@@ -358,12 +358,12 @@ mod tests {
 
     #[test]
     fn greedy_mode_is_deterministic() {
-        let mut world = TestWorld::new(3);
+        let world = TestWorld::new(3);
         let cfg = FossConfig {
             max_steps: 3,
             ..FossConfig::tiny()
         };
-        let run = |world: &mut TestWorld| {
+        let run = |world: &TestWorld| {
             let mut oracle = LatencyOracle::new(&world.db, &world.opt, &world.encoder);
             let res = run_episode_greedy(
                 &world.agent,
@@ -381,8 +381,8 @@ mod tests {
                 .map(|c| c.icp.fingerprint())
                 .collect::<Vec<_>>()
         };
-        let a = run(&mut world);
-        let b = run(&mut world);
+        let a = run(&world);
+        let b = run(&world);
         assert_eq!(a, b);
     }
 

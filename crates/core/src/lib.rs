@@ -17,7 +17,7 @@
 //!   ([`execbuf`], [`envs`], [`trainer`]).
 //!
 //! The expert engine, executor and benchmark substrates live in sibling
-//! crates; see the workspace `DESIGN.md` for the full inventory.
+//! crates; README's *Layout* section has the full inventory.
 
 pub mod aam;
 pub mod actions;
