@@ -41,9 +41,10 @@ pub struct Mutex<T> {
     cell: UnsafeCell<T>,
 }
 
-// Safety: exclusivity is provided either by `real` (real mode) or by the
+// SAFETY: exclusivity is provided either by `real` (real mode) or by the
 // kernel's single-token execution (model mode).
 unsafe impl<T: Send> Send for Mutex<T> {}
+// SAFETY: as for `Send`: one guard at a time reaches the payload.
 unsafe impl<T: Send> Sync for Mutex<T> {}
 
 pub struct MutexGuard<'a, T> {
@@ -152,12 +153,15 @@ impl<T> Mutex<T> {
 impl<T> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
+        // SAFETY: the guard holds the lock (a bypass guard exists only while
+        // an aborted schedule unwinds, when no other thread runs).
         unsafe { &*self.lock.cell.get() }
     }
 }
 
 impl<T> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: as in `deref`; `&mut self` makes this the only borrow.
         unsafe { &mut *self.lock.cell.get() }
     }
 }
@@ -197,7 +201,10 @@ pub struct RwLock<T> {
     cell: UnsafeCell<T>,
 }
 
+// SAFETY: as for `Mutex`, with `real` or the kernel admitting either one
+// writer or any number of readers.
 unsafe impl<T: Send> Send for RwLock<T> {}
+// SAFETY: readers share `&T` across threads, hence `T: Sync`.
 unsafe impl<T: Send + Sync> Sync for RwLock<T> {}
 
 pub struct RwLockReadGuard<'a, T> {
@@ -300,6 +307,8 @@ impl<T> RwLock<T> {
 impl<T> Deref for RwLockReadGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
+        // SAFETY: the guard holds a read lock, so no writer is live (a bypass
+        // guard exists only while an aborted schedule unwinds).
         unsafe { &*self.lock.cell.get() }
     }
 }
@@ -317,12 +326,15 @@ impl<T> Drop for RwLockReadGuard<'_, T> {
 impl<T> Deref for RwLockWriteGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
+        // SAFETY: the guard holds the write lock (a bypass guard exists only
+        // while an aborted schedule unwinds).
         unsafe { &*self.lock.cell.get() }
     }
 }
 
 impl<T> DerefMut for RwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
+        // SAFETY: as in `deref`; `&mut self` makes this the only borrow.
         unsafe { &mut *self.lock.cell.get() }
     }
 }

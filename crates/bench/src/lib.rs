@@ -359,6 +359,14 @@ pub fn micro_suite(c: &mut Criterion) {
     c.bench_function("nn/matmul_128x128", |b| {
         b.iter(|| black_box(a128.matmul(&b128)))
     });
+    // The hot backward product `g · Wᵀ` at one AAM gradient shard's QKV
+    // projection: a 145-row upstream gradient over the 3 × 64 packed
+    // Q/K/V columns, times the 64 × 192 weight.
+    let grad = Matrix::from_vec(145, 192, (0..145 * 192).map(|i| (i as f32).sin()).collect());
+    let qkv_w = Matrix::from_vec(64, 192, (0..64 * 192).map(|i| (i as f32).cos()).collect());
+    c.bench_function("nn/matmul_nt_backward", |b| {
+        b.iter(|| black_box(grad.matmul_nt(&qkv_w)))
+    });
 
     // One tape forward of a 64-state batch through a 2-layer MLP: measures
     // how graph-construction overhead amortises across a batch.

@@ -1,6 +1,6 @@
 //! `foss-lint`: hand-rolled repo static checks (no parser dependencies).
 //!
-//! Three rules, each encoding an invariant this repo actually relies on:
+//! Four rules, each encoding an invariant this repo actually relies on:
 //!
 //! * **panic-habits** (`A`) — no `.unwrap()` / `.expect(` / `panic!(` in
 //!   `crates/service` or `crates/executor/src/{cache,fused,probe}.rs`
@@ -20,6 +20,11 @@
 //!   `WireError::from_error`. A new variant that misses the mapping would
 //!   not fail compilation anywhere near the wire (the match is on `&e`
 //!   with struct patterns), it would fail at the first client.
+//! * **unsafe-scope** (`D`) — the `unsafe` keyword appears only in
+//!   `crates/analysis/src/sync.rs` (the checker's lock shims) and
+//!   `crates/nn/src/matrix.rs` (the AVX2 kernel dispatch), test code
+//!   included, and every use carries a `// SAFETY:` comment on its own
+//!   line or in the comment and attribute lines directly above it.
 //!
 //! The scanner is line-based: string/char literals and `//` comments are
 //! stripped first, and `#[cfg(test)]` regions are tracked by brace depth so
@@ -38,7 +43,8 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: usize,
-    /// Short rule id (`panic-habits`, `sync-facade`, `wire-mapping`).
+    /// Short rule id (`panic-habits`, `sync-facade`, `wire-mapping`,
+    /// `unsafe-scope`).
     pub rule: &'static str,
     /// What was found.
     pub message: String,
@@ -315,6 +321,63 @@ pub fn scan_sync_facade(rel_path: &str, source: &str) -> Vec<Finding> {
     findings
 }
 
+/// The files rule D lets use `unsafe`.
+const UNSAFE_ALLOWED: &[&str] = &["crates/analysis/src/sync.rs", "crates/nn/src/matrix.rs"];
+
+/// Whether the *sanitized* line uses the `unsafe` keyword (as a whole word,
+/// so `UnsafeCell` and `unsafe_op` do not count).
+fn uses_unsafe(line: &str) -> bool {
+    let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    line.match_indices("unsafe").any(|(pos, w)| {
+        !ident(line[..pos].chars().next_back()) && !ident(line[pos + w.len()..].chars().next())
+    })
+}
+
+/// Whether the `unsafe` on line `idx` is justified: `// SAFETY:` on that
+/// line, or in the run of comment and attribute lines just above it.
+fn has_safety_comment(lines: &[&str], idx: usize) -> bool {
+    if lines[idx].contains("// SAFETY:") {
+        return true;
+    }
+    lines[..idx]
+        .iter()
+        .rev()
+        .map(|l| l.trim_start())
+        .take_while(|l| l.starts_with("//") || l.starts_with("#["))
+        .any(|l| l.starts_with("// SAFETY:"))
+}
+
+/// Rule D: `unsafe` only in `crates/analysis/src/sync.rs` and
+/// `crates/nn/src/matrix.rs`, and there only with a `// SAFETY:` comment.
+/// Test code is not exempt.
+pub fn scan_unsafe(rel_path: &str, source: &str) -> Vec<Finding> {
+    let allowed = UNSAFE_ALLOWED.contains(&rel_path);
+    let lines: Vec<&str> = source.lines().collect();
+    let mut findings = Vec::new();
+    for (idx, raw) in lines.iter().enumerate() {
+        if !uses_unsafe(&sanitize(raw)) {
+            continue;
+        }
+        let message = if !allowed {
+            format!(
+                "`unsafe` outside {} (keep unsafe code in those files)",
+                UNSAFE_ALLOWED.join(" and ")
+            )
+        } else if !has_safety_comment(&lines, idx) {
+            "`unsafe` without a `// SAFETY:` comment saying why it is sound".to_string()
+        } else {
+            continue;
+        };
+        findings.push(Finding {
+            file: rel_path.to_string(),
+            line: idx + 1,
+            rule: "unsafe-scope",
+            message,
+        });
+    }
+    findings
+}
+
 /// Extract the variant names of `pub enum FossError` from `error.rs`
 /// source, with the 1-based line each is declared on.
 fn foss_error_variants(error_src: &str) -> Vec<(String, usize)> {
@@ -418,6 +481,7 @@ pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
             std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
         findings.extend(scan_panic_habits(&rel, &source));
         findings.extend(scan_sync_facade(&rel, &source));
+        findings.extend(scan_unsafe(&rel, &source));
     }
     let error_path = root.join("crates/common/src/error.rs");
     let wire_path = root.join("crates/service/src/wire.rs");
@@ -519,6 +583,38 @@ mod tests {
         let error_src = "pub enum FossError {\n    A(String),\n    B { x: u64 },\n}\n";
         let wire_src = "FossError::A(_) => 1, FossError::B { .. } => 2,";
         assert!(check_wire_mapping(error_src, wire_src).is_empty());
+    }
+
+    #[test]
+    fn unsafe_scope_flags_unsafe_outside_the_allowed_files() {
+        let src = "fn f() {\n    // SAFETY: justified, but in the wrong file.\n    unsafe { g() }\n}\n#[cfg(test)]\nmod tests {\n    unsafe impl Send for T {}\n}\n";
+        let lines: Vec<usize> = scan_unsafe("crates/core/src/x.rs", src)
+            .iter()
+            .map(|f| f.line)
+            .collect();
+        // Test code is not exempt.
+        assert_eq!(lines, vec![3, 7]);
+        for path in ["crates/analysis/src/sync.rs", "crates/nn/src/matrix.rs"] {
+            assert_eq!(scan_unsafe(path, src).len(), 1, "{path}");
+        }
+    }
+
+    #[test]
+    fn unsafe_scope_requires_a_safety_comment() {
+        let path = "crates/nn/src/matrix.rs";
+        // Directly above, above an attribute, or on the same line.
+        let ok = "// SAFETY: checked above.\nunsafe { f() }\n// SAFETY: host has AVX2.\n#[cfg(x)]\nX => unsafe { g() },\nlet v = unsafe { h() }; // SAFETY: in bounds.\n";
+        assert!(scan_unsafe(path, ok).is_empty());
+        // Not separated by code, not lower-case, not a doc comment.
+        let bad = "// SAFETY: for the first only.\nunsafe impl Send for A {}\nunsafe impl Sync for A {}\n// Safety: wrong case.\nunsafe { f() }\n/// SAFETY: a doc comment.\nunsafe { g() }\n";
+        let lines: Vec<usize> = scan_unsafe(path, bad).iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![3, 5, 7]);
+    }
+
+    #[test]
+    fn unsafe_scope_ignores_identifiers_strings_and_comments() {
+        let src = "use std::cell::UnsafeCell;\nlet m = \"unsafe { }\";\n// unsafe here is prose\nfn not_unsafe_op() {}\n";
+        assert!(scan_unsafe("crates/core/src/x.rs", src).is_empty());
     }
 
     /// The repo itself must be clean — this is the same gate CI runs via

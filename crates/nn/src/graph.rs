@@ -985,38 +985,15 @@ impl Graph {
                     beta,
                     eps,
                 } => {
-                    let xm = self.nodes[x.0].value.clone();
-                    let gm = self.nodes[gamma.0].value.clone();
-                    let d = xm.cols as f32;
-                    let mut gx = Matrix::zeros(xm.rows, xm.cols);
-                    let mut ggamma = Matrix::zeros(1, xm.cols);
-                    let mut gbeta = Matrix::zeros(1, xm.cols);
+                    let xm = &self.nodes[x.0].value;
+                    let gm = &self.nodes[gamma.0].value;
+                    let mut grads = LayerNormGrads::new(xm.rows, xm.cols);
                     for r in 0..xm.rows {
-                        let row = xm.row(r);
-                        let mean = row.iter().sum::<f32>() / d;
-                        let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d;
-                        let inv = 1.0 / (var + eps).sqrt();
-                        let xhat: Vec<f32> = row.iter().map(|v| (v - mean) * inv).collect();
-                        let gy: Vec<f32> = (0..xm.cols).map(|c| g.get(r, c)).collect();
-                        for c in 0..xm.cols {
-                            ggamma.data[c] += gy[c] * xhat[c];
-                            gbeta.data[c] += gy[c];
-                        }
-                        let gxhat: Vec<f32> = (0..xm.cols).map(|c| gy[c] * gm.data[c]).collect();
-                        let mean_gxhat = gxhat.iter().sum::<f32>() / d;
-                        let mean_gxhat_xhat =
-                            gxhat.iter().zip(&xhat).map(|(a, b)| a * b).sum::<f32>() / d;
-                        for c in 0..xm.cols {
-                            gx.set(
-                                r,
-                                c,
-                                inv * (gxhat[c] - mean_gxhat - xhat[c] * mean_gxhat_xhat),
-                            );
-                        }
+                        grads.row(r, xm.row(r), g.row(r), &gm.data, eps);
                     }
-                    self.accum(x, gx);
-                    self.accum(gamma, ggamma);
-                    self.accum(beta, gbeta);
+                    self.accum(x, grads.gx);
+                    self.accum(gamma, grads.ggamma);
+                    self.accum(beta, grads.gbeta);
                 }
                 Op::AddLayerNormRows {
                     a,
@@ -1030,46 +1007,20 @@ impl Graph {
                     // operands unchanged.
                     let am = &self.nodes[a.0].value;
                     let bm2 = &self.nodes[b.0].value;
-                    let gm = self.nodes[gamma.0].value.clone();
-                    let d = am.cols as f32;
+                    let gm = &self.nodes[gamma.0].value;
                     let cols = am.cols;
-                    let mut gx = Matrix::zeros(am.rows, cols);
-                    let mut ggamma = Matrix::zeros(1, cols);
-                    let mut gbeta = Matrix::zeros(1, cols);
+                    let mut grads = LayerNormGrads::new(am.rows, cols);
                     let mut sum_row = vec![0.0f32; cols];
                     for r in 0..am.rows {
-                        for ((s, &x), &y) in sum_row
-                            .iter_mut()
-                            .zip(&am.data[r * cols..(r + 1) * cols])
-                            .zip(&bm2.data[r * cols..(r + 1) * cols])
-                        {
+                        for ((s, &x), &y) in sum_row.iter_mut().zip(am.row(r)).zip(bm2.row(r)) {
                             *s = x + y;
                         }
-                        let mean = sum_row.iter().sum::<f32>() / d;
-                        let var = sum_row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d;
-                        let inv = 1.0 / (var + eps).sqrt();
-                        let xhat: Vec<f32> = sum_row.iter().map(|v| (v - mean) * inv).collect();
-                        let gy: Vec<f32> = (0..cols).map(|c| g.get(r, c)).collect();
-                        for c in 0..cols {
-                            ggamma.data[c] += gy[c] * xhat[c];
-                            gbeta.data[c] += gy[c];
-                        }
-                        let gxhat: Vec<f32> = (0..cols).map(|c| gy[c] * gm.data[c]).collect();
-                        let mean_gxhat = gxhat.iter().sum::<f32>() / d;
-                        let mean_gxhat_xhat =
-                            gxhat.iter().zip(&xhat).map(|(a, b)| a * b).sum::<f32>() / d;
-                        for c in 0..cols {
-                            gx.set(
-                                r,
-                                c,
-                                inv * (gxhat[c] - mean_gxhat - xhat[c] * mean_gxhat_xhat),
-                            );
-                        }
+                        grads.row(r, &sum_row, g.row(r), &gm.data, eps);
                     }
-                    self.accum(a, gx.clone());
-                    self.accum(b, gx);
-                    self.accum(gamma, ggamma);
-                    self.accum(beta, gbeta);
+                    self.accum(a, grads.gx.clone());
+                    self.accum(b, grads.gx);
+                    self.accum(gamma, grads.ggamma);
+                    self.accum(beta, grads.gbeta);
                 }
                 Op::SegAttnScores { q, k, ref segs } => {
                     let qm = &self.nodes[q.0].value;
@@ -1278,6 +1229,61 @@ impl Graph {
         match &mut self.nodes[v.0].grad {
             Some(existing) => existing.add_assign(&g),
             slot @ None => *slot = Some(g),
+        }
+    }
+}
+
+/// Gradients of a row-wise layer norm, filled one row at a time by
+/// [`LayerNormGrads::row`]; the two scratch rows are reused across rows.
+struct LayerNormGrads {
+    gx: Matrix,
+    ggamma: Matrix,
+    gbeta: Matrix,
+    xhat: Vec<f32>,
+    gxhat: Vec<f32>,
+}
+
+impl LayerNormGrads {
+    fn new(rows: usize, cols: usize) -> Self {
+        Self {
+            gx: Matrix::zeros(rows, cols),
+            ggamma: Matrix::zeros(1, cols),
+            gbeta: Matrix::zeros(1, cols),
+            xhat: vec![0.0; cols],
+            gxhat: vec![0.0; cols],
+        }
+    }
+
+    /// Backward of row `r`, whose layer-norm input is `x` and upstream
+    /// gradient `gy`: accumulates `ggamma` and `gbeta`, writes row `r` of
+    /// `gx`.
+    fn row(&mut self, r: usize, x: &[f32], gy: &[f32], gamma: &[f32], eps: f32) {
+        let cols = x.len();
+        let d = cols as f32;
+        let mean = x.iter().sum::<f32>() / d;
+        let var = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d;
+        let inv = 1.0 / (var + eps).sqrt();
+        let (xhat, gxhat) = (&mut self.xhat, &mut self.gxhat);
+        for (h, v) in xhat.iter_mut().zip(x) {
+            *h = (v - mean) * inv;
+        }
+        for c in 0..cols {
+            self.ggamma.data[c] += gy[c] * xhat[c];
+            self.gbeta.data[c] += gy[c];
+        }
+        for ((h, &y), &w) in gxhat.iter_mut().zip(gy).zip(gamma) {
+            *h = y * w;
+        }
+        let mean_gxhat = gxhat.iter().sum::<f32>() / d;
+        let mean_gxhat_xhat = gxhat
+            .iter()
+            .zip(xhat.iter())
+            .map(|(a, b)| a * b)
+            .sum::<f32>()
+            / d;
+        let gx = &mut self.gx.data[r * cols..(r + 1) * cols];
+        for c in 0..cols {
+            gx[c] = inv * (gxhat[c] - mean_gxhat - xhat[c] * mean_gxhat_xhat);
         }
     }
 }
