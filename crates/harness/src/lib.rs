@@ -247,6 +247,9 @@ pub struct SplitEval {
     pub wrl: f64,
     /// Geometric mean relevant latency.
     pub gmrl: f64,
+    /// Σ expert latency ÷ Σ learned latency (> 1 beats the expert). Work
+    /// units only, no wall-clock term, so unlike WRL it is exact per seed.
+    pub sigma_ratio: f64,
     /// Total learned runtime (latency + optimisation, work units ≡ µs → s).
     pub runtime_s: f64,
     /// Per-query measurements, in query order — feed Figs. 6 and 8.
@@ -290,9 +293,12 @@ pub fn evaluate_on(
         .iter()
         .map(|o| (o.learned_latency + o.learned_opt_time) / 1e6)
         .sum();
+    let expert_sum: f64 = outcomes.iter().map(|o| o.expert_latency).sum();
+    let learned_sum: f64 = outcomes.iter().map(|o| o.learned_latency).sum();
     Ok(SplitEval {
         wrl: workload_relevant_latency(&outcomes),
         gmrl: geometric_mean_relevant_latency(&outcomes),
+        sigma_ratio: expert_sum / learned_sum,
         runtime_s,
         outcomes,
     })
@@ -334,8 +340,10 @@ mod tests {
         let queries: Vec<_> = exp.workload.test.iter().take(4).cloned().collect();
         let eval = evaluate_on(&exp, &pg, &queries).unwrap();
         // The expert against itself: latency ratios are exactly 1; WRL only
-        // differs through measured planning wall time.
+        // differs through measured planning wall time, the Σ-ratio not at
+        // all.
         assert!((eval.gmrl - 1.0).abs() < 1e-9, "gmrl={}", eval.gmrl);
+        assert_eq!(eval.sigma_ratio, 1.0);
         assert!(eval.wrl > 0.5 && eval.wrl < 2.0, "wrl={}", eval.wrl);
         assert_eq!(eval.outcomes.len(), 4);
     }

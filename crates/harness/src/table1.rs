@@ -84,19 +84,21 @@ pub fn run(cfg: &RunConfig) -> Result<Vec<WorkloadTable>> {
 pub fn render(tables: &[WorkloadTable]) -> String {
     let mut out = String::new();
     out.push_str(
-        "method          | wl         | WRL/tr  GMRL/tr | WRL/te  GMRL/te | runtime(s) tr/te\n",
+        "method          | wl         | WRL/tr  Σ/tr    GMRL/tr | WRL/te  Σ/te    GMRL/te | runtime(s) tr/te\n",
     );
-    out.push_str(&"-".repeat(92));
+    out.push_str(&"-".repeat(108));
     out.push('\n');
     for t in tables {
         for r in &t.rows {
             out.push_str(&format!(
-                "{:<15} | {:<10} | {:>6.2}  {:>6.2}  | {:>6.2}  {:>6.2}  | {:>8.3} / {:>8.3}\n",
+                "{:<15} | {:<10} | {:>6.2}  {:>6.2}  {:>6.2}  | {:>6.2}  {:>6.2}  {:>6.2}  | {:>8.3} / {:>8.3}\n",
                 r.method,
                 t.workload,
                 r.train.wrl,
+                r.train.sigma_ratio,
                 r.train.gmrl,
                 r.test.wrl,
+                r.test.sigma_ratio,
                 r.test.gmrl,
                 r.train.runtime_s,
                 r.test.runtime_s,

@@ -18,12 +18,17 @@
 //! sections cut out: the format change moved no learned bit. A v2 snapshot
 //! no longer grows with training, hence one length for both runs.
 //!
+//! The 30-iteration run also pins what its final snapshot serves on the
+//! train and test splits through `harness::evaluate_on`: the Σ-ratio, the
+//! GMRL and a digest of the served plans. Those constants were taken
+//! before the learned baselines moved onto one shared learner.
+//!
 //! Two shorter pins cover the paths the serving configuration never takes:
 //! the Off-Simulated ablation (real-environment episodes in every iteration)
 //! and the 2-Agents ablation (a bootstrap that alternates agents, agents
 //! trained side by side).
 
-use foss_repro::core::ExecutionBuffer;
+use foss_repro::core::{ExecutionBuffer, TrainReport};
 use foss_repro::prelude::*;
 
 /// FNV-1a-64 over `bytes`.
@@ -88,6 +93,17 @@ fn train(iterations: usize) -> Learned {
 /// Bootstrap with `bootstrap_episodes` real episodes per query, then
 /// `iterations` training rounds of `cfg`.
 fn train_with(cfg: FossConfig, bootstrap_episodes: usize, iterations: usize) -> Learned {
+    let (_, foss, reports) = run(cfg, bootstrap_episodes, iterations);
+    Learned::of(&foss, &reports)
+}
+
+/// The `skewstress` experiment, the system trained on its train split and
+/// the bootstrap's and every iteration's report.
+fn run(
+    cfg: FossConfig,
+    bootstrap_episodes: usize,
+    iterations: usize,
+) -> (Experiment, Foss, Vec<TrainReport>) {
     let exp = Experiment::new(
         "skewstress",
         WorkloadSpec {
@@ -101,22 +117,46 @@ fn train_with(cfg: FossConfig, bootstrap_episodes: usize, iterations: usize) -> 
     let mut reports = vec![foss.bootstrap(train, bootstrap_episodes).unwrap()];
     reports.extend(foss.train(train, iterations).unwrap());
     assert_eq!(reports.len(), iterations + 1);
-    let bytes = foss.snapshot().to_bytes();
-    Learned {
-        snapshot_fnv: fnv1a64(&bytes),
-        snapshot_len: bytes.len(),
-        buffer_fnv: buffer_fnv(foss.buffer()),
-        reports: reports
-            .iter()
-            .map(|r| {
-                [
-                    r.mean_reward.to_bits(),
-                    r.aam_loss.to_bits(),
-                    r.aam_accuracy.to_bits(),
-                ]
-            })
-            .collect(),
+    (exp, foss, reports)
+}
+
+impl Learned {
+    fn of(foss: &Foss, reports: &[TrainReport]) -> Self {
+        let bytes = foss.snapshot().to_bytes();
+        Learned {
+            snapshot_fnv: fnv1a64(&bytes),
+            snapshot_len: bytes.len(),
+            buffer_fnv: buffer_fnv(foss.buffer()),
+            reports: reports
+                .iter()
+                .map(|r| {
+                    [
+                        r.mean_reward.to_bits(),
+                        r.aam_loss.to_bits(),
+                        r.aam_accuracy.to_bits(),
+                    ]
+                })
+                .collect(),
+        }
     }
+}
+
+/// What the final snapshot serves on one split, scored by `evaluate_on`
+/// under its 10× expert budget: the bits of the Σ-ratio and the GMRL, and
+/// FNV-1a-64 over the sorted fingerprints of the served plans.
+fn served(exp: &Experiment, foss: &FossAdapter, queries: &[Query]) -> (u64, u64, u64) {
+    let eval = evaluate_on(exp, foss, queries).unwrap();
+    let mut fingerprints: Vec<u64> = queries
+        .iter()
+        .map(|q| foss.plan(q).unwrap().fingerprint())
+        .collect();
+    fingerprints.sort_unstable();
+    let bytes: Vec<u8> = fingerprints.iter().flat_map(|f| f.to_le_bytes()).collect();
+    (
+        eval.sigma_ratio.to_bits(),
+        eval.gmrl.to_bits(),
+        fnv1a64(&bytes),
+    )
 }
 
 #[test]
@@ -154,7 +194,8 @@ fn five_iterations_reproduce_the_pinned_snapshot_and_reports() {
 #[test]
 #[ignore = "≈20 s in release mode; run by the release-mode CI step"]
 fn thirty_iterations_reproduce_the_pinned_snapshot_and_reports() {
-    let got = train(30);
+    let (exp, foss, reports) = run(serving(), 1, 30);
+    let got = Learned::of(&foss, &reports);
     assert_eq!(
         got.reports.last(),
         Some(&[0x3eb0afb7, 0x3d02998e, 0x3f7c2cba]),
@@ -177,6 +218,33 @@ fn thirty_iterations_reproduce_the_pinned_snapshot_and_reports() {
         "snapshot bytes diverged: {:016x}",
         got.snapshot_fnv
     );
+    // The readable half: what the learned doctor serves, split by split, as
+    // (Σ-ratio bits, GMRL bits, served-plan digest). Train is Σ 7.941 and
+    // GMRL 0.868, test Σ 0.998 and GMRL 1.215.
+    const TRAIN: (u64, u64, u64) = (
+        0x401f_c360_0c60_0d57,
+        0x3feb_c8c5_a65b_03de,
+        0xca73_682e_81d3_da6d,
+    );
+    const TEST: (u64, u64, u64) = (
+        0x3fef_f064_7833_872d,
+        0x3ff3_715e_b878_44c7,
+        0xa12b_5c83_f374_3807,
+    );
+    let foss = FossAdapter::new(foss);
+    for (split, queries, want) in [
+        ("train", &exp.workload.train, TRAIN),
+        ("test", &exp.workload.test, TEST),
+    ] {
+        let got = served(&exp, &foss, queries);
+        assert_eq!(
+            got,
+            want,
+            "{split} split diverged: Σ {} GMRL {} ({got:016x?})",
+            f64::from_bits(got.0),
+            f64::from_bits(got.1),
+        );
+    }
 }
 
 /// The Off-Simulated row of Table II (`harness::ablation::configurations`)
