@@ -6,19 +6,12 @@
 //! ε-greedy exploration schedule in place of Thompson sampling (documented
 //! simplification; both drive exploration of under-observed arms).
 
-use std::sync::Arc;
-
 use foss_common::Result;
-use foss_core::encoding::{EncodedPlan, PlanEncoder};
-use foss_executor::CachingExecutor;
 use foss_optimizer::{JoinMethod, PhysicalPlan, TraditionalOptimizer};
 use foss_query::Query;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 
-use crate::support::ExecRecorder;
-use crate::value_model::PlanValueModel;
-use crate::LearnedOptimizer;
+use crate::support::{Generator, Learner};
 
 /// The five hint sets (arm 0 = the unrestricted expert plan).
 pub const ARMS: [&[JoinMethod]; 5] = [
@@ -30,110 +23,45 @@ pub const ARMS: [&[JoinMethod]; 5] = [
 ];
 
 /// The Bao baseline.
-pub struct Bao {
-    recorder: ExecRecorder,
-    model: PlanValueModel,
-    samples: Vec<(EncodedPlan, f32)>,
-    rng: StdRng,
-    epsilon: f64,
-}
+pub type Bao = Learner<HintSets>;
 
-impl Bao {
-    /// Assemble Bao over the expert engine and executor.
-    pub fn new(
-        optimizer: Arc<TraditionalOptimizer>,
-        executor: Arc<CachingExecutor>,
-        encoder: PlanEncoder,
-        seed: u64,
-    ) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let model = PlanValueModel::new(encoder.table_vocab(), &mut rng);
-        Self {
-            recorder: ExecRecorder::new(optimizer, executor, encoder),
-            model,
-            samples: Vec::new(),
-            rng,
-            epsilon: 0.5,
-        }
-    }
+/// Bao's candidates: the plan per arm (arm 0 is the expert plan).
+pub struct HintSets;
 
-    /// The candidate plan per arm (arm 0 falls back to the expert plan).
-    fn candidates(&self, query: &Query) -> Result<Vec<PhysicalPlan>> {
-        let mut out = Vec::with_capacity(ARMS.len());
-        for (i, arm) in ARMS.iter().enumerate() {
-            let plan = if i == 0 {
-                self.recorder.optimizer.optimize(query)?
-            } else {
-                self.recorder.optimizer.optimize_with_methods(query, arm)?
-            };
-            out.push(plan);
+impl Generator for HintSets {
+    const NAME: &'static str = "Bao";
+    const EPSILON: f64 = 0.5;
+    const DECAY: f64 = 0.8;
+    const SKIPS_SINGLE_RELATION: bool = false;
+    type Key = ();
+
+    fn candidates(
+        optimizer: &TraditionalOptimizer,
+        query: &Query,
+        _best: Option<&()>,
+        _rng: &mut StdRng,
+    ) -> Result<Vec<((), PhysicalPlan)>> {
+        let mut out = vec![((), optimizer.optimize(query)?)];
+        for arm in &ARMS[1..] {
+            out.push(((), optimizer.optimize_with_methods(query, arm)?));
         }
         Ok(out)
-    }
-}
-
-impl LearnedOptimizer for Bao {
-    fn name(&self) -> &'static str {
-        "Bao"
-    }
-
-    fn train_round(&mut self, queries: &[Query]) -> Result<()> {
-        for query in queries {
-            let cands = self.candidates(query)?;
-            let encs: Vec<EncodedPlan> = cands
-                .iter()
-                .map(|p| self.recorder.encode(query, p))
-                .collect();
-            let pick = if self.rng.random_range(0.0..1.0) < self.epsilon {
-                self.rng.random_range(0..cands.len())
-            } else {
-                let refs: Vec<&EncodedPlan> = encs.iter().collect();
-                self.model.best_of(&refs)
-            };
-            let latency = self.recorder.measure(query, &cands[pick])?;
-            self.samples
-                .push((encs[pick].clone(), (latency.max(1.0) as f32).ln()));
-        }
-        for _ in 0..2 {
-            self.model.train_epoch(&self.samples, &mut self.rng);
-        }
-        self.epsilon = (self.epsilon * 0.8).max(0.05);
-        Ok(())
-    }
-
-    fn plan(&self, query: &Query) -> Result<PhysicalPlan> {
-        let cands = self.candidates(query)?;
-        let encs: Vec<EncodedPlan> = cands
-            .iter()
-            .map(|p| self.recorder.encode(query, p))
-            .collect();
-        let refs: Vec<&EncodedPlan> = encs.iter().collect();
-        let best = self.model.best_of(&refs);
-        Ok(cands.into_iter().nth(best).unwrap())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::support::tests::{candidates, learner};
+    use crate::LearnedOptimizer;
     use foss_core::envs::tests_support::TestWorld;
-
-    fn bao(world: &TestWorld) -> Bao {
-        let executor = Arc::new(CachingExecutor::new(
-            world.db.clone(),
-            *world.opt.cost_model(),
-        ));
-        let encoder = PlanEncoder::new(3, world.db.stats().iter().map(|s| s.row_count).collect());
-        Bao::new(Arc::new(world.opt.clone()), executor, encoder, 7)
-    }
 
     #[test]
     fn five_arms_produce_legal_plans() {
         let world = TestWorld::new(1);
-        let b = bao(&world);
-        let cands = b.candidates(&world.query).unwrap();
+        let cands = candidates::<HintSets>(&world, 7);
         assert_eq!(cands.len(), 5);
-        for (i, plan) in cands.iter().enumerate().skip(1) {
+        for (i, (_, plan)) in cands.iter().enumerate().skip(1) {
             let icp = plan.extract_icp().unwrap();
             for m in icp.methods {
                 assert!(ARMS[i].contains(&m), "arm {i} leaked method {m}");
@@ -144,7 +72,7 @@ mod tests {
     #[test]
     fn training_and_inference_work() {
         let world = TestWorld::new(2);
-        let mut b = bao(&world);
+        let mut b: Bao = learner(&world, 7);
         let queries = vec![world.query.clone()];
         for _ in 0..3 {
             b.train_round(&queries).unwrap();

@@ -16,18 +16,19 @@
 //! * [`LogerLite`] — plan-constructor that *restricts* rather than dictates:
 //!   it searches join orders but lets the expert choose join methods.
 //!
-//! All learned baselines share [`value_model::PlanValueModel`], a
-//! transformer-over-plan regression network predicting log-latency — the
-//! same role Bao's TCNN value network plays.
+//! The four learned baselines are one [`Learner`] each, an ε-greedy loop
+//! over a [`PlanValueModel`] (a transformer-over-plan regression network
+//! predicting log-latency — the role Bao's TCNN value network plays). A
+//! baseline is only its [`Generator`]: where its candidate plans come from,
+//! and its fixed exploration schedule.
 
 pub mod balsa_lite;
 pub mod bao;
 pub mod hybridqo;
 pub mod loger_lite;
-pub(crate) mod support;
+mod support;
 pub mod value_model;
 
-use foss_common::sync::Mutex;
 use foss_common::Result;
 use foss_optimizer::PhysicalPlan;
 use foss_query::Query;
@@ -39,6 +40,7 @@ pub use balsa_lite::BalsaLite;
 pub use bao::Bao;
 pub use hybridqo::HybridQo;
 pub use loger_lite::LogerLite;
+pub use support::{Generator, Learner};
 pub use value_model::PlanValueModel;
 
 /// The common interface the experiment harness drives.
@@ -48,9 +50,10 @@ pub use value_model::PlanValueModel;
 /// while [`LearnedOptimizer::plan`] takes `&self` — planning is a read-only
 /// query over whatever the method has learned so far, so evaluation
 /// harnesses and serving front ends can plan without exclusive access.
-/// Methods that need randomness during planning keep their RNG behind a
-/// lock (the draw order is unchanged in serial use, so seeded experiments
-/// reproduce exactly).
+/// A plan is a function of what was learned and the query alone: the
+/// learned baselines draw planning randomness from a stream derived from
+/// (seed, rounds trained, query id), never from their training RNG, so the
+/// order in which queries are planned changes no plan and no later round.
 pub trait LearnedOptimizer {
     /// Display name used in result tables.
     fn name(&self) -> &'static str;
@@ -60,13 +63,6 @@ pub trait LearnedOptimizer {
 
     /// Produce the plan this optimizer would run for `query` (read-only).
     fn plan(&self, query: &Query) -> Result<PhysicalPlan>;
-
-    /// The RNG [`plan`](Self::plan) draws from, if it draws at all. A probe
-    /// between training rounds restores it afterwards, so measuring a
-    /// method mid-training does not change how it goes on to train.
-    fn plan_rng(&self) -> Option<&Mutex<StdRng>> {
-        None
-    }
 }
 
 /// The expert optimizer as a baseline (PostgreSQL row of Table I).

@@ -6,7 +6,7 @@
 //! |---|---|---|
 //! | Table I (WRL/GMRL/runtime, 5 workloads × 6 methods) | [`table1::run`] | `table1` |
 //! | Fig. 4 (relative speedups) | Table I's final evaluations | `table1` |
-//! | Fig. 5 (training curves) | Table I's test probe after every round | `table1` |
+//! | Fig. 5 (training curves) | Table I's test evaluation after every round | `table1` |
 //! | Fig. 6 (optimisation-time box plots) | Table I's `joblite` opt times | `table1` |
 //! | Table II (design-choice ablations) | [`ablation::run`] | `table2` |
 //! | Fig. 7 (step distribution vs maxsteps) | [`ablation::run`] | `table2` |
@@ -18,7 +18,14 @@
 //!
 //! **Unit convention**: execution latency is deterministic executor work
 //! units, which we equate to microseconds when combining with measured
-//! wall-clock optimisation time in WRL (see README.md, *Executor*).
+//! wall-clock optimisation time in WRL (see README.md, *Executor*). GMRL and
+//! the Σ-ratio ([`SplitEval::sigma_ratio`]) have no wall-clock term, so
+//! they are exact per seed.
+//!
+//! **Pure planning**: every method's plan is a function of what it has
+//! learned and the query, so [`evaluate_on`] may run between training
+//! rounds (Fig. 5's curves) and over queries in any order without moving a
+//! plan or a later round.
 //!
 //! **Snapshot-based planning**: since the serving redesign, every runner
 //! evaluates FOSS through read-only [`foss_core::PlannerSnapshot`]s — the
@@ -304,22 +311,6 @@ pub fn evaluate_on(
     })
 }
 
-/// [`evaluate_on`] between training rounds: restores the RNG `plan` draws
-/// from ([`LearnedOptimizer::plan_rng`]), so the method trains on exactly
-/// as if it had not been measured.
-pub fn probe(
-    exp: &Experiment,
-    method: &dyn LearnedOptimizer,
-    queries: &[Query],
-) -> Result<SplitEval> {
-    let saved = method.plan_rng().map(|rng| rng.lock().clone());
-    let eval = evaluate_on(exp, method, queries);
-    if let (Some(rng), Some(saved)) = (method.plan_rng(), saved) {
-        *rng.lock() = saved;
-    }
-    eval
-}
-
 /// Simple percentile over a sample (linear interpolation), shared with the
 /// serving metrics via [`foss_common::percentile`]. Returns `0.0` for an
 /// empty sample set — a defined value instead of the panic this used to be,
@@ -350,23 +341,63 @@ mod tests {
 
     #[test]
     fn probe_between_rounds_leaves_training_unchanged() {
-        // Balsa draws random candidates while it plans; a probe must not
-        // shift what it draws in the next training round.
+        // A test-split evaluation between training rounds must not shift
+        // what any learned baseline draws in its next round.
         let exp = Experiment::new("tpcdslite", WorkloadSpec::tiny(6)).unwrap();
         let train: Vec<_> = exp.workload.train.iter().take(4).cloned().collect();
         let test: Vec<_> = exp.workload.test.iter().take(3).cloned().collect();
         let cfg = RunConfig::smoke();
-        let balsa = || roster(&exp, &cfg, 7).swap_remove(2).optimizer;
-        let (mut probed, mut unprobed) = (balsa(), balsa());
-        assert_eq!(probed.name(), "Balsa");
-        for _ in 0..2 {
-            probed.train_round(&train).unwrap();
-            probe(&exp, &*probed, &test).unwrap();
-            unprobed.train_round(&train).unwrap();
+        for baseline in 1..=4 {
+            let method = || roster(&exp, &cfg, 7).swap_remove(baseline).optimizer;
+            let (mut probed, mut unprobed) = (method(), method());
+            for _ in 0..2 {
+                probed.train_round(&train).unwrap();
+                evaluate_on(&exp, &*probed, &test).unwrap();
+                unprobed.train_round(&train).unwrap();
+            }
+            let a = evaluate_on(&exp, &*probed, &test).unwrap();
+            let b = evaluate_on(&exp, &*unprobed, &test).unwrap();
+            assert_eq!(a.gmrl.to_bits(), b.gmrl.to_bits(), "{}", probed.name());
         }
-        let a = evaluate_on(&exp, &*probed, &test).unwrap();
-        let b = evaluate_on(&exp, &*unprobed, &test).unwrap();
-        assert_eq!(a.gmrl.to_bits(), b.gmrl.to_bits());
+    }
+
+    #[test]
+    fn plans_do_not_depend_on_what_was_planned_before() {
+        // Every method plans the test split identically before and after
+        // evaluating the train split, and so does a twin trained the same
+        // way that plans nothing else, the test queries in reverse order.
+        let exp = Experiment::new("tpcdslite", WorkloadSpec::tiny(2)).unwrap();
+        let train: Vec<_> = exp.workload.train.iter().take(4).cloned().collect();
+        let test = &exp.workload.test;
+        let cfg = RunConfig {
+            foss_episodes: 4,
+            ..RunConfig::smoke()
+        };
+        let trained = || {
+            let mut methods = roster(&exp, &cfg, 7);
+            for m in &mut methods {
+                for _ in 0..m.rounds {
+                    m.optimizer.train_round(&train).unwrap();
+                }
+            }
+            methods
+        };
+        let fingerprints = |method: &dyn LearnedOptimizer,
+                            queries: &mut dyn Iterator<Item = &Query>| {
+            queries
+                .map(|q| method.plan(q).unwrap().fingerprint())
+                .collect::<Vec<_>>()
+        };
+        for (m, twin) in trained().into_iter().zip(trained()) {
+            let (m, twin) = (&*m.optimizer, &*twin.optimizer);
+            let before = fingerprints(m, &mut test.iter());
+            evaluate_on(&exp, m, &exp.workload.train).unwrap();
+            let after = fingerprints(m, &mut test.iter());
+            let mut alone = fingerprints(twin, &mut test.iter().rev());
+            alone.reverse();
+            assert_eq!(before, after, "{}: evaluating train moved a plan", m.name());
+            assert_eq!(before, alone, "{}: planning order moved a plan", m.name());
+        }
     }
 
     #[test]

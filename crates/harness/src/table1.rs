@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use foss_common::Result;
 
-use crate::{evaluate_on, percentile, probe, roster, Experiment, RunConfig, SplitEval};
+use crate::{evaluate_on, percentile, roster, Experiment, RunConfig, SplitEval};
 
 /// One point on a training curve (Fig. 5).
 #[derive(Debug, Clone, Copy)]
@@ -27,7 +27,7 @@ pub struct MethodRow {
     pub train: SplitEval,
     /// Test-split evaluation.
     pub test: SplitEval,
-    /// Test-split probe after every training round (Fig. 5).
+    /// Test-split evaluation after every training round (Fig. 5).
     pub curve: Vec<CurvePoint>,
 }
 
@@ -56,7 +56,7 @@ pub fn run_workload(name: &str, cfg: &RunConfig) -> Result<WorkloadTable> {
             // Speedup on totals = 1 / WRL.
             curve.push(CurvePoint {
                 train_time_s,
-                test_speedup: 1.0 / probe(&exp, &*m.optimizer, test)?.wrl,
+                test_speedup: 1.0 / evaluate_on(&exp, &*m.optimizer, test)?.wrl,
             });
         }
         rows.push(MethodRow {
