@@ -24,7 +24,7 @@ use foss_core::encoding::PlanEncoder;
 use foss_core::{AdvantageModel, AdvantageScale, Foss, FossConfig};
 use foss_executor::{CachingExecutor, ExecMode, Executor, FusedPipeline};
 use foss_harness::RunConfig;
-use foss_nn::{Graph, Linear, Matrix, ParamSet};
+use foss_nn::{GradStore, Graph, Linear, Matrix, ParamSet};
 use foss_optimizer::{AccessPath, Icp, JoinMethod, PhysicalPlan, PlanNode};
 use foss_query::{Predicate, Query, QueryBuilder};
 use foss_service::{
@@ -366,6 +366,38 @@ pub fn micro_suite(c: &mut Criterion) {
     let qkv_w = Matrix::from_vec(64, 192, (0..64 * 192).map(|i| (i as f32).cos()).collect());
     c.bench_function("nn/matmul_nt_backward", |b| {
         b.iter(|| black_box(grad.matmul_nt(&qkv_w)))
+    });
+
+    // Fused attention forward + backward at one AAM gradient shard's shape
+    // in the paper configuration: the distinct plans of the first eight
+    // training pairs stacked as segments, with their own reachability
+    // masks, through a packed Q/K/V of `heads` heads over `d_model`.
+    let paper = FossConfig::default();
+    let mut shard_plans: Vec<&foss_core::EncodedPlan> = Vec::new();
+    for (l, r, _) in pairs.iter().take(8) {
+        for plan in [l, r] {
+            if !shard_plans.contains(&plan) {
+                shard_plans.push(plan);
+            }
+        }
+    }
+    let reaches: Vec<&[Vec<bool>]> = shard_plans.iter().map(|p| p.reach.as_slice()).collect();
+    let (attn_mask, segs) = foss_nn::segment_additive_mask(&reaches);
+    let mut attn_set = ParamSet::new();
+    let total: usize = segs.iter().sum();
+    let qkv = attn_set.alloc_xavier(total, 3 * paper.d_model, &mut StdRng::seed_from_u64(17));
+    let scale = 1.0 / ((paper.d_model / paper.heads) as f32).sqrt();
+    c.bench_function("nn/seg_mha_backward", |b| {
+        b.iter(|| {
+            let mut g = Graph::new();
+            let x = g.param(qkv, &attn_set);
+            let m = g.input(attn_mask.clone());
+            let y = g.seg_multi_head_attention(x, m, &segs, paper.heads, scale);
+            let loss = g.sum_all(y);
+            let mut grads = GradStore::zeros_like(&attn_set);
+            g.backward_into(loss, &mut grads);
+            black_box(grads)
+        })
     });
 
     // One tape forward of a 64-state batch through a 2-layer MLP: measures

@@ -127,6 +127,13 @@ impl AdvantageModel {
         let states = self.state_net.forward_batch(g, &self.set, &uniq);
         let sl = g.gather(states, &left_ix);
         let sr = g.gather(states, &right_ix);
+        self.head(g, sl, sr)
+    }
+
+    /// The difference head over `B×d_state` left and right state vectors;
+    /// returns `B×K` logits.
+    fn head(&self, g: &mut Graph, sl: Var, sr: Var) -> Var {
+        let b = g.value(sl).rows;
         let pos_l = self.pos_emb.forward(g, &self.set, &vec![0usize; b]);
         let pos_r = self.pos_emb.forward(g, &self.set, &vec![1usize; b]);
         let hl_in = g.concat_cols(&[sl, pos_l]);
@@ -155,16 +162,30 @@ impl AdvantageModel {
         let mut g = Graph::inference();
         let logits = self.forward_pairs(&mut g, pairs);
         let m = g.value(logits);
-        (0..m.rows)
-            .map(|r| {
-                m.row(r)
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            })
-            .collect()
+        (0..m.rows).map(|r| argmax(m.row(r))).collect()
+    }
+
+    /// The state network's output `ϕ(plan)` (`d_state` values): what
+    /// [`AdvantageModel::predict`] computes for each side of a pair before
+    /// the difference head. Rows of a state batch do not depend on each
+    /// other, so this is bit-identical to the plan's row in any batch.
+    pub(crate) fn state_vec(&self, plan: &EncodedPlan) -> Vec<f32> {
+        let mut g = Graph::inference();
+        let states = self.state_net.forward_batch(&mut g, &self.set, &[plan]);
+        g.value(states).data.clone()
+    }
+
+    /// [`AdvantageModel::predict`] from the two plans' state vectors
+    /// ([`AdvantageModel::state_vec`]): the difference head alone, bit for
+    /// bit the prediction on the plans themselves — `gather` copies state
+    /// rows verbatim. Lets a caller that scores the same plans again and
+    /// again run the state network once per plan.
+    pub(crate) fn predict_from_states(&self, left: &[f32], right: &[f32]) -> usize {
+        let mut g = Graph::inference();
+        let sl = g.input(Matrix::from_vec(1, left.len(), left.to_vec()));
+        let sr = g.input(Matrix::from_vec(1, right.len(), right.to_vec()));
+        let logits = self.head(&mut g, sl, sr);
+        argmax(g.value(logits).row(0))
     }
 
     /// The asymmetric focal loss with label smoothing, summed over the rows
@@ -293,9 +314,8 @@ impl AdvantageModel {
         let mut distinct: foss_common::FxHashMap<Vec<u8>, &EncodedPlan> =
             foss_common::FxHashMap::default();
         let mut representative = |plan| {
-            let mut w = foss_common::ByteWriter::new();
-            foss_common::Codec::encode(plan, &mut w);
-            *distinct.entry(w.into_bytes()).or_insert(plan)
+            let key = EncodedPlan::content_key(plan);
+            *distinct.entry(key).or_insert(plan)
         };
         let pairs: Vec<(&EncodedPlan, &EncodedPlan)> = samples
             .iter()
@@ -323,6 +343,16 @@ impl AdvantageModel {
         .sum();
         hits as f32 / samples.len() as f32
     }
+}
+
+/// Index of the largest logit (the first on ties; 0 for an empty row).
+fn argmax(logits: &[f32]) -> usize {
+    logits
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(i, _)| i)
+        .unwrap_or(0)
 }
 
 impl foss_common::Codec for AdvantageModel {
@@ -478,6 +508,66 @@ mod tests {
         let batched = m.predict_batch(&pairs);
         let looped: Vec<usize> = pairs.iter().map(|(l, r)| m.predict(l, r)).collect();
         assert_eq!(batched, looped);
+    }
+
+    #[test]
+    fn predict_from_states_equals_predict_exactly() {
+        // Ragged plans (three and four nodes) after some training, so the
+        // head's weights are not at their initial values.
+        let mut m = model();
+        let mut rng = StdRng::seed_from_u64(29);
+        let samples: Vec<AamSample> = (0..40)
+            .map(|i| (plan(i % 6), plan((i * 5 + 2) % 9), i % 3))
+            .collect();
+        for _ in 0..3 {
+            m.train_epoch(&samples, &mut rng);
+        }
+        let mut long = plan(4);
+        long.ops.push(3);
+        long.tables.push(1);
+        long.sels.push(7);
+        long.rows.push(11);
+        long.heights.push(2);
+        long.structures.push(2);
+        long.reach = vec![vec![true, false, true, true]; 4];
+        long.step = 0.5;
+        let plans = [plan(0), plan(1), plan(5), plan(8), long];
+        let refs: Vec<&EncodedPlan> = plans.iter().collect();
+        // A state vector is its plan's row of any batch.
+        let mut g = Graph::inference();
+        let batch = m.state_net.forward_batch(&mut g, &m.set, &refs);
+        for (i, p) in plans.iter().enumerate() {
+            assert_eq!(g.value(batch).row(i), m.state_vec(p).as_slice());
+        }
+        let mut verdicts = [0usize; 3];
+        for l in &plans {
+            for r in &plans {
+                let (sl, sr) = (m.state_vec(l), m.state_vec(r));
+                assert_eq!(m.predict_from_states(&sl, &sr), m.predict(l, r));
+                verdicts[m.predict(l, r)] += 1;
+                // The logits themselves, not only their argmax.
+                let mut g1 = Graph::inference();
+                let want = m.forward_pairs(&mut g1, &[(l, r)]);
+                let mut g2 = Graph::inference();
+                let (vl, vr) = (
+                    g2.input(Matrix::from_vec(1, sl.len(), sl)),
+                    g2.input(Matrix::from_vec(1, sr.len(), sr)),
+                );
+                let got = m.head(&mut g2, vl, vr);
+                let bits = |g: &Graph, v| {
+                    g.value(v)
+                        .data
+                        .iter()
+                        .map(|x: &f32| x.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&g2, got), bits(&g1, want));
+            }
+        }
+        assert!(
+            verdicts.iter().filter(|&&n| n > 0).count() >= 2,
+            "{verdicts:?}"
+        );
     }
 
     #[test]

@@ -4,9 +4,7 @@
 
 use foss_common::{ByteReader, ByteWriter, Codec};
 use foss_nn::{Graph, Linear, ParamSet, Var};
-use foss_rl::{
-    sample_masked, sample_masked_at, PolicyValueNet, Ppo, PpoConfig, PpoStats, RolloutBatch,
-};
+use foss_rl::{sample_masked, PolicyValueNet, Ppo, PpoConfig, PpoStats, RolloutBatch};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -95,9 +93,10 @@ impl PolicyValueNet<EncodedPlan> for AgentModel {
 /// Evaluate one state against a model + parameter set: `(logits, value)`.
 ///
 /// Shared by the trainable [`PlannerAgent`] and the serving
-/// [`FrozenPolicy`] so both paths run the exact same tape.
+/// [`FrozenPolicy`] so both paths run the exact same tape — an inference
+/// tape, which saves nothing for a backward pass.
 fn eval_model(model: &AgentModel, set: &ParamSet, state: &EncodedPlan) -> (Vec<f32>, f32) {
-    let mut g = Graph::new();
+    let mut g = Graph::inference();
     let (logits, values) = model.forward(&mut g, set, &[state]);
     (g.value(logits).row(0).to_vec(), g.value(values).get(0, 0))
 }
@@ -133,8 +132,9 @@ pub struct FrozenPolicy {
 }
 
 impl FrozenPolicy {
-    /// Evaluate one state: returns `(masked logits, value)` — bit-identical
-    /// to the live agent the policy was frozen from.
+    /// Evaluate one state: returns `(logits, value)`, the logits raw (no
+    /// action mask applied) — bit-identical to the live agent the policy was
+    /// frozen from.
     pub fn evaluate(&self, state: &EncodedPlan) -> (Vec<f32>, f32) {
         eval_model(&self.model, &self.set, state)
     }
@@ -225,7 +225,9 @@ impl PlannerAgent {
         self.ppo.cfg.lam
     }
 
-    /// Evaluate one state: returns `(masked logits, value)`.
+    /// Evaluate one state: returns `(logits, value)`, the logits raw — one
+    /// per action, no mask applied (masking happens when an action is
+    /// picked).
     pub fn evaluate(&self, state: &EncodedPlan) -> (Vec<f32>, f32) {
         eval_model(&self.model, &self.set, state)
     }
@@ -237,17 +239,10 @@ impl PlannerAgent {
         (a, logp, value)
     }
 
-    /// [`PlannerAgent::act`] with the sampling uniform supplied by the
-    /// caller: read-only, so one agent can act on many threads at once.
-    pub fn act_at(&self, state: &EncodedPlan, mask: &[bool], u: f32) -> (usize, f32, f32) {
-        let (logits, value) = self.evaluate(state);
-        let (a, logp, _) = sample_masked_at(&logits, mask, u);
-        (a, logp, value)
-    }
-
     /// The next `n` sampling uniforms of the agent's RNG — exactly what `n`
     /// calls of [`PlannerAgent::act`] would draw, taken up front so the steps
-    /// can then run through [`PlannerAgent::act_at`] off this thread.
+    /// can then run through [`crate::episode::run_episode_predrawn`] off this
+    /// thread.
     pub fn draw_uniforms(&mut self, n: usize) -> Vec<f32> {
         (0..n).map(|_| self.rng.random_range(0.0..1.0)).collect()
     }
@@ -319,7 +314,9 @@ mod tests {
         let uniforms = predrawn.draw_uniforms(20);
         for (step, &u) in uniforms.iter().enumerate() {
             let (a, logp, v) = live.act(&plan(step), &mask);
-            let (a2, logp2, v2) = predrawn.act_at(&plan(step), &mask, u);
+            // What `run_episode_predrawn` does with a pre-drawn uniform.
+            let (logits, v2) = predrawn.evaluate(&plan(step));
+            let (a2, logp2, _) = foss_rl::sample_masked_at(&logits, &mask, u);
             assert_eq!(
                 (a, logp.to_bits(), v.to_bits()),
                 (a2, logp2.to_bits(), v2.to_bits())

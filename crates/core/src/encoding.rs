@@ -64,6 +64,14 @@ impl EncodedPlan {
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
+
+    /// The plan's [`foss_common::Codec`] bytes: equal only for bit-identical
+    /// encodings, so they key what a frozen model computed from one.
+    pub(crate) fn content_key(&self) -> Vec<u8> {
+        let mut w = foss_common::ByteWriter::new();
+        foss_common::Codec::encode(self, &mut w);
+        w.into_bytes()
+    }
 }
 
 /// Encodes physical plans against a fixed schema.

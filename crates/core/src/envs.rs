@@ -7,12 +7,13 @@
 //!   timeout and feeds the execution buffer — expensive, exact;
 //! * [`SimEnv`] asks the asymmetric advantage model — cheap, learned.
 
-use foss_common::{FossError, Result};
+use foss_common::{FossError, FxHashMap, Result};
 use foss_executor::CachingExecutor;
 use foss_query::Query;
 
 use crate::aam::AdvantageModel;
 use crate::advantage::AdvantageScale;
+use crate::encoding::EncodedPlan;
 use crate::episode::PlanCtx;
 use crate::execbuf::{ExecutedPlan, ExecutionBuffer};
 
@@ -42,7 +43,7 @@ fn executed(ctx: &PlanCtx, latency: f64, timed_out: bool) -> ExecutedPlan {
 
 /// The episode-bounty references of both environments: the buffer's
 /// executed plans for `query`, best first.
-fn references(
+pub(crate) fn references(
     buffer: &ExecutionBuffer,
     scale: &AdvantageScale,
     query: &Query,
@@ -137,10 +138,19 @@ impl RewardOracle for RealEnv<'_> {
 
 /// Simulated environment `Ê(Γp, θadv)`: rewards from the AAM, references
 /// from previously executed (real) plans.
+///
+/// The AAM cannot change while the environment borrows it, and episodes
+/// score the same plans over and over (each query's references, the
+/// champion of every step), so the environment keeps the AAM state vector
+/// `ϕ` of every plan it has scored, keyed by encoding content, and runs only
+/// the difference head per verdict. Verdicts are bit for bit those of
+/// [`AdvantageModel::predict`]. Reuse one environment across many episodes
+/// to share the memo.
 pub struct SimEnv<'a> {
     aam: &'a AdvantageModel,
     buffer: &'a ExecutionBuffer,
     scale: AdvantageScale,
+    states: FxHashMap<Vec<u8>, Vec<f32>>,
 }
 
 impl<'a> SimEnv<'a> {
@@ -150,7 +160,21 @@ impl<'a> SimEnv<'a> {
         buffer: &'a ExecutionBuffer,
         scale: AdvantageScale,
     ) -> Self {
-        Self { aam, buffer, scale }
+        Self {
+            aam,
+            buffer,
+            scale,
+            states: FxHashMap::default(),
+        }
+    }
+
+    /// The memo key of `plan`, its state vector computed if it is new.
+    fn remember(&mut self, plan: &EncodedPlan) -> Vec<u8> {
+        let key = plan.content_key();
+        if !self.states.contains_key(&key) {
+            self.states.insert(key.clone(), self.aam.state_vec(plan));
+        }
+        key
     }
 }
 
@@ -160,7 +184,9 @@ impl RewardOracle for SimEnv<'_> {
     }
 
     fn advantage(&mut self, _query: &Query, left: &PlanCtx, right: &PlanCtx) -> usize {
-        self.aam.predict(&left.encoded, &right.encoded)
+        let (l, r) = (self.remember(&left.encoded), self.remember(&right.encoded));
+        self.aam
+            .predict_from_states(&self.states[&l], &self.states[&r])
     }
 
     fn references(&mut self, query: &Query) -> Vec<(PlanCtx, f64)> {
@@ -353,6 +379,65 @@ mod tests {
         let orig_lat = buf.original(world.query.id).unwrap().latency;
         assert!((lat - orig_lat * 1e-6).abs() < 1e-9);
         assert!(buf.get(world.query.id, &other).unwrap().timed_out);
+    }
+
+    /// The memo must not be observable: every verdict is `predict`'s, for
+    /// plans scored for the first time and again, including plans that
+    /// share operator codes but differ in their other features.
+    #[test]
+    fn sim_env_memo_gives_the_verdicts_of_predict() {
+        use crate::aam::{AamSample, AdvantageModel};
+        use crate::config::FossConfig;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let world = TestWorld::new(4);
+        // Tags t and t + 6 share operator codes, nothing else.
+        let encoded = |tag: usize| EncodedPlan {
+            ops: vec![tag % 6, 0, 1],
+            tables: vec![0, 1, 2],
+            sels: vec![10, tag % 10, 0],
+            rows: vec![tag % 20, 3, 4],
+            heights: vec![1, 0, 0],
+            structures: vec![3, 0, 1],
+            reach: vec![vec![true; 3]; 3],
+            step: tag as f32 / 12.0,
+        };
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut aam = AdvantageModel::new(4, &FossConfig::tiny(), &mut rng);
+        let samples: Vec<AamSample> = (0..48)
+            .map(|i| {
+                let right = (i * 5 + 1) % 12;
+                (
+                    encoded(i % 12),
+                    encoded(right),
+                    if right < 6 { 0 } else { 2 },
+                )
+            })
+            .collect();
+        for _ in 0..20 {
+            aam.train_epoch(&samples, &mut rng);
+        }
+        let icp = world.original.extract_icp().unwrap();
+        let ctx = |tag| PlanCtx {
+            icp: icp.clone(),
+            plan: world.original.clone(),
+            encoded: encoded(tag),
+        };
+        let buf = ExecutionBuffer::new();
+        let mut env = SimEnv::new(&aam, &buf, AdvantageScale::paper_default());
+        let mut seen = [0usize; 3];
+        for _ in 0..2 {
+            for l in 0..12 {
+                for r in 0..12 {
+                    let (l, r) = (ctx(l), ctx(r));
+                    let verdict = env.advantage(&world.query, &l, &r);
+                    assert_eq!(verdict, aam.predict(&l.encoded, &r.encoded));
+                    seen[verdict] += 1;
+                }
+            }
+        }
+        assert!(seen.iter().filter(|&&n| n > 0).count() >= 2, "{seen:?}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use foss_common::{FxHashSet, Result};
 use foss_optimizer::{Icp, PhysicalPlan, TraditionalOptimizer};
 use foss_query::Query;
-use foss_rl::Transition;
+use foss_rl::{sample_masked_at, Transition};
 
 use crate::actions::{as_swap, ActionSpace};
 use crate::agent::{PlanPolicy, PlannerAgent};
@@ -85,11 +85,13 @@ pub fn run_episode(
 
 /// A sampling episode whose randomness was drawn beforehand: `uniforms` holds
 /// one [`PlannerAgent::draw_uniforms`] value per step (`cfg.max_steps` of
-/// them). Identical to [`run_episode`] for the same stream, but
-/// `&PlannerAgent` — episodes over frozen state can fan out.
+/// them), and `evaluate` is the agent's [`PlannerAgent::evaluate`] — or a
+/// memo of it, since the agent does not change during the episode.
+/// Identical to [`run_episode`] for the same stream, but reads the agent
+/// only — episodes over frozen state can fan out.
 #[allow(clippy::too_many_arguments)]
 pub fn run_episode_predrawn(
-    agent: &PlannerAgent,
+    evaluate: &mut dyn FnMut(&EncodedPlan) -> (Vec<f32>, f32),
     uniforms: &[f32],
     optimizer: &TraditionalOptimizer,
     encoder: &PlanEncoder,
@@ -103,7 +105,9 @@ pub fn run_episode_predrawn(
     let mut draws = uniforms.iter();
     let mut choose = |state: &EncodedPlan, mask: &[bool]| {
         let u = *draws.next().expect("one pre-drawn uniform per step");
-        agent.act_at(state, mask, u)
+        let (logits, value) = evaluate(state);
+        let (a, logp, _) = sample_masked_at(&logits, mask, u);
+        (a, logp, value)
     };
     run_episode_core(
         &mut choose,

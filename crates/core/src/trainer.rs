@@ -39,20 +39,23 @@ use crate::episode::{run_episode, run_episode_predrawn, EpisodeResult, PlanCtx};
 use crate::execbuf::ExecutionBuffer;
 use crate::snapshot::PlannerSnapshot;
 
-/// Number of shards one agent's simulated episodes are split into. Shard
-/// boundaries are a pure function of the episode count (never of the host's
-/// core count) and outcomes are merged in episode order, so the phase is
-/// bit-for-bit the sequential loop on any machine.
+/// Number of shards one agent's simulated episodes are split into: episode
+/// `e` runs in shard `picks[e] % EPISODE_SHARDS`, so all episodes of a query
+/// share a shard and its memos. The split is a pure function of the drawn
+/// queries (never of the host's core count) and outcomes are merged in
+/// episode order, so the phase is bit-for-bit the sequential loop on any
+/// machine.
 const EPISODE_SHARDS: usize = 8;
 
 /// Wall-clock seconds of each phase of one [`Foss::bootstrap`] or
 /// [`Foss::train_iteration`] call, in the order the phases run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimes {
-    /// The episode phase: simulated episodes, fanned out over
-    /// `EPISODE_SHARDS` threads per agent (real-environment episodes, on one
-    /// thread, in bootstrap and off-simulated mode). Agents run side by
-    /// side; this is the slowest agent's time.
+    /// The episode phase: simulated episodes, in `EPISODE_SHARDS` shards
+    /// per agent run by one worker per core, each shard memoising the
+    /// policy's and the AAM's state-network outputs (real-environment
+    /// episodes, on one thread, in bootstrap and off-simulated mode). Agents
+    /// run side by side; this is the slowest agent's time.
     pub episodes_s: f64,
     /// PPO updates (one thread per agent; the slowest agent's time).
     pub ppo_update_s: f64,
@@ -60,7 +63,8 @@ pub struct PhaseTimes {
     pub validation_s: f64,
     /// Building the AAM's labelled pairs from the execution buffer.
     pub pair_build_s: f64,
-    /// AAM training epochs (each minibatch on four gradient shards).
+    /// AAM training epochs (each minibatch in four gradient shards, run by
+    /// one worker per core).
     pub aam_epochs_s: f64,
     /// The AAM's accuracy pass over its training pairs.
     pub accuracy_s: f64,
@@ -132,6 +136,27 @@ struct AgentRun {
     ppo_update_s: f64,
 }
 
+impl AgentRun {
+    /// Fold episode outcomes, in episode order, into a run; `picks[e]` is
+    /// episode `e`'s query index. Stops at the first error.
+    fn fold(
+        picks: &[usize],
+        outcomes: impl IntoIterator<Item = Result<EpisodeOutcome>>,
+    ) -> Result<Self> {
+        let mut run = AgentRun::default();
+        for (outcome, &qidx) in outcomes.into_iter().zip(picks) {
+            let outcome = outcome?;
+            run.reward_sum += outcome.reward;
+            if let Some(ctx) = outcome.promising {
+                run.promising.push((qidx, ctx));
+            }
+            run.rollout.push_episode(outcome.transitions);
+            run.episodes += 1;
+        }
+        Ok(run)
+    }
+}
+
 /// What one simulated episode contributes to its agent's [`AgentRun`].
 struct EpisodeOutcome {
     reward: f32,
@@ -142,8 +167,9 @@ struct EpisodeOutcome {
 
 /// Everything an iteration's simulated episodes read. All of it is frozen
 /// for the phase — policy weights, AAM and buffer only change after it — so
-/// an episode is a pure function of its pre-drawn randomness and episodes
-/// can run on any thread in any order.
+/// an episode is a pure function of its pre-drawn randomness, episodes can
+/// run on any thread in any order, and what a network computed for one
+/// encoding holds for the whole phase.
 struct SimPhase<'a> {
     queries: &'a [Query],
     originals: &'a FxHashMap<QueryId, PhysicalPlan>,
@@ -167,6 +193,12 @@ impl SimPhase<'_> {
     /// stream. Outcomes are folded in episode order, which keeps the `f32`
     /// reward sum, the promising list and the rollout independent of
     /// `shards`.
+    ///
+    /// A shard runs all episodes of its queries, in episode order, with two
+    /// memos keyed by encoding content: the policy's `(logits, value)` per
+    /// state — every episode of a query starts from the same state — and,
+    /// inside its [`SimEnv`], the AAM state vector per plan. Memoised results
+    /// are the results, bit for bit, so memos change no outcome.
     fn run(
         &self,
         agent: &mut PlannerAgent,
@@ -175,39 +207,66 @@ impl SimPhase<'_> {
         shards: usize,
     ) -> Result<AgentRun> {
         let started = Instant::now();
-        let mut rng = StdRng::seed_from_u64(query_seed);
-        let picks: Vec<usize> = (0..episodes)
-            .map(|_| rng.random_range(0..self.queries.len()))
-            .collect();
+        let (picks, uniforms) = self.draw(agent, query_seed, episodes);
         let steps = self.cfg.max_steps;
-        let uniforms = agent.draw_uniforms(episodes * steps);
         let agent = &*agent;
-
-        let per_shard = episodes.div_ceil(shards).max(1);
-        let outcomes = foss_common::run_sharded(episodes.div_ceil(per_shard), |si| {
-            (si * per_shard..((si + 1) * per_shard).min(episodes))
-                .map(|e| self.episode(agent, picks[e], &uniforms[e * steps..(e + 1) * steps]))
-                .collect::<Result<Vec<EpisodeOutcome>>>()
+        let shards = shards.max(1);
+        let outcomes = foss_common::run_sharded(shards, |si| {
+            let mut env = SimEnv::new(self.aam, self.buffer, self.scale.clone());
+            let mut policy: FxHashMap<Vec<u8>, (Vec<f32>, f32)> = FxHashMap::default();
+            let mut evaluate = |state: &EncodedPlan| {
+                policy
+                    .entry(state.content_key())
+                    .or_insert_with(|| agent.evaluate(state))
+                    .clone()
+            };
+            let mut done = Vec::new();
+            for e in (0..episodes).filter(|&e| picks[e] % shards == si) {
+                let uniforms = &uniforms[e * steps..(e + 1) * steps];
+                let outcome = self.episode(&mut evaluate, &mut env, picks[e], uniforms);
+                let failed = outcome.is_err();
+                done.push((e, outcome));
+                if failed {
+                    break;
+                }
+            }
+            done
         });
 
-        let mut run = AgentRun::default();
-        for shard in outcomes {
-            for outcome in shard? {
-                run.reward_sum += outcome.reward;
-                if let Some(ctx) = outcome.promising {
-                    run.promising.push((picks[run.episodes], ctx));
-                }
-                run.rollout.push_episode(outcome.transitions);
-                run.episodes += 1;
-            }
+        let mut slots: Vec<Option<Result<EpisodeOutcome>>> = (0..episodes).map(|_| None).collect();
+        for (e, outcome) in outcomes.into_iter().flatten() {
+            slots[e] = Some(outcome);
         }
+        // A shard stops at its first failed episode, so every episode it
+        // skipped comes after an error the fold returns first.
+        let in_order = slots
+            .into_iter()
+            .map(|slot| slot.expect("episode skipped without an earlier error"));
+        let mut run = AgentRun::fold(&picks, in_order)?;
         run.episodes_s = started.elapsed().as_secs_f64();
         Ok(run)
     }
 
+    /// The phase's whole randomness, in the order the sequential loop drew
+    /// it: the query index of each episode and `max_steps` sampling
+    /// uniforms per episode.
+    fn draw(
+        &self,
+        agent: &mut PlannerAgent,
+        query_seed: u64,
+        episodes: usize,
+    ) -> (Vec<usize>, Vec<f32>) {
+        let mut rng = StdRng::seed_from_u64(query_seed);
+        let picks: Vec<usize> = (0..episodes)
+            .map(|_| rng.random_range(0..self.queries.len()))
+            .collect();
+        (picks, agent.draw_uniforms(episodes * self.cfg.max_steps))
+    }
+
     fn episode(
         &self,
-        agent: &PlannerAgent,
+        evaluate: &mut dyn FnMut(&EncodedPlan) -> (Vec<f32>, f32),
+        env: &mut dyn RewardOracle,
         qidx: usize,
         uniforms: &[f32],
     ) -> Result<EpisodeOutcome> {
@@ -216,16 +275,15 @@ impl SimPhase<'_> {
             .originals
             .get(&query.id)
             .expect("originals are resolved before the phase");
-        let mut env = SimEnv::new(self.aam, self.buffer, self.scale.clone());
         let res = run_episode_predrawn(
-            agent,
+            evaluate,
             uniforms,
             self.optimizer,
             self.encoder,
             self.space,
             query,
             original,
-            &mut env,
+            env,
             self.cfg,
         )?;
         // AAM-estimated improvements are validation candidates (deduped at
@@ -845,9 +903,33 @@ mod tests {
         )
     }
 
-    /// The fan-out must not be observable: the production shard count and a
-    /// single inline shard yield the same reward bits, promising list and
-    /// rollout order — so nothing depends on how many cores ran the shards.
+    /// The simulated environment without its memo: every verdict is
+    /// [`AdvantageModel::predict`] on the two plans.
+    struct PlainSimEnv<'a> {
+        aam: &'a AdvantageModel,
+        buffer: &'a ExecutionBuffer,
+        scale: AdvantageScale,
+    }
+
+    impl RewardOracle for PlainSimEnv<'_> {
+        fn prepare(&mut self, _query: &Query, _original: &PlanCtx) -> Result<()> {
+            Ok(())
+        }
+
+        fn advantage(&mut self, _query: &Query, left: &PlanCtx, right: &PlanCtx) -> usize {
+            self.aam.predict(&left.encoded, &right.encoded)
+        }
+
+        fn references(&mut self, query: &Query) -> Vec<(PlanCtx, f64)> {
+            crate::envs::references(self.buffer, &self.scale, query)
+        }
+    }
+
+    /// Neither the fan-out nor the memos may be observable: the production
+    /// shard count, a single inline shard and the plain sequential loop — a
+    /// fresh environment and a full policy forward per step, nothing
+    /// memoised — yield the same reward bits, promising list and rollout
+    /// order, for one agent and for three.
     #[test]
     fn sharded_episode_phase_equals_the_inline_phase() {
         for num_agents in [1usize, 3] {
@@ -855,7 +937,8 @@ mod tests {
             let mut second = world.query.clone();
             second.id = QueryId::new(1);
             let queries = vec![world.query.clone(), second];
-            let phase_with = |shards: usize| {
+            // `None` runs the plain loop.
+            let phase_with = |shards: Option<usize>| {
                 let cfg = FossConfig {
                     num_agents,
                     episodes_per_update: 11 * num_agents,
@@ -868,17 +951,36 @@ mod tests {
                     .map(|a| foss.episode_query_seed(1, a))
                     .collect();
                 let (phase, agents) = foss.sim_phase(&queries).unwrap();
+                let steps = phase.cfg.max_steps;
                 agents
                     .iter_mut()
                     .zip(seeds)
                     .map(|(agent, seed)| {
-                        let run = phase.run(agent, seed, episodes, shards).unwrap();
+                        let run = match shards {
+                            Some(shards) => phase.run(agent, seed, episodes, shards).unwrap(),
+                            None => {
+                                let (picks, uniforms) = phase.draw(agent, seed, episodes);
+                                let agent = &*agent;
+                                let outcomes = picks.iter().enumerate().map(|(e, &qidx)| {
+                                    let mut env = PlainSimEnv {
+                                        aam: phase.aam,
+                                        buffer: phase.buffer,
+                                        scale: phase.scale.clone(),
+                                    };
+                                    let uniforms = &uniforms[e * steps..(e + 1) * steps];
+                                    let mut evaluate = |s: &EncodedPlan| agent.evaluate(s);
+                                    phase.episode(&mut evaluate, &mut env, qidx, uniforms)
+                                });
+                                AgentRun::fold(&picks, outcomes).unwrap()
+                            }
+                        };
                         phase_bits(run, agent)
                     })
                     .collect::<Vec<_>>()
             };
-            let sharded = phase_with(EPISODE_SHARDS);
-            assert_eq!(sharded, phase_with(1), "{num_agents} agent(s)");
+            let sharded = phase_with(Some(EPISODE_SHARDS));
+            assert_eq!(sharded, phase_with(Some(1)), "{num_agents} agent(s)");
+            assert_eq!(sharded, phase_with(None), "{num_agents} agent(s), plain");
             assert_eq!(sharded.len(), num_agents);
             for (totals, _, rollout) in &sharded {
                 assert_eq!(totals[1], 11);

@@ -167,6 +167,18 @@ impl Matrix {
         out
     }
 
+    /// `selfᵀ @ other` without materialising the transpose: the same
+    /// per-element operations, in the same order, as
+    /// `self.transpose().matmul(other)`, so the bits are identical. Used by
+    /// the matmul backward pass for weight gradients (`xᵀ · g`), with the
+    /// same dispatch as [`Matrix::matmul_into`].
+    pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
+        assert_eq!(self.rows, other.rows, "matmul_tn height mismatch");
+        let mut out = Matrix::zeros(self.cols, other.cols);
+        dispatch!(matmul_tn(self, other, &mut out));
+        out
+    }
+
     /// Transpose (tiled so both matrices are walked in cache-line chunks).
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -283,16 +295,78 @@ impl Matrix {
     }
 }
 
+/// The operands of the fused multi-head attention over a stacked segment
+/// batch (`Graph::seg_multi_head_attention`): the packed projection `qkv`
+/// (`ΣL × 3·d_model`, laid out `[Q | K | V]` with heads side by side inside
+/// each section), the additive reachability `mask` (`ΣL × max(segs)`, `0.0`
+/// = attend), the segment lengths, the head count and the score scale.
+/// Shapes are checked by the caller.
+pub(crate) struct SegAttention<'a> {
+    pub(crate) qkv: &'a Matrix,
+    pub(crate) mask: &'a Matrix,
+    pub(crate) segs: &'a [usize],
+    pub(crate) heads: usize,
+    pub(crate) scale: f32,
+}
+
+impl SegAttention<'_> {
+    /// The `ΣL × d_model` attention output, each head in its own column
+    /// window. When `attn` holds one zeroed `ΣL × max(segs)` matrix per
+    /// head, each head's softmax weights are saved there for
+    /// [`SegAttention::backward`]; an empty `attn` saves nothing.
+    ///
+    /// Dispatched like [`Matrix::matmul_into`]: the AVX2 build performs the
+    /// same IEEE operations per element in the same order.
+    pub(crate) fn forward(&self, attn: &mut [Matrix]) -> Matrix {
+        let mut out = Matrix::zeros(self.qkv.rows, self.qkv.cols / 3);
+        dispatch!(seg_mha_forward(self, &mut out, attn));
+        out
+    }
+
+    /// The gradient with respect to `qkv`, given the upstream gradient `g`
+    /// of the output and the softmax weights `attn` the forward saved.
+    pub(crate) fn backward(&self, attn: &[Matrix], g: &Matrix) -> Matrix {
+        let mut gqkv = Matrix::zeros(self.qkv.rows, self.qkv.cols);
+        dispatch!(seg_mha_backward(self, attn, g, &mut gqkv));
+        gqkv
+    }
+}
+
 /// The portable kernel bodies. `#[inline(always)]` so each is compiled
 /// twice: into its caller here, for the target's baseline features, and into
 /// its [`avx2`] wrapper, with AVX2 enabled.
 mod kernels {
-    use super::Matrix;
+    use super::{dot, Matrix, SegAttention};
 
     /// Body of [`Matrix::matmul_into`] (shapes already checked).
     #[inline(always)]
     pub(super) fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        if a.cols == 0 {
+        let kd = a.cols;
+        matmul_assign(a.rows, kd, |i, k| a.data[i * kd + k], b, out)
+    }
+
+    /// Body of [`Matrix::matmul_tn`] (shapes already checked): the
+    /// [`matmul_into`] body reading `aᵀ` in place, row `i` of `aᵀ` being
+    /// column `i` of `a`.
+    #[inline(always)]
+    pub(super) fn matmul_tn(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+        let m = a.cols;
+        matmul_assign(m, a.rows, |i, k| a.data[k * m + i], b, out)
+    }
+
+    /// `out = x @ b` for the `rows × kd` left operand whose element `(i, k)`
+    /// is `x(i, k)`: the shared body of [`matmul_into`] and [`matmul_tn`].
+    /// Every scalar of `x` is read once per output row pair, outside the
+    /// vectorised loop over `b`'s columns, so where `x` lives costs nothing.
+    #[inline(always)]
+    fn matmul_assign(
+        rows: usize,
+        kd: usize,
+        x: impl Fn(usize, usize) -> f32,
+        b: &Matrix,
+        out: &mut Matrix,
+    ) {
+        if kd == 0 {
             out.data.fill(0.0);
             return;
         }
@@ -303,16 +377,13 @@ mod kernels {
         // k-grouping (and with it every accumulation-order guarantee) is
         // unchanged from [`Matrix::matmul_acc_into`].
         let n = b.cols;
-        let kd = a.cols;
         let bd = &b.data;
         let mut i = 0;
-        while i + 2 <= a.rows {
+        while i + 2 <= rows {
             let (o0, o1) = out.data[i * n..(i + 2) * n].split_at_mut(n);
-            let ar0 = &a.data[i * kd..(i + 1) * kd];
-            let ar1 = &a.data[(i + 1) * kd..(i + 2) * kd];
             let mut k = if kd >= 4 {
-                let (x00, x01, x02, x03) = (ar0[0], ar0[1], ar0[2], ar0[3]);
-                let (x10, x11, x12, x13) = (ar1[0], ar1[1], ar1[2], ar1[3]);
+                let (x00, x01, x02, x03) = (x(i, 0), x(i, 1), x(i, 2), x(i, 3));
+                let (x10, x11, x12, x13) = (x(i + 1, 0), x(i + 1, 1), x(i + 1, 2), x(i + 1, 3));
                 let b0 = &bd[..n];
                 let b1 = &bd[n..2 * n];
                 let b2 = &bd[2 * n..3 * n];
@@ -323,7 +394,7 @@ mod kernels {
                 }
                 4
             } else {
-                let (x0, x1) = (ar0[0], ar1[0]);
+                let (x0, x1) = (x(i, 0), x(i + 1, 0));
                 let brow = &bd[..n];
                 for j in 0..n {
                     o0[j] = x0 * brow[j];
@@ -332,8 +403,13 @@ mod kernels {
                 1
             };
             while k + 4 <= kd {
-                let (x00, x01, x02, x03) = (ar0[k], ar0[k + 1], ar0[k + 2], ar0[k + 3]);
-                let (x10, x11, x12, x13) = (ar1[k], ar1[k + 1], ar1[k + 2], ar1[k + 3]);
+                let (x00, x01, x02, x03) = (x(i, k), x(i, k + 1), x(i, k + 2), x(i, k + 3));
+                let (x10, x11, x12, x13) = (
+                    x(i + 1, k),
+                    x(i + 1, k + 1),
+                    x(i + 1, k + 2),
+                    x(i + 1, k + 3),
+                );
                 let b0 = &bd[k * n..k * n + n];
                 let b1 = &bd[(k + 1) * n..(k + 1) * n + n];
                 let b2 = &bd[(k + 2) * n..(k + 2) * n + n];
@@ -345,7 +421,7 @@ mod kernels {
                 k += 4;
             }
             while k < kd {
-                let (x0, x1) = (ar0[k], ar1[k]);
+                let (x0, x1) = (x(i, k), x(i + 1, k));
                 let brow = &bd[k * n..k * n + n];
                 for j in 0..n {
                     o0[j] += x0 * brow[j];
@@ -355,11 +431,10 @@ mod kernels {
             }
             i += 2;
         }
-        if i < a.rows {
+        if i < rows {
             let orow = &mut out.data[i * n..(i + 1) * n];
-            let arow = &a.data[i * kd..(i + 1) * kd];
             let mut k = if kd >= 4 {
-                let (x0, x1, x2, x3) = (arow[0], arow[1], arow[2], arow[3]);
+                let (x0, x1, x2, x3) = (x(i, 0), x(i, 1), x(i, 2), x(i, 3));
                 let b0 = &bd[..n];
                 let b1 = &bd[n..2 * n];
                 let b2 = &bd[2 * n..3 * n];
@@ -369,15 +444,15 @@ mod kernels {
                 }
                 4
             } else {
-                let x = arow[0];
+                let x0 = x(i, 0);
                 let brow = &bd[..n];
                 for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o = x * bv;
+                    *o = x0 * bv;
                 }
                 1
             };
             while k + 4 <= kd {
-                let (x0, x1, x2, x3) = (arow[k], arow[k + 1], arow[k + 2], arow[k + 3]);
+                let (x0, x1, x2, x3) = (x(i, k), x(i, k + 1), x(i, k + 2), x(i, k + 3));
                 let b0 = &bd[k * n..k * n + n];
                 let b1 = &bd[(k + 1) * n..(k + 1) * n + n];
                 let b2 = &bd[(k + 2) * n..(k + 2) * n + n];
@@ -388,10 +463,10 @@ mod kernels {
                 k += 4;
             }
             while k < kd {
-                let x = arow[k];
+                let x0 = x(i, k);
                 let brow = &bd[k * n..k * n + n];
                 for j in 0..n {
-                    orow[j] += x * brow[j];
+                    orow[j] += x0 * brow[j];
                 }
                 k += 1;
             }
@@ -526,6 +601,144 @@ mod kernels {
             }
         }
     }
+
+    /// Body of [`SegAttention::forward`] (`out` zeroed).
+    ///
+    /// For every head: masked scores, a numerically-stabilised softmax (in a
+    /// row buffer — no intermediate matrices) and the weighted value sum,
+    /// written into the head's own column window of `out`.
+    #[inline(always)]
+    pub(super) fn seg_mha_forward(a: &SegAttention<'_>, out: &mut Matrix, attn: &mut [Matrix]) {
+        let (qm, mm) = (a.qkv, a.mask);
+        let w3 = qm.cols;
+        let d_model = w3 / 3;
+        let dk = d_model / a.heads;
+        let lmax = mm.cols;
+        let mut buf = vec![0.0f32; lmax];
+        // Per-segment transposed K panel: scores then accumulate over the
+        // feature index with a contiguous, vectorisable inner loop over `j`
+        // instead of one short dot product per (i, j) pair.
+        let mut kt = vec![0.0f32; lmax * dk];
+        for h in 0..a.heads {
+            let (qo, ko, vo) = (h * dk, d_model + h * dk, 2 * d_model + h * dk);
+            let mut base = 0;
+            for &l in a.segs {
+                for (c, col) in kt.chunks_mut(l).take(dk).enumerate() {
+                    for (j, o) in col.iter_mut().enumerate() {
+                        *o = qm.data[(base + j) * w3 + ko + c];
+                    }
+                }
+                for i in 0..l {
+                    let qi = &qm.data[(base + i) * w3 + qo..(base + i) * w3 + qo + dk];
+                    let row = &mut buf[..l];
+                    // Scores over all j at once, feature-major.
+                    row.fill(0.0);
+                    for (&qv, krow) in qi.iter().zip(kt.chunks_exact(l)) {
+                        for (b, &kv) in row.iter_mut().zip(krow) {
+                            *b += qv * kv;
+                        }
+                    }
+                    // Scale, then overwrite blocked positions with the mask
+                    // value (their computed score is discarded, keeping the
+                    // output identical to the skip-masked formulation).
+                    let mrow = &mm.data[(base + i) * lmax..(base + i) * lmax + l];
+                    for (b, &mv) in row.iter_mut().zip(mrow) {
+                        *b = if mv == 0.0 { *b * a.scale } else { mv };
+                    }
+                    // Softmax with the exp-underflow shortcut.
+                    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                    let mut sum = 0.0;
+                    for b in row.iter_mut() {
+                        let x = *b - max;
+                        *b = if x <= -105.0 { 0.0 } else { x.exp() };
+                        sum += *b;
+                    }
+                    let inv = 1.0 / sum;
+                    for b in row.iter_mut() {
+                        *b *= inv;
+                    }
+                    // Weighted value sum; masked weights are exactly 0.
+                    let orow = &mut out.data
+                        [(base + i) * d_model + h * dk..(base + i) * d_model + h * dk + dk];
+                    for (j, &w) in row.iter().enumerate() {
+                        if w == 0.0 {
+                            continue;
+                        }
+                        let vrow = &qm.data[(base + j) * w3 + vo..(base + j) * w3 + vo + dk];
+                        for (o, &vv) in orow.iter_mut().zip(vrow) {
+                            *o += w * vv;
+                        }
+                    }
+                    if let Some(y) = attn.get_mut(h) {
+                        y.data[(base + i) * lmax..(base + i) * lmax + l].copy_from_slice(row);
+                    }
+                }
+                base += l;
+            }
+        }
+    }
+
+    /// Body of [`SegAttention::backward`] (`gqkv` zeroed).
+    #[inline(always)]
+    pub(super) fn seg_mha_backward(
+        a: &SegAttention<'_>,
+        attn: &[Matrix],
+        g: &Matrix,
+        gqkv: &mut Matrix,
+    ) {
+        let (qm, mm) = (a.qkv, a.mask);
+        let w3 = qm.cols;
+        let d_model = w3 / 3;
+        let dk = d_model / a.heads;
+        let lmax = mm.cols;
+        let mut gy = vec![0.0f32; lmax];
+        for (h, y) in attn.iter().enumerate() {
+            let (qo, ko, vo) = (h * dk, d_model + h * dk, 2 * d_model + h * dk);
+            let mut base = 0;
+            for &l in a.segs {
+                for i in 0..l {
+                    let grow =
+                        &g.data[(base + i) * d_model + h * dk..(base + i) * d_model + h * dk + dk];
+                    let yrow = &y.data[(base + i) * lmax..(base + i) * lmax + l];
+                    // gy = d(loss)/d(attn weights).
+                    for (j, o) in gy[..l].iter_mut().enumerate() {
+                        *o = dot(
+                            grow,
+                            &qm.data[(base + j) * w3 + vo..(base + j) * w3 + vo + dk],
+                        );
+                    }
+                    // Softmax backward: gs = y ⊙ (gy − Σ gy·y).
+                    let dotsum: f32 = gy[..l].iter().zip(yrow).map(|(a, b)| a * b).sum();
+                    let mrow = &mm.data[(base + i) * lmax..(base + i) * lmax + l];
+                    let qi = (base + i) * w3 + qo;
+                    for j in 0..l {
+                        let yij = yrow[j];
+                        // gv: every attended value row gains y·g.
+                        if yij != 0.0 {
+                            let vj = (base + j) * w3 + vo;
+                            for (o, &gg) in gqkv.data[vj..vj + dk].iter_mut().zip(grow) {
+                                *o += yij * gg;
+                            }
+                        }
+                        if mrow[j] != 0.0 {
+                            continue; // blocked: no score was computed
+                        }
+                        let gs = yij * (gy[j] - dotsum) * a.scale;
+                        let kj = (base + j) * w3 + ko;
+                        for (o, &kv) in gqkv.data[qi..qi + dk].iter_mut().zip(&qm.data[kj..kj + dk])
+                        {
+                            *o += gs * kv;
+                        }
+                        for (o, &qv) in gqkv.data[kj..kj + dk].iter_mut().zip(&qm.data[qi..qi + dk])
+                        {
+                            *o += gs * qv;
+                        }
+                    }
+                }
+                base += l;
+            }
+        }
+    }
 }
 
 /// The kernels compiled with AVX2 enabled. Each wrapper is the portable body
@@ -533,7 +746,7 @@ mod kernels {
 /// without AVX2 is undefined behaviour, so callers check first.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod avx2 {
-    use super::{kernels, Matrix};
+    use super::{kernels, Matrix, SegAttention};
 
     #[target_feature(enable = "avx2")]
     pub(super) fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
@@ -548,6 +761,26 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     pub(super) fn matmul_nt(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         kernels::matmul_nt(a, b, out)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn matmul_tn(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+        kernels::matmul_tn(a, b, out)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn seg_mha_forward(a: &SegAttention<'_>, out: &mut Matrix, attn: &mut [Matrix]) {
+        kernels::seg_mha_forward(a, out, attn)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn seg_mha_backward(
+        a: &SegAttention<'_>,
+        attn: &[Matrix],
+        g: &Matrix,
+        gqkv: &mut Matrix,
+    ) {
+        kernels::seg_mha_backward(a, attn, g, gqkv)
     }
 }
 
@@ -771,16 +1004,19 @@ mod tests {
         };
     }
 
-    /// `a @ b`, `bias + a @ b` and `a @ cᵀ` (`c` is `b` transposed), each as
-    /// `build` computes it from an output full of stale NaNs.
-    fn products(build: Build, a: &Matrix, b: &Matrix, bias: &Matrix) -> [Matrix; 3] {
+    /// `a @ b`, `bias + a @ b`, `a @ cᵀ` (`c` is `b` transposed) and
+    /// `tᵀ @ b` (`t` is `a` transposed), each as `build` computes it from an
+    /// output full of stale NaNs.
+    fn products(build: Build, a: &Matrix, b: &Matrix, bias: &Matrix) -> [Matrix; 4] {
         let mut into = Matrix::full(a.rows, b.cols, f32::NAN);
         on!(build, matmul_into(a, b, &mut into));
         let mut acc = bias.clone();
         on!(build, matmul_acc_into(a, b, &mut acc));
         let mut nt = Matrix::zeros(a.rows, b.cols);
         on!(build, matmul_nt(a, &b.transpose(), &mut nt));
-        [into, acc, nt]
+        let mut tn = Matrix::full(a.rows, b.cols, f32::NAN);
+        on!(build, matmul_tn(&a.transpose(), b, &mut tn));
+        [into, acc, nt, tn]
     }
 
     /// Entries spread over seven decades, so that any change in summation
@@ -807,9 +1043,13 @@ mod tests {
                     let bias = ragged_matrix(m, n, 0.4);
                     let want = products(Build::Portable, &a, &b, &bias);
                     for &build in &builds {
-                        for (got, want) in products(build, &a, &b, &bias).iter().zip(&want) {
+                        let got = products(build, &a, &b, &bias);
+                        for (got, want) in got.iter().zip(&want) {
                             assert_eq!(bits(got), bits(want), "{build:?} {m}x{k}x{n}");
                         }
+                        // `matmul_tn` is `transpose().matmul()` without the
+                        // transpose: the same bits as `matmul_into`.
+                        assert_eq!(bits(&got[3]), bits(&got[0]), "{build:?} {m}x{k}x{n} tn");
                     }
                 }
             }
@@ -862,6 +1102,77 @@ mod tests {
                         "{build:?} row {r}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_tn_equals_transpose_then_matmul() {
+        for (k, m, n) in [(1, 1, 1), (5, 3, 4), (145, 64, 192), (66, 9, 13), (3, 7, 2)] {
+            let a = ragged_matrix(k, m, 0.3);
+            let b = ragged_matrix(k, n, 0.6);
+            let tn = a.matmul_tn(&b);
+            assert_eq!((tn.rows, tn.cols), (m, n));
+            assert_eq!(bits(&tn), bits(&a.transpose().matmul(&b)), "{k}x{m}x{n}");
+        }
+    }
+
+    /// Ragged segments with a tree-like reachability mask, as the state
+    /// network builds them: `(qkv, mask, segs)` for `heads` heads of width
+    /// `dk`.
+    fn attention_case(segs: &[usize], heads: usize, dk: usize) -> (Matrix, Matrix, Vec<usize>) {
+        let total: usize = segs.iter().sum();
+        let lmax = segs.iter().copied().max().unwrap_or(0);
+        let mut mask = Matrix::full(total, lmax, -1e9);
+        let mut base = 0;
+        for &l in segs {
+            for i in 0..l {
+                for j in 0..l {
+                    if j >= i || (i + j) % 3 == 0 {
+                        mask.set(base + i, j, 0.0);
+                    }
+                }
+            }
+            base += l;
+        }
+        (
+            ragged_matrix(total, 3 * heads * dk, 0.9),
+            mask,
+            segs.to_vec(),
+        )
+    }
+
+    #[test]
+    fn seg_attention_builds_are_bit_identical() {
+        for (segs, heads, dk) in [
+            (vec![3usize, 1, 5], 2, 2),
+            (vec![7, 9, 2, 11], 4, 16),
+            (vec![13], 1, 5),
+        ] {
+            let (qkv, mask, segs) = attention_case(&segs, heads, dk);
+            let op = SegAttention {
+                qkv: &qkv,
+                mask: &mask,
+                segs: &segs,
+                heads,
+                scale: 0.25,
+            };
+            let g = ragged_matrix(qkv.rows, heads * dk, 0.2);
+            let run = |build: Build| {
+                let mut attn = vec![Matrix::zeros(qkv.rows, mask.cols); heads];
+                let mut out = Matrix::zeros(qkv.rows, heads * dk);
+                on!(build, seg_mha_forward(&op, &mut out, &mut attn));
+                let mut gqkv = Matrix::zeros(qkv.rows, qkv.cols);
+                on!(build, seg_mha_backward(&op, &attn, &g, &mut gqkv));
+                // Saving the weights changes nothing about the output.
+                let mut bare = Matrix::zeros(qkv.rows, heads * dk);
+                on!(build, seg_mha_forward(&op, &mut bare, &mut []));
+                assert_eq!(bits(&bare), bits(&out), "{build:?}");
+                (bits(&out), bits(&gqkv))
+            };
+            let want = run(Build::Portable);
+            for build in builds() {
+                assert_eq!(run(build), want, "{build:?} {segs:?}");
             }
         }
     }

@@ -261,13 +261,13 @@ impl Adam {
         let b1t = 1.0 - self.beta1.powi(self.t as i32);
         let b2t = 1.0 - self.beta2.powi(self.t as i32);
         for p in &mut set.params {
-            for i in 0..p.value.data.len() {
-                let g = p.grad.data[i];
-                p.m.data[i] = self.beta1 * p.m.data[i] + (1.0 - self.beta1) * g;
-                p.v.data[i] = self.beta2 * p.v.data[i] + (1.0 - self.beta2) * g * g;
-                let mhat = p.m.data[i] / b1t;
-                let vhat = p.v.data[i] / b2t;
-                p.value.data[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+            let moments = p.m.data.iter_mut().zip(p.v.data.iter_mut());
+            for ((w, &g), (m, v)) in p.value.data.iter_mut().zip(&p.grad.data).zip(moments) {
+                *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+                *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+                let mhat = *m / b1t;
+                let vhat = *v / b2t;
+                *w -= self.lr * mhat / (vhat.sqrt() + self.eps);
             }
         }
     }
