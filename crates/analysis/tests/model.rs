@@ -350,7 +350,7 @@ mod breaker {
 mod metrics {
     use super::*;
     use foss_executor::CacheStats;
-    use foss_service::{BreakerState, BreakerView, MetricsRegistry, Outcome};
+    use foss_service::{BreakerState, BreakerView, MetricsRegistry};
 
     fn idle_breaker() -> BreakerView {
         BreakerView {
@@ -377,11 +377,7 @@ mod metrics {
         .map(|reason| {
             let reg = Arc::clone(&reg);
             foss_check::thread::spawn(move || {
-                reg.record(&Outcome {
-                    planning_us: 5.0,
-                    latency: 100.0,
-                    reason,
-                });
+                reg.record(reason, 5.0, 100.0);
             })
         })
         .collect();

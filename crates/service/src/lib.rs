@@ -75,8 +75,8 @@
 //! run with [`foss_common::FaultPlan::none`] attached is bit-identical to
 //! one with no plan at all (the fault-transparency proptest enforces it).
 //!
-//! Every decision is recorded as an [`Outcome`] in the atomic
-//! [`MetricsRegistry`]; [`PlanDoctor::metrics`] snapshots p50/p95/p99
+//! Every completed query is counted under its [`FallbackReason`] in the
+//! atomic [`MetricsRegistry`]; [`PlanDoctor::metrics`] snapshots p50/p95/p99
 //! latency, fallback rate, cache hit rate, the in-flight high-water mark,
 //! shed/retry counts and the breaker state.
 
@@ -103,7 +103,7 @@ pub use breaker::{BreakerConfig, BreakerDecision, BreakerState, BreakerView, Cir
 pub use gate::{AdmissionGate, Permit};
 pub use http::{PlanClient, PlanOutcome, PlanServer, Rejection};
 pub use json::Json;
-pub use metrics::{MetricsRegistry, MetricsSnapshot, Outcome};
+pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use tier::{HotShapeTracker, TierCell, TierConfig, TierEngine, TierMode, TierStats};
 pub use wire::{PlanReply, PlanRequest, WireError};
 
@@ -249,6 +249,46 @@ pub enum FallbackReason {
     DeadlineExceeded,
 }
 
+impl FallbackReason {
+    /// What this outcome tells the breaker about the learned path: a
+    /// success, a failure, or nothing. Fallbacks the model asked for
+    /// (`LowConfidence`), that load caused (`DeadlineExceeded`) or that
+    /// never ran the learned path (`BreakerOpen`) say nothing about
+    /// snapshot health.
+    fn breaker_signal(self) -> Option<bool> {
+        match self {
+            Self::None => Some(true),
+            Self::PlanningTimeout | Self::ExecTimeout | Self::ExecError => Some(false),
+            Self::LowConfidence | Self::DeadlineExceeded | Self::BreakerOpen => None,
+        }
+    }
+}
+
+/// The fallback policy for a request whose learned planning finished,
+/// checked in precedence order: planning budget, then confidence floor,
+/// then deadline. A kept expert plan (`selected_step == 0`) is never short
+/// of confidence.
+fn judge(
+    planning_us: f64,
+    budget_us: Option<f64>,
+    selected_step: usize,
+    confidence: usize,
+    min_confidence: usize,
+    remaining_us: Option<f64>,
+) -> FallbackReason {
+    if budget_us.is_some_and(|b| planning_us > b) {
+        FallbackReason::PlanningTimeout
+    } else if selected_step != 0 && confidence < min_confidence {
+        FallbackReason::LowConfidence
+    } else if remaining_us.is_some_and(|rem| rem <= 0.0) {
+        // Queueing + planning ate the whole deadline: don't spend more on a
+        // doctored run — the expert result is already in hand.
+        FallbackReason::DeadlineExceeded
+    } else {
+        FallbackReason::None
+    }
+}
+
 /// What the service decided (and observed) for one query.
 #[derive(Debug, Clone)]
 pub struct PlanDecision {
@@ -287,9 +327,10 @@ pub struct PlanDoctor {
     /// *while* the service runs still lands in the delta — see
     /// [`PlanDoctor::metrics`].)
     cache_baseline: foss_executor::CacheStats,
-    /// Expert plans already computed for this service, so a hot query
-    /// outside the snapshot's frozen originals map pays the DP cost once,
-    /// not per submit. Cleared on [`PlanDoctor::publish`].
+    /// Every expert plan this service has served, whether the snapshot
+    /// answered it from its frozen originals or by a DP run. Consulted
+    /// before the snapshot, so a query pays the DP cost once, not per
+    /// submit. Cleared on [`PlanDoctor::publish`].
     expert_memo: Mutex<FxHashMap<QueryId, PhysicalPlan>>,
     cfg: ServiceConfig,
     gate: AdmissionGate,
@@ -409,20 +450,18 @@ impl PlanDoctor {
         plan: &PhysicalPlan,
         budget: Option<f64>,
     ) -> Result<foss_executor::ExecOutcome> {
-        match self.tier.pipeline_for(query, plan) {
-            Some(entry) => match &*entry {
-                tier::TierEntry::Compiled(pipeline) => {
-                    self.executor
-                        .execute_tiered(query, plan, budget, Some(pipeline))
-                }
-                tier::TierEntry::Unsupported => self.executor.execute(query, plan, budget),
-            },
-            None => self.executor.execute(query, plan, budget),
-        }
+        // `pipeline_for` answers `None` for an unsupported shape.
+        let entry = self.tier.pipeline_for(query, plan);
+        let pipeline = match entry.as_deref() {
+            Some(tier::TierEntry::Compiled(pipeline)) => Some(pipeline),
+            _ => None,
+        };
+        self.executor.execute_tiered(query, plan, budget, pipeline)
     }
 
-    /// The expert plan for `query`: from the snapshot's frozen originals,
-    /// else the service memo, else one DP run that populates the memo.
+    /// The expert plan for `query`: from the service memo, else from the
+    /// snapshot (its frozen originals, else one DP run), memoised either
+    /// way.
     fn expert_plan(&self, snapshot: &PlannerSnapshot, query: &Query) -> Result<PhysicalPlan> {
         if let Some(plan) = self.expert_memo.lock().get(&query.id) {
             return Ok(plan.clone());
@@ -443,40 +482,23 @@ impl PlanDoctor {
         let start = Instant::now();
         let _permit = self.acquire_permit(&req, start)?;
         let generation = self.snapshots.generation();
-        let decision = self.breaker.admit(generation);
-        if decision == BreakerDecision::Bypass {
-            // Bypass failures are errors too, but say nothing about the
-            // learned path — the breaker is not fed.
-            return self.submit_bypassed(&req).inspect_err(|_| {
-                self.metrics.record_error();
-            });
+        let admitted = self.breaker.admit(generation);
+        let learned = admitted != BreakerDecision::Bypass;
+        let result = self.serve(&req, start, learned);
+        // A bypassed request fails or succeeds without the learned path, so
+        // it never feeds the breaker.
+        let signal = match &result {
+            Ok(decision) => decision.reason.breaker_signal(),
+            Err(_) => learned.then_some(false),
+        };
+        if let Some(success) = signal {
+            self.breaker
+                .on_outcome(generation, success, admitted == BreakerDecision::Probe);
         }
-        let probe = decision == BreakerDecision::Probe;
-        match self.submit_admitted(&req, start) {
-            Ok(decision) => {
-                // Only learned-path verdicts train the breaker: fallbacks
-                // the model asked for (LowConfidence) or that load caused
-                // (DeadlineExceeded) say nothing about snapshot health.
-                let learned = match decision.reason {
-                    FallbackReason::None => Some(true),
-                    FallbackReason::PlanningTimeout
-                    | FallbackReason::ExecTimeout
-                    | FallbackReason::ExecError => Some(false),
-                    FallbackReason::LowConfidence
-                    | FallbackReason::DeadlineExceeded
-                    | FallbackReason::BreakerOpen => None,
-                };
-                if let Some(success) = learned {
-                    self.breaker.on_outcome(generation, success, probe);
-                }
-                Ok(decision)
-            }
-            Err(e) => {
-                self.metrics.record_error();
-                self.breaker.on_outcome(generation, false, probe);
-                Err(e)
-            }
+        if result.is_err() {
+            self.metrics.record_error();
         }
+        result
     }
 
     /// Take an admission permit under the request's priority class and
@@ -505,33 +527,6 @@ impl PlanDoctor {
                 low_priority: low,
                 waited_us: start.elapsed().as_micros() as u64,
             }
-        })
-    }
-
-    /// The open-breaker degraded path: no learned planning, no doctored
-    /// execution — just the expert DP plan, unbudgeted, recorded as
-    /// [`FallbackReason::BreakerOpen`].
-    fn submit_bypassed(&self, req: &QueryRequest) -> Result<PlanDecision> {
-        let snapshot = self.snapshots.load();
-        let t0 = Instant::now();
-        let expert_plan = self.expert_plan(&snapshot, &req.query)?;
-        let planning_us = t0.elapsed().as_secs_f64() * 1e6;
-        let expert = self.execute_plan(&req.query, &expert_plan, None)?;
-        let reason = FallbackReason::BreakerOpen;
-        self.metrics.record(&Outcome {
-            planning_us,
-            latency: expert.latency,
-            reason,
-        });
-        Ok(PlanDecision {
-            plan: expert_plan,
-            fallback: true,
-            reason,
-            planning_us,
-            latency: expert.latency,
-            selected_step: 0,
-            candidates: 0,
-            retries: 0,
         })
     }
 
@@ -589,68 +584,75 @@ impl PlanDoctor {
         }
     }
 
-    fn submit_admitted(&self, req: &QueryRequest, start: Instant) -> Result<PlanDecision> {
+    /// Plan, judge, execute and record one admitted query. With `learned`
+    /// false (an open breaker) learned planning and the doctored run are
+    /// skipped, and the expert plan is served as
+    /// [`FallbackReason::BreakerOpen`].
+    fn serve(&self, req: &QueryRequest, start: Instant, learned: bool) -> Result<PlanDecision> {
         let snapshot = self.snapshots.load();
 
         // Planning: the expert plan (needed for the fallback anyway, so it
-        // is planned exactly once and memoised) plus the doctored repair
-        // over it.
+        // is planned exactly once and memoised) plus, on the learned path,
+        // the doctored repair over it.
         let t0 = Instant::now();
-        if let Some(faults) = &self.faults {
+        if let Some(faults) = self.faults.as_deref().filter(|_| learned) {
             if let Some(rule) = faults.roll(FaultSite::PlanStall) {
                 std::thread::sleep(Duration::from_micros(rule.param as u64));
             }
         }
         let expert_plan = self.expert_plan(&snapshot, &req.query)?;
-        let inference = snapshot.optimize_detailed_from(&req.query, &expert_plan)?;
+        let inference = if learned {
+            Some(snapshot.optimize_detailed_from(&req.query, &expert_plan)?)
+        } else {
+            None
+        };
         let planning_us = t0.elapsed().as_secs_f64() * 1e6;
 
         // The safety net: the expert plan, executed unbudgeted.
         let expert = self.execute_plan(&req.query, &expert_plan, None)?;
 
-        let budget_us = req.planning_budget_us.or(self.cfg.planning_budget_us);
-        let mut reason = FallbackReason::None;
-        if budget_us.is_some_and(|b| planning_us > b) {
-            reason = FallbackReason::PlanningTimeout;
-        } else if inference.selected_step != 0 && inference.aam_confidence < self.cfg.min_confidence
-        {
-            reason = FallbackReason::LowConfidence;
-        } else if req.remaining_us(start).is_some_and(|rem| rem <= 0.0) {
-            // Queueing + planning ate the whole deadline: don't spend more
-            // on a doctored run — the expert result is already in hand.
-            reason = FallbackReason::DeadlineExceeded;
-        }
-
+        let mut reason = match &inference {
+            Some(inference) => judge(
+                planning_us,
+                req.planning_budget_us.or(self.cfg.planning_budget_us),
+                inference.selected_step,
+                inference.aam_confidence,
+                self.cfg.min_confidence,
+                req.remaining_us(start),
+            ),
+            None => FallbackReason::BreakerOpen,
+        };
+        let (selected_step, candidates) = inference
+            .as_ref()
+            .map_or((0, 0), |i| (i.selected_step, i.candidates));
         let mut retries = 0;
-        let doctored_is_expert = inference.plan.fingerprint() == expert_plan.fingerprint();
-        let (plan, latency) = if reason != FallbackReason::None {
-            (expert_plan, expert.latency)
-        } else if doctored_is_expert {
-            (inference.plan, expert.latency)
-        } else {
-            let exec_budget = expert.latency * self.cfg.exec_timeout_factor;
-            match self.execute_doctored(req, &inference.plan, exec_budget, start, &mut retries)? {
-                Ok(latency) => (inference.plan, latency),
-                Err(fallback) => {
-                    reason = fallback;
-                    (expert_plan, expert.latency)
+        let (plan, latency) = match inference.map(|i| i.plan) {
+            Some(doctored) if reason == FallbackReason::None => {
+                if doctored.fingerprint() == expert_plan.fingerprint() {
+                    (doctored, expert.latency)
+                } else {
+                    let budget = expert.latency * self.cfg.exec_timeout_factor;
+                    match self.execute_doctored(req, &doctored, budget, start, &mut retries)? {
+                        Ok(latency) => (doctored, latency),
+                        Err(fallback) => {
+                            reason = fallback;
+                            (expert_plan, expert.latency)
+                        }
+                    }
                 }
             }
+            _ => (expert_plan, expert.latency),
         };
 
-        self.metrics.record(&Outcome {
-            planning_us,
-            latency,
-            reason,
-        });
+        self.metrics.record(reason, planning_us, latency);
         Ok(PlanDecision {
             plan,
             fallback: reason != FallbackReason::None,
             reason,
             planning_us,
             latency,
-            selected_step: inference.selected_step,
-            candidates: inference.candidates,
+            selected_step,
+            candidates,
             retries,
         })
     }
@@ -1239,5 +1241,98 @@ mod tests {
         assert_eq!(m.breaker_open_served, 1);
         assert_eq!(m.breaker_times_opened, 1);
         assert_eq!(m.breaker_state, BreakerState::Closed);
+    }
+
+    #[test]
+    fn bypassed_request_rolls_no_fault_site() {
+        let mut s = served(
+            48,
+            ServiceConfig {
+                breaker: BreakerConfig {
+                    window: 4,
+                    min_samples: 2,
+                    failure_threshold: 0.5,
+                    cooldown: 100,
+                    probes: 1,
+                },
+                ..ServiceConfig::default()
+            },
+        );
+        s.doctor.faults = Some(Arc::new(
+            FaultPlan::builder(17)
+                .fault_param(FaultSite::PlanStall, 1.0, 0.0)
+                .fault(FaultSite::ExecTimeout, 1.0)
+                .fault(FaultSite::ExecError, 1.0)
+                .build(),
+        ));
+        let req = || QueryRequest::new(s.world.query.clone());
+        // The learned path rolls the planning stall on every request.
+        s.doctor.submit(req()).unwrap();
+        assert_eq!(s.doctor.fault_stats().injected_at(FaultSite::PlanStall), 1);
+        s.doctor.breaker().on_outcome(0, false, false);
+        s.doctor.breaker().on_outcome(0, false, false);
+        assert_eq!(s.doctor.breaker().state(), BreakerState::Open);
+        let before = s.doctor.fault_stats();
+        let d = s.doctor.submit(req()).unwrap();
+        assert_eq!(d.reason, FallbackReason::BreakerOpen);
+        assert_eq!(
+            s.doctor.fault_stats(),
+            before,
+            "a bypassed request must consult no fault site"
+        );
+    }
+
+    #[test]
+    fn judge_applies_budget_then_confidence_then_deadline() {
+        use FallbackReason as R;
+        // (planning µs, budget µs, selected step, confidence, remaining µs)
+        // under a confidence floor of 2.
+        let table = [
+            ((100.0, Some(200.0), 1, 2, Some(1.0)), R::None),
+            ((100.0, None, 1, 2, None), R::None),
+            // Each check on its own.
+            ((300.0, Some(200.0), 1, 2, None), R::PlanningTimeout),
+            ((100.0, Some(200.0), 1, 1, None), R::LowConfidence),
+            ((100.0, Some(200.0), 1, 2, Some(-5.0)), R::DeadlineExceeded),
+            // Budget beats confidence, which beats deadline.
+            ((300.0, Some(200.0), 1, 1, None), R::PlanningTimeout),
+            ((300.0, Some(200.0), 1, 2, Some(-5.0)), R::PlanningTimeout),
+            ((300.0, Some(200.0), 1, 0, Some(-5.0)), R::PlanningTimeout),
+            ((100.0, None, 1, 1, Some(-5.0)), R::LowConfidence),
+            // A kept expert plan is never short of confidence.
+            ((100.0, None, 0, 0, None), R::None),
+            ((100.0, None, 0, 0, Some(-5.0)), R::DeadlineExceeded),
+            // Spending exactly the budget is in time; nothing left of the
+            // deadline is past it.
+            ((200.0, Some(200.0), 1, 2, None), R::None),
+            ((100.0, None, 1, 2, Some(0.0)), R::DeadlineExceeded),
+        ];
+        for (case, want) in table {
+            let (planning_us, budget_us, step, confidence, remaining_us) = case;
+            assert_eq!(
+                judge(planning_us, budget_us, step, confidence, 2, remaining_us),
+                want,
+                "{case:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn breaker_signal_maps_every_reason() {
+        use FallbackReason as R;
+        let table = [
+            (R::None, Some(true)),
+            (R::PlanningTimeout, Some(false)),
+            (R::LowConfidence, None),
+            (R::ExecTimeout, Some(false)),
+            (R::ExecError, Some(false)),
+            (R::BreakerOpen, None),
+            (R::DeadlineExceeded, None),
+        ];
+        for (i, (reason, signal)) in table.into_iter().enumerate() {
+            // One row per reason, in declaration order.
+            assert_eq!(reason as usize, i);
+            assert_eq!(reason.breaker_signal(), signal, "{reason:?}");
+        }
     }
 }

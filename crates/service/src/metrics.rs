@@ -39,30 +39,14 @@ impl Reservoir {
     }
 }
 
-/// One completed query's contribution to the registry.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Outcome {
-    /// Wall-clock planning time (µs).
-    pub planning_us: f64,
-    /// Execution latency of the plan that was run (work units ≡ µs).
-    pub latency: f64,
-    /// Why (if at all) the expert plan was served instead of the doctored
-    /// plan.
-    pub reason: FallbackReason,
-}
-
-/// Accumulates [`Outcome`]s; shared by all worker threads.
+/// Counts completed queries per [`FallbackReason`]; shared by all worker
+/// threads.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    submitted: AtomicU64,
+    /// Completions per reason, indexed by `reason as usize`. Their sum is
+    /// `submitted`; every slot but [`FallbackReason::None`] is a fallback.
+    reasons: [AtomicU64; 7],
     errors: AtomicU64,
-    fallbacks: AtomicU64,
-    planning_timeouts: AtomicU64,
-    low_confidence: AtomicU64,
-    exec_timeouts: AtomicU64,
-    exec_errors: AtomicU64,
-    breaker_open_served: AtomicU64,
-    deadline_exceeded: AtomicU64,
     shed_low: AtomicU64,
     shed_high: AtomicU64,
     retries: AtomicU64,
@@ -71,43 +55,19 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Fold one completed query into the registry.
-    pub fn record(&self, outcome: &Outcome) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        match outcome.reason {
-            FallbackReason::None => {}
-            FallbackReason::PlanningTimeout => {
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.planning_timeouts.fetch_add(1, Ordering::Relaxed);
-            }
-            FallbackReason::LowConfidence => {
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.low_confidence.fetch_add(1, Ordering::Relaxed);
-            }
-            FallbackReason::ExecTimeout => {
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.exec_timeouts.fetch_add(1, Ordering::Relaxed);
-            }
-            FallbackReason::ExecError => {
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.exec_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            FallbackReason::BreakerOpen => {
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.breaker_open_served.fetch_add(1, Ordering::Relaxed);
-            }
-            FallbackReason::DeadlineExceeded => {
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.latencies.lock().push(outcome.latency);
-        self.planning_us.lock().push(outcome.planning_us);
+    /// Fold one completed query into the registry: why the expert plan was
+    /// served (if at all), the wall-clock planning time (µs) and the
+    /// execution latency of the plan that was run (work units ≡ µs).
+    pub fn record(&self, reason: FallbackReason, planning_us: f64, latency: f64) {
+        self.reasons[reason as usize].fetch_add(1, Ordering::Relaxed);
+        self.latencies.lock().push(latency);
+        self.planning_us.lock().push(planning_us);
     }
 
-    /// Count an admitted query that failed with an error (no [`Outcome`]
-    /// exists for it). Keeps the registry an honest account of admitted
-    /// traffic: `submitted` counts completions only, `errors` the rest.
+    /// Count an admitted query that failed with an error (it is never
+    /// [`MetricsRegistry::record`]ed). Keeps the registry an honest account
+    /// of admitted traffic: `submitted` counts completions only, `errors`
+    /// the rest.
     pub fn record_error(&self) {
         self.errors.fetch_add(1, Ordering::Relaxed);
     }
@@ -146,20 +106,22 @@ impl MetricsRegistry {
         let latencies = self.latencies.lock().samples.clone();
         let planning = self.planning_us.lock().samples.clone();
         let pct = |s: &[f64], p: f64| foss_common::percentile(s, p).unwrap_or(0.0);
-        let submitted = self.submitted.load(Ordering::Relaxed);
-        let fallbacks = self.fallbacks.load(Ordering::Relaxed);
+        let count = self.reasons.each_ref().map(|c| c.load(Ordering::Relaxed));
+        let of = |reason: FallbackReason| count[reason as usize];
+        let submitted: u64 = count.iter().sum();
+        let fallbacks = submitted - of(FallbackReason::None);
         let shed_low = self.shed_low.load(Ordering::Relaxed);
         let shed_high = self.shed_high.load(Ordering::Relaxed);
         MetricsSnapshot {
             submitted,
             errors: self.errors.load(Ordering::Relaxed),
             fallbacks,
-            planning_timeouts: self.planning_timeouts.load(Ordering::Relaxed),
-            low_confidence: self.low_confidence.load(Ordering::Relaxed),
-            exec_timeouts: self.exec_timeouts.load(Ordering::Relaxed),
-            exec_errors: self.exec_errors.load(Ordering::Relaxed),
-            breaker_open_served: self.breaker_open_served.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
+            planning_timeouts: of(FallbackReason::PlanningTimeout),
+            low_confidence: of(FallbackReason::LowConfidence),
+            exec_timeouts: of(FallbackReason::ExecTimeout),
+            exec_errors: of(FallbackReason::ExecError),
+            breaker_open_served: of(FallbackReason::BreakerOpen),
+            deadline_exceeded: of(FallbackReason::DeadlineExceeded),
             shed_low,
             shed_high,
             sheds: shed_low + shed_high,
@@ -287,14 +249,6 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
-    fn outcome(latency: f64, reason: FallbackReason) -> Outcome {
-        Outcome {
-            planning_us: 10.0,
-            latency,
-            reason,
-        }
-    }
-
     /// The owner-supplied breaker view for registries under test.
     fn idle_breaker() -> BreakerView {
         BreakerView {
@@ -329,7 +283,7 @@ mod tests {
             } else {
                 FallbackReason::None
             };
-            reg.record(&outcome(i as f64, reason));
+            reg.record(reason, 10.0, i as f64);
         }
         let snap = reg.snapshot(
             CacheStats {
@@ -356,7 +310,7 @@ mod tests {
     #[test]
     fn errors_are_counted_separately_from_completions() {
         let reg = MetricsRegistry::default();
-        reg.record(&outcome(5.0, FallbackReason::None));
+        reg.record(FallbackReason::None, 10.0, 5.0);
         reg.record_error();
         reg.record_error();
         let snap = reg.snapshot(
@@ -374,9 +328,22 @@ mod tests {
     #[test]
     fn robustness_counters_flow_into_snapshot_and_summary() {
         let reg = MetricsRegistry::default();
-        reg.record(&outcome(1.0, FallbackReason::BreakerOpen));
-        reg.record(&outcome(2.0, FallbackReason::ExecError));
-        reg.record(&outcome(3.0, FallbackReason::DeadlineExceeded));
+        // Reason `k` is recorded `k + 1` times, so a counter read from the
+        // wrong slot shows up as a wrong count.
+        let reasons = [
+            FallbackReason::None,
+            FallbackReason::PlanningTimeout,
+            FallbackReason::LowConfidence,
+            FallbackReason::ExecTimeout,
+            FallbackReason::ExecError,
+            FallbackReason::BreakerOpen,
+            FallbackReason::DeadlineExceeded,
+        ];
+        for (k, reason) in reasons.into_iter().enumerate() {
+            for _ in 0..=k {
+                reg.record(reason, 10.0, k as f64);
+            }
+        }
         reg.record_shed(true);
         reg.record_shed(true);
         reg.record_shed(false);
@@ -387,15 +354,19 @@ mod tests {
             times_opened: 2,
         };
         let snap = reg.snapshot(CacheStats::default(), 1, view, 5, TierStats::default());
-        assert_eq!(snap.submitted, 3);
-        assert_eq!(snap.fallbacks, 3, "every degraded reason is a fallback");
+        assert_eq!(snap.submitted, 28);
+        assert_eq!(snap.fallbacks, 27, "every degraded reason is a fallback");
+        assert!((snap.fallback_rate - 27.0 / 28.0).abs() < 1e-12);
         assert_eq!(
             (
-                snap.breaker_open_served,
+                snap.planning_timeouts,
+                snap.low_confidence,
+                snap.exec_timeouts,
                 snap.exec_errors,
+                snap.breaker_open_served,
                 snap.deadline_exceeded
             ),
-            (1, 1, 1)
+            (2, 3, 4, 5, 6, 7)
         );
         assert_eq!((snap.shed_low, snap.shed_high, snap.sheds), (2, 1, 3));
         assert_eq!(snap.retries, 1);
@@ -405,6 +376,8 @@ mod tests {
         assert_eq!(snap.faults_injected, 5);
         let line = snap.summary_line();
         for needle in [
+            "submitted=28 ",
+            "fallback_rate=0.964",
             "shed=2/1",
             "retries=1",
             "breaker=open",
@@ -420,10 +393,10 @@ mod tests {
         let reg = MetricsRegistry::default();
         // Fill well past capacity: old samples (latency 0) must age out.
         for _ in 0..RESERVOIR_CAP + 100 {
-            reg.record(&outcome(0.0, FallbackReason::None));
+            reg.record(FallbackReason::None, 10.0, 0.0);
         }
         for _ in 0..RESERVOIR_CAP {
-            reg.record(&outcome(100.0, FallbackReason::None));
+            reg.record(FallbackReason::None, 10.0, 100.0);
         }
         assert_eq!(reg.latencies.lock().samples.len(), RESERVOIR_CAP);
         let snap = reg.snapshot(
@@ -453,7 +426,7 @@ mod tests {
                         } else {
                             FallbackReason::None
                         };
-                        reg.record(&outcome((t * 50 + i) as f64, reason));
+                        reg.record(reason, 10.0, (t * 50 + i) as f64);
                     }
                 });
             }

@@ -13,7 +13,7 @@ pub use crate::breaker::{BreakerConfig, BreakerState, BreakerView, CircuitBreake
 pub use crate::gate::{AdmissionGate, Permit};
 pub use crate::http::{PlanClient, PlanOutcome, PlanServer, Rejection};
 pub use crate::json::Json;
-pub use crate::metrics::{MetricsRegistry, MetricsSnapshot, Outcome};
+pub use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 pub use crate::wire::{
     metrics_to_json, parse_priority, priority_str, reason_str, PlanReply, PlanRequest, WireError,
 };

@@ -76,8 +76,8 @@ impl TierMode {
 /// Tiering knobs, embedded in `ServiceConfig`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierConfig {
-    /// Tier selection (the `FOSS_TIER` env var overrides this at
-    /// `PlanDoctor` construction; see `PlanDoctor::new`).
+    /// Tier selection. Taken as given by `PlanDoctor`; only the
+    /// `plan-doctor` CLI resolves `FOSS_TIER` (and `--tier`) into it.
     pub mode: TierMode,
     /// Executions of one shape before it is considered hot and compiled
     /// (ignored under [`TierMode::Force`]).

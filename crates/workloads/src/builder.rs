@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use foss_catalog::stats::DEFAULT_BUCKETS;
 use foss_catalog::{ColumnDef, ForeignKey, Schema, TableDef};
 use foss_common::{QueryId, Result};
 use foss_executor::Database;
@@ -110,7 +111,7 @@ impl DbBuilder {
                 .collect();
             tables.push(gen.generate(name, *rows, &specs)?);
         }
-        let db = Arc::new(Database::new(schema.clone(), tables, 32)?);
+        let db = Arc::new(Database::new(schema.clone(), tables, DEFAULT_BUCKETS)?);
         let optimizer = Arc::new(TraditionalOptimizer::new(
             schema.clone(),
             CardinalityEstimator::new(db.stats_vec()),
