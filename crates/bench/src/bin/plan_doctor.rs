@@ -143,11 +143,12 @@ fn doctor_for(exp: &Experiment, shared: &SharedArgs, snapshot: PlannerSnapshot) 
 fn run_bench(args: BenchArgs) {
     let exp = experiment(&args.shared);
     println!(
-        "plan-doctor: workload={} scale={} train={} test={}",
+        "plan-doctor: workload={} scale={} train={} test={} kernels={}",
         args.shared.workload,
         args.shared.scale,
         exp.workload.train.len(),
-        exp.workload.test.len()
+        exp.workload.test.len(),
+        foss_nn::kernel_build()
     );
 
     let snapshot = train_snapshot(&exp, &args.shared);

@@ -157,6 +157,7 @@ fn bench_mode(args: BenchArgs) {
             .measurement_time(Duration::from_secs(3))
             .warm_up_time(Duration::from_millis(500))
     };
+    println!("probe: kernel build {}", foss_nn::kernel_build());
     micro_suite(&mut c);
     c.write_json(&args.out).expect("write bench summary");
     println!("wrote {}", args.out);

@@ -367,6 +367,30 @@ pub fn micro_suite(c: &mut Criterion) {
     c.bench_function("nn/matmul_nt_backward", |b| {
         b.iter(|| black_box(grad.matmul_nt(&qkv_w)))
     });
+    // The weight gradient `xᵀ · g` of that projection, the matmul that took
+    // the most CPU per training iteration before the blocked kernels: the
+    // shard's 145 × 64 input, transposed in place, times the 145 × 192
+    // gradient.
+    let shard_x = Matrix::from_vec(145, 64, (0..145 * 64).map(|i| (i as f32).sin()).collect());
+    c.bench_function("nn/matmul_tn_weight_grad", |b| {
+        b.iter(|| black_box(shard_x.matmul_tn(&grad)))
+    });
+    // The projection's forward at the 9-row shape inference runs: a
+    // broadcast bias row plus `x · W` through `matmul_acc_into`.
+    let state_x = Matrix::from_vec(9, 64, (0..9 * 64).map(|i| (i as f32).cos()).collect());
+    let bias = Matrix::from_vec(
+        9,
+        192,
+        (0..9 * 192).map(|i| ((i % 192) as f32).sin()).collect(),
+    );
+    let mut state_out = bias.clone();
+    c.bench_function("nn/linear_state_forward", |b| {
+        b.iter(|| {
+            state_out.data.copy_from_slice(&bias.data);
+            state_x.matmul_acc_into(&qkv_w, &mut state_out);
+            black_box(&state_out);
+        })
+    });
 
     // Fused attention forward + backward at one AAM gradient shard's shape
     // in the paper configuration: the distinct plans of the first eight

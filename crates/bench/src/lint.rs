@@ -22,9 +22,10 @@
 //!   with struct patterns), it would fail at the first client.
 //! * **unsafe-scope** (`D`) — the `unsafe` keyword appears only in
 //!   `crates/analysis/src/sync.rs` (the checker's lock shims) and
-//!   `crates/nn/src/matrix.rs` (the AVX2 kernel dispatch), test code
-//!   included, and every use carries a `// SAFETY:` comment on its own
-//!   line or in the comment and attribute lines directly above it.
+//!   `crates/nn/src/matrix.rs` (the AVX2 and AVX-512 kernel builds and
+//!   their dispatch), test code included, and every use carries a
+//!   `// SAFETY:` comment on its own line or in the comment and attribute
+//!   lines directly above it.
 //!
 //! The scanner is line-based: string/char literals and `//` comments are
 //! stripped first, and `#[cfg(test)]` regions are tracked by brace depth so

@@ -17,5 +17,5 @@ pub use graph::{Graph, Var};
 pub use layers::{
     additive_mask, segment_additive_mask, Embedding, LayerNorm, Linear, MultiHeadAttention,
 };
-pub use matrix::Matrix;
+pub use matrix::{kernel_build, Matrix};
 pub use params::{Adam, GradSink, GradStore, ParamId, ParamSet};
