@@ -101,27 +101,6 @@ fn eval_model(model: &AgentModel, set: &ParamSet, state: &EncodedPlan) -> (Vec<f
     (g.value(logits).row(0).to_vec(), g.value(values).get(0, 0))
 }
 
-/// Argmax action under `mask` for a model + parameter set.
-fn greedy_action(model: &AgentModel, set: &ParamSet, state: &EncodedPlan, mask: &[bool]) -> usize {
-    let (logits, _) = eval_model(model, set, state);
-    logits
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| mask[*i])
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(i, _)| i)
-        .expect("mask admits no action")
-}
-
-/// Read-only greedy action selection — the part of a planner a serving
-/// snapshot needs. Implemented by the live [`PlannerAgent`] (training-side
-/// inference) and by [`FrozenPolicy`] (published snapshots), so the episode
-/// loop can run identically over either.
-pub trait PlanPolicy {
-    /// Greedy action under `mask` (deterministic for fixed weights).
-    fn act_greedy(&self, state: &EncodedPlan, mask: &[bool]) -> usize;
-}
-
 /// An immutable copy of an agent's policy weights, detached from its PPO
 /// trainer and RNG. `Clone` + `Send` + `Sync`: many threads can plan over
 /// one frozen policy concurrently.
@@ -137,6 +116,19 @@ impl FrozenPolicy {
     /// frozen from.
     pub fn evaluate(&self, state: &EncodedPlan) -> (Vec<f32>, f32) {
         eval_model(&self.model, &self.set, state)
+    }
+
+    /// Greedy action under `mask` (inference; deterministic for fixed
+    /// weights).
+    pub fn act_greedy(&self, state: &EncodedPlan, mask: &[bool]) -> usize {
+        let (logits, _) = self.evaluate(state);
+        logits
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| mask[*i])
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(i, _)| i)
+            .expect("mask admits no action")
     }
 
     /// Rows of the state network's table-id embedding.
@@ -160,12 +152,6 @@ impl Codec for FrozenPolicy {
             model: AgentModel::decode(r)?,
             set: ParamSet::decode(r)?,
         })
-    }
-}
-
-impl PlanPolicy for FrozenPolicy {
-    fn act_greedy(&self, state: &EncodedPlan, mask: &[bool]) -> usize {
-        greedy_action(&self.model, &self.set, state, mask)
     }
 }
 
@@ -247,11 +233,6 @@ impl PlannerAgent {
         (0..n).map(|_| self.rng.random_range(0.0..1.0)).collect()
     }
 
-    /// Greedy action under `mask` (inference).
-    pub fn act_greedy(&self, state: &EncodedPlan, mask: &[bool]) -> usize {
-        greedy_action(&self.model, &self.set, state, mask)
-    }
-
     /// Copy the current policy weights into an immutable, shareable
     /// [`FrozenPolicy`] (the agent keeps training; the copy never changes).
     pub fn freeze(&self) -> FrozenPolicy {
@@ -265,12 +246,6 @@ impl PlannerAgent {
     pub fn update(&mut self, batch: &RolloutBatch<EncodedPlan>) -> PpoStats {
         self.ppo
             .update(&self.model, &mut self.set, batch, &mut self.rng)
-    }
-}
-
-impl PlanPolicy for PlannerAgent {
-    fn act_greedy(&self, state: &EncodedPlan, mask: &[bool]) -> usize {
-        PlannerAgent::act_greedy(self, state, mask)
     }
 }
 
@@ -328,7 +303,7 @@ mod tests {
 
     #[test]
     fn greedy_is_deterministic_and_masked() {
-        let a = agent(4);
+        let a = agent(4).freeze();
         let mask = vec![true, false, true, false];
         let g1 = a.act_greedy(&plan(1), &mask);
         let g2 = a.act_greedy(&plan(1), &mask);
@@ -353,11 +328,14 @@ mod tests {
         let frozen = a.freeze();
         let mask = vec![true, false, true, true];
         for tag in 0..6 {
-            assert_eq!(frozen.evaluate(&plan(tag)), a.evaluate(&plan(tag)));
-            assert_eq!(
-                PlanPolicy::act_greedy(&frozen, &plan(tag), &mask),
-                a.act_greedy(&plan(tag), &mask)
-            );
+            let (logits, value) = a.evaluate(&plan(tag));
+            assert_eq!(frozen.evaluate(&plan(tag)), (logits.clone(), value));
+            // The greedy action is the live agent's best admitted logit.
+            let greedy = frozen.act_greedy(&plan(tag), &mask);
+            assert!(mask[greedy]);
+            for (i, l) in logits.iter().enumerate().filter(|(i, _)| mask[*i]) {
+                assert!(*l <= logits[greedy], "action {i} beats the greedy pick");
+            }
         }
     }
 

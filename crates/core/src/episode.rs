@@ -6,7 +6,7 @@ use foss_query::Query;
 use foss_rl::{sample_masked_at, Transition};
 
 use crate::actions::{as_swap, ActionSpace};
-use crate::agent::{PlanPolicy, PlannerAgent};
+use crate::agent::{FrozenPolicy, PlannerAgent};
 use crate::config::FossConfig;
 use crate::encoding::{EncodedPlan, PlanEncoder};
 use crate::envs::RewardOracle;
@@ -121,12 +121,12 @@ pub fn run_episode_predrawn(
     )
 }
 
-/// The read-only inference episode: greedy actions from a [`PlanPolicy`]
-/// (a live agent or a frozen snapshot policy), `&self` all the way down —
-/// many threads can run this concurrently over one set of weights.
+/// The read-only inference episode: greedy actions from a snapshot's
+/// [`FrozenPolicy`], `&self` all the way down — many threads can run this
+/// concurrently over one set of weights.
 #[allow(clippy::too_many_arguments)]
 pub fn run_episode_greedy(
-    policy: &dyn PlanPolicy,
+    policy: &FrozenPolicy,
     optimizer: &TraditionalOptimizer,
     encoder: &PlanEncoder,
     space: &ActionSpace,
@@ -370,7 +370,7 @@ mod tests {
         let run = |world: &TestWorld| {
             let mut oracle = LatencyOracle::new(&world.db, &world.opt, &world.encoder);
             let res = run_episode_greedy(
-                &world.agent,
+                &world.agent.freeze(),
                 &world.opt,
                 &world.encoder,
                 &world.space,

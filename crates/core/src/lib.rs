@@ -36,12 +36,15 @@ pub mod trainer;
 pub use aam::AdvantageModel;
 pub use actions::{Action, ActionSpace};
 pub use advantage::AdvantageScale;
-pub use agent::{FrozenPolicy, PlanPolicy, PlannerAgent};
+pub use agent::{FrozenPolicy, PlannerAgent};
 pub use config::FossConfig;
 pub use encoding::{EncodedPlan, PlanEncoder};
 pub use envs::{RealEnv, RewardOracle, SimEnv};
 pub use episode::{run_episode, run_episode_greedy, run_episode_predrawn, EpisodeResult};
 pub use execbuf::{ExecutedPlan, ExecutionBuffer};
 pub use selector::select_best;
-pub use snapshot::{PlannerSnapshot, SnapshotCell, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-pub use trainer::{Foss, Inference, PhaseTimes, TrainReport};
+pub use snapshot::{
+    Decision, Inference, PlannerSnapshot, SnapshotCell, DEFAULT_MIN_CONFIDENCE, SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
+};
+pub use trainer::{Foss, PhaseTimes, TrainReport};

@@ -6,8 +6,10 @@
 //! the AAM weights, the plan encoder/action space, the expert optimizer
 //! handle and the expert plans of the training queries — behind `Arc`s, so
 //! cloning a snapshot is a handful of reference-count bumps and
-//! [`PlannerSnapshot::optimize`] takes `&self`: any number of threads can
+//! [`PlannerSnapshot::decide`] takes `&self`: any number of threads can
 //! plan concurrently over one snapshot while training continues elsewhere.
+//! A snapshot is the only planner: the trainer plans by taking one, and the
+//! service and the harness serve what its `decide` returns.
 //! The execution buffer and the advantage scale are training machinery for
 //! the simulated environment and stay with the trainer.
 //!
@@ -27,13 +29,12 @@ use foss_query::Query;
 
 use crate::aam::AdvantageModel;
 use crate::actions::ActionSpace;
-use crate::agent::{FrozenPolicy, PlanPolicy};
+use crate::agent::FrozenPolicy;
 use crate::config::FossConfig;
 use crate::encoding::{EncodedPlan, PlanEncoder};
 use crate::envs::RewardOracle;
 use crate::episode::{run_episode_greedy, PlanCtx};
 use crate::selector::select_best;
-use crate::trainer::Inference;
 
 /// Magic bytes opening every serialized snapshot (`FSNP` little-endian).
 pub const SNAPSHOT_MAGIC: u32 = 0x504e_5346;
@@ -42,6 +43,41 @@ pub const SNAPSHOT_MAGIC: u32 = 0x504e_5346;
 /// [`PlannerSnapshot::to_bytes`]. Bump on any layout change; decode rejects
 /// versions it does not understand.
 pub const SNAPSHOT_VERSION: u32 = 2;
+
+/// The confidence floor served by default: a doctored plan that departs
+/// from the expert plan needs an AAM verdict of at least 1 over it, i.e.
+/// rated better than the noise floor. `K-1` (= 2 with the paper's split
+/// points) would serve only "much better" verdicts.
+pub const DEFAULT_MIN_CONFIDENCE: usize = 1;
+
+/// Result of one inference call with provenance metadata.
+#[derive(Debug, Clone)]
+pub struct Inference {
+    /// The selected plan.
+    pub plan: PhysicalPlan,
+    /// How many doctor steps the selected plan is from the original
+    /// (0 = the expert plan was kept).
+    pub selected_step: usize,
+    /// Number of candidate plans the AAM tournaments scored: per policy, the
+    /// expert plan and every plan its greedy episode visited.
+    pub candidates: usize,
+    /// AAM advantage score of the selected plan over the expert plan
+    /// (0 when the expert plan was kept; `K-1` is the strongest verdict).
+    /// [`PlannerSnapshot::decide`] holds it against the confidence floor.
+    pub aam_confidence: usize,
+}
+
+/// What a snapshot serves for one query, decided before anything runs.
+#[derive(Debug, Clone)]
+pub struct Decision {
+    /// The plan to serve: the doctored plan, or the expert plan when the
+    /// confidence floor rejected it.
+    pub plan: PhysicalPlan,
+    /// Whether the floor rejected the doctored plan.
+    pub low_confidence: bool,
+    /// The inference the decision was taken on.
+    pub inference: Inference,
+}
 
 /// An immutable, cheaply-cloneable view of a trained FOSS planner.
 ///
@@ -104,9 +140,30 @@ impl PlannerSnapshot {
         self.optimizer.optimize(query)
     }
 
-    /// Doctored plan for `query` (read-only; see module docs).
-    pub fn optimize(&self, query: &Query) -> Result<PhysicalPlan> {
-        Ok(self.optimize_detailed(query)?.plan)
+    /// Decide what to serve for `query`: the doctored plan, unless it
+    /// departs from the expert plan (`selected_step != 0`) with an AAM
+    /// verdict below `min_confidence`, in which case the expert plan.
+    /// `expert` must be this snapshot's [`PlannerSnapshot::expert_plan`]
+    /// for `query`.
+    pub fn decide(
+        &self,
+        query: &Query,
+        expert: &PhysicalPlan,
+        min_confidence: usize,
+    ) -> Result<Decision> {
+        let inference = self.infer(query, expert)?;
+        let low_confidence =
+            inference.selected_step != 0 && inference.aam_confidence < min_confidence;
+        let plan = if low_confidence {
+            expert.clone()
+        } else {
+            inference.plan.clone()
+        };
+        Ok(Decision {
+            plan,
+            low_confidence,
+            inference,
+        })
     }
 
     /// Doctored plan with provenance (selected step, candidate count, AAM
@@ -117,27 +174,64 @@ impl PlannerSnapshot {
     }
 
     /// Like [`PlannerSnapshot::optimize_detailed`] with the expert plan
-    /// supplied by the caller — the serving path already needs the expert
-    /// plan for its fallback, so this avoids planning it twice per query.
-    /// `original` must be this snapshot's [`PlannerSnapshot::expert_plan`]
-    /// for `query`.
+    /// supplied by the caller, which must be this snapshot's
+    /// [`PlannerSnapshot::expert_plan`] for `query`.
     pub fn optimize_detailed_from(
         &self,
         query: &Query,
         original: &PhysicalPlan,
     ) -> Result<Inference> {
-        let policies: Vec<&dyn PlanPolicy> =
-            self.policies.iter().map(|p| p as &dyn PlanPolicy).collect();
-        infer(
-            &policies,
-            &self.aam,
-            &self.optimizer,
-            &self.encoder,
-            &self.space,
-            &self.cfg,
-            query,
-            original,
-        )
+        self.infer(query, original)
+    }
+
+    /// The greedy-inference pipeline: per-policy greedy episodes, a
+    /// per-policy AAM tournament, then a final tournament among champions.
+    fn infer(&self, query: &Query, original: &PhysicalPlan) -> Result<Inference> {
+        let mut champions = Vec::with_capacity(self.policies.len());
+        let mut expert_encoded = None;
+        let mut candidates = 0;
+        for policy in self.policies.iter() {
+            let res = run_episode_greedy(
+                policy,
+                &self.optimizer,
+                &self.encoder,
+                &self.space,
+                query,
+                original,
+                &mut NoReward,
+                &self.cfg,
+            )?;
+            let mut cands: Vec<&EncodedPlan> = vec![&res.original.encoded];
+            for v in &res.visited {
+                cands.push(&v.encoded);
+            }
+            candidates += cands.len();
+            let idx = select_best(&self.aam, &cands);
+            let ctx = if idx == 0 {
+                res.original.clone()
+            } else {
+                res.visited[idx - 1].clone()
+            };
+            champions.push((ctx, idx));
+            expert_encoded = Some(res.original.encoded);
+        }
+        // Multi-agent: final tournament among champions.
+        let encs: Vec<&EncodedPlan> = champions.iter().map(|(c, _)| &c.encoded).collect();
+        let winner = select_best(&self.aam, &encs);
+        let (ctx, step) = champions.swap_remove(winner);
+        // Confidence: the AAM's advantage score of the selected plan over the
+        // expert plan (0 when the expert plan was kept — there is nothing to
+        // be confident about).
+        let aam_confidence = match expert_encoded {
+            Some(expert) if step != 0 => self.aam.predict(&expert, &ctx.encoded),
+            _ => 0,
+        };
+        Ok(Inference {
+            plan: ctx.plan,
+            selected_step: step,
+            candidates,
+            aam_confidence,
+        })
     }
 
     /// Serialize this snapshot to the versioned binary format.
@@ -303,72 +397,6 @@ impl RewardOracle for NoReward {
     }
 }
 
-/// The shared greedy-inference pipeline: per-policy greedy episodes, a
-/// per-policy AAM tournament, then a final tournament among champions.
-///
-/// Both [`Foss::optimize_detailed`](crate::trainer::Foss::optimize_detailed)
-/// (live agents) and [`PlannerSnapshot::optimize_detailed`] (frozen
-/// policies) run exactly this function, which is what makes snapshot plans
-/// bit-identical to trainer plans.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn infer(
-    policies: &[&dyn PlanPolicy],
-    aam: &AdvantageModel,
-    optimizer: &TraditionalOptimizer,
-    encoder: &PlanEncoder,
-    space: &ActionSpace,
-    cfg: &FossConfig,
-    query: &Query,
-    original: &PhysicalPlan,
-) -> Result<Inference> {
-    // Per-policy greedy episode → per-policy champion.
-    let mut champions = Vec::with_capacity(policies.len());
-    let mut expert_encoded = None;
-    let mut candidates = 0;
-    for policy in policies {
-        let res = run_episode_greedy(
-            *policy,
-            optimizer,
-            encoder,
-            space,
-            query,
-            original,
-            &mut NoReward,
-            cfg,
-        )?;
-        let mut cands: Vec<&EncodedPlan> = vec![&res.original.encoded];
-        for v in &res.visited {
-            cands.push(&v.encoded);
-        }
-        candidates += cands.len();
-        let idx = select_best(aam, &cands);
-        let ctx = if idx == 0 {
-            res.original.clone()
-        } else {
-            res.visited[idx - 1].clone()
-        };
-        champions.push((ctx, idx));
-        expert_encoded = Some(res.original.encoded);
-    }
-    // Multi-agent: final tournament among champions.
-    let encs: Vec<&EncodedPlan> = champions.iter().map(|(c, _)| &c.encoded).collect();
-    let winner = select_best(aam, &encs);
-    let (ctx, step) = champions.swap_remove(winner);
-    // Confidence: the AAM's advantage score of the selected plan over the
-    // expert plan (0 when the expert plan was kept — there is nothing to be
-    // confident about).
-    let aam_confidence = match expert_encoded {
-        Some(expert) if step != 0 => aam.predict(&expert, &ctx.encoded),
-        _ => 0,
-    };
-    Ok(Inference {
-        plan: ctx.plan,
-        selected_step: step,
-        candidates,
-        aam_confidence,
-    })
-}
-
 /// A hot-swappable snapshot slot: the trainer publishes, servers load.
 ///
 /// `load` clones an `Arc` under a read lock (nanoseconds); planning happens
@@ -457,17 +485,43 @@ mod tests {
         foss
     }
 
+    /// Fingerprint of the doctored plan `snap` infers for `query`.
+    fn planned(snap: &PlannerSnapshot, query: &Query) -> u64 {
+        snap.optimize_detailed(query).unwrap().plan.fingerprint()
+    }
+
     #[test]
-    fn snapshot_plans_match_trainer_plans() {
+    fn decide_serves_the_expert_exactly_when_the_floor_rejects() {
         let world = TestWorld::new(21);
-        let foss = trained_foss(&world, 21);
-        let snap = foss.snapshot();
-        let live = foss.optimize_detailed(&world.query).unwrap();
-        let frozen = snap.optimize_detailed(&world.query).unwrap();
-        assert_eq!(live.plan.fingerprint(), frozen.plan.fingerprint());
-        assert_eq!(live.selected_step, frozen.selected_step);
-        assert_eq!(live.candidates, frozen.candidates);
-        assert_eq!(live.aam_confidence, frozen.aam_confidence);
+        let snap = trained_foss(&world, 21).snapshot();
+        let expert = snap.expert_plan(&world.query).unwrap();
+        let raw = snap.optimize_detailed(&world.query).unwrap();
+        let decide = |floor| snap.decide(&world.query, &expert, floor).unwrap();
+        let departs = raw.selected_step != 0;
+        let conf = raw.aam_confidence;
+        // The floor rejects a departure from the expert plan whose verdict
+        // is below it, and nothing else.
+        for (floor, rejected) in [
+            (0, false),
+            (conf, false),
+            (conf + 1, departs),
+            (usize::MAX, departs),
+        ] {
+            let d = decide(floor);
+            assert_eq!(d.low_confidence, rejected, "floor {floor}");
+            let served = if rejected { &expert } else { &raw.plan };
+            assert_eq!(d.plan.fingerprint(), served.fingerprint(), "floor {floor}");
+            // The inference does not depend on the floor.
+            assert_eq!(d.inference.plan.fingerprint(), raw.plan.fingerprint());
+            assert_eq!(
+                (
+                    d.inference.selected_step,
+                    d.inference.candidates,
+                    d.inference.aam_confidence
+                ),
+                (raw.selected_step, raw.candidates, conf)
+            );
+        }
     }
 
     #[test]
@@ -514,10 +568,7 @@ mod tests {
         let a = foss.snapshot();
         let b = a.clone();
         assert!(Arc::ptr_eq(&a.aam, &b.aam), "clone must share weights");
-        assert_eq!(
-            a.optimize(&world.query).unwrap().fingerprint(),
-            b.optimize(&world.query).unwrap().fingerprint()
-        );
+        assert_eq!(planned(&a, &world.query), planned(&b, &world.query));
     }
 
     #[test]
@@ -525,13 +576,13 @@ mod tests {
         let world = TestWorld::new(23);
         let foss = trained_foss(&world, 23);
         let snap = foss.snapshot();
-        let serial = snap.optimize(&world.query).unwrap().fingerprint();
+        let serial = planned(&snap, &world.query);
         let fingerprints: Vec<u64> = std::thread::scope(|scope| {
             (0..4)
                 .map(|_| {
                     let snap = snap.clone();
                     let query = world.query.clone();
-                    scope.spawn(move || snap.optimize(&query).unwrap().fingerprint())
+                    scope.spawn(move || planned(&snap, &query))
                 })
                 .collect::<Vec<_>>()
                 .into_iter()
@@ -557,7 +608,7 @@ mod tests {
         assert_eq!(cell.generation(), 1);
         assert!(!Arc::ptr_eq(&first, &second), "publish must swap the slot");
         // The retired generation keeps working (readers finish on it).
-        first.optimize(&world.query).unwrap();
+        planned(&first, &world.query);
     }
 
     #[test]
@@ -672,10 +723,7 @@ mod tests {
         let path = dir.join("planner.fsnp");
         snap.save(&path).unwrap();
         let loaded = PlannerSnapshot::load(&path, snap.optimizer().clone()).unwrap();
-        assert_eq!(
-            snap.optimize(&world.query).unwrap().fingerprint(),
-            loaded.optimize(&world.query).unwrap().fingerprint()
-        );
+        assert_eq!(planned(&snap, &world.query), planned(&loaded, &world.query));
         std::fs::remove_dir_all(&dir).ok();
     }
 

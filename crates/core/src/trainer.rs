@@ -1,4 +1,4 @@
-//! The FOSS training loop (Fig. 3) and inference facade.
+//! The FOSS training loop (Fig. 3).
 //!
 //! One [`Foss`] instance owns the planner agent(s), the AAM, the execution
 //! buffer and handles the full loop:
@@ -12,9 +12,10 @@
 //!    *promising* plans flagged by the AAM are validated in the real
 //!    environment, extra random queries are sampled for validation, and the
 //!    AAM is retrained from the grown buffer.
-//! 3. **Inference** — each agent greedily repairs the expert plan; the AAM
-//!    tournament picks the final plan among candidates (and among agents in
-//!    multi-agent mode).
+//! 3. **Inference** — [`Foss::snapshot`] freezes the agents and the AAM into
+//!    a [`PlannerSnapshot`], which plans: each agent greedily repairs the
+//!    expert plan, and the AAM tournament picks the final plan among
+//!    candidates (and among agents in multi-agent mode).
 
 use std::fmt;
 use std::sync::Arc;
@@ -102,23 +103,6 @@ pub struct TrainReport {
     pub buffer_plans: usize,
     /// Where the call's wall time went.
     pub phases: PhaseTimes,
-}
-
-/// Result of one inference call with provenance metadata.
-#[derive(Debug, Clone)]
-pub struct Inference {
-    /// The selected plan.
-    pub plan: PhysicalPlan,
-    /// How many doctor steps the selected plan is from the original
-    /// (0 = the expert plan was kept).
-    pub selected_step: usize,
-    /// Number of candidate plans the AAM tournaments scored: per policy, the
-    /// expert plan and every plan its greedy episode visited.
-    pub candidates: usize,
-    /// AAM advantage score of the selected plan over the expert plan
-    /// (0 when the expert plan was kept; `K-1` is the strongest verdict).
-    /// The serving path uses this for its low-confidence fallback.
-    pub aam_confidence: usize,
 }
 
 /// What one agent's simulated-episode phase brings back for the agent-order
@@ -680,40 +664,6 @@ impl Foss {
         Ok(reports)
     }
 
-    /// Inference: repair `query`'s expert plan and select with the AAM.
-    ///
-    /// Read-only: the training state is untouched, so inference can run
-    /// between (or concurrently with readers of) training rounds. For
-    /// serving across threads, publish a [`PlannerSnapshot`] instead.
-    pub fn optimize(&self, query: &Query) -> Result<PhysicalPlan> {
-        Ok(self.optimize_detailed(query)?.plan)
-    }
-
-    /// Inference with provenance (selected step, candidate count, AAM
-    /// confidence). Same read-only pipeline as
-    /// [`PlannerSnapshot::optimize_detailed`] — plans are bit-identical.
-    pub fn optimize_detailed(&self, query: &Query) -> Result<Inference> {
-        let original = match self.originals.get(&query.id) {
-            Some(p) => p.clone(),
-            None => self.optimizer.optimize(query)?,
-        };
-        let policies: Vec<&dyn crate::agent::PlanPolicy> = self
-            .agents
-            .iter()
-            .map(|a| a as &dyn crate::agent::PlanPolicy)
-            .collect();
-        crate::snapshot::infer(
-            &policies,
-            &self.aam,
-            &self.optimizer,
-            &self.encoder,
-            &self.space,
-            &self.cfg,
-            query,
-            &original,
-        )
-    }
-
     /// Freeze the current planner into an immutable [`PlannerSnapshot`]
     /// (frozen agent policies, AAM weights and the training queries' expert
     /// plans behind `Arc`s). The snapshot is a deep copy: subsequent training
@@ -802,7 +752,7 @@ mod tests {
         };
         let mut foss = foss_over(&world, cfg);
         foss.train(std::slice::from_ref(&world.query), 1).unwrap();
-        let inf = foss.optimize_detailed(&world.query).unwrap();
+        let inf = foss.snapshot().optimize_detailed(&world.query).unwrap();
         assert!(inf.selected_step <= foss.config().max_steps);
         // The plan must execute and give the correct result cardinality.
         let exec = CachingExecutor::new(world.db.clone(), *world.opt.cost_model());
@@ -823,7 +773,7 @@ mod tests {
             };
             let mut foss = foss_over(&world, cfg);
             foss.train(std::slice::from_ref(&world.query), 1).unwrap();
-            let inf = foss.optimize_detailed(&world.query).unwrap();
+            let inf = foss.snapshot().optimize_detailed(&world.query).unwrap();
             assert_eq!(inf.candidates, policies * 4, "{num_agents} agents");
         }
     }
@@ -862,7 +812,8 @@ mod tests {
             let queries = vec![world.query.clone()];
             let reports = foss.train(&queries, 2).unwrap();
             let rewards: Vec<u32> = reports.iter().map(|r| r.mean_reward.to_bits()).collect();
-            let plan = foss.optimize(&world.query).unwrap().fingerprint();
+            let plan = foss.snapshot().optimize_detailed(&world.query).unwrap();
+            let plan = plan.plan.fingerprint();
             (rewards, plan, foss.buffer().total_plans())
         };
         assert_eq!(reports_and_plan(0), reports_and_plan(1));
@@ -1007,7 +958,7 @@ mod tests {
             );
             let queries = vec![world.query.clone(), single.clone()];
             foss.train(&queries, 2).unwrap();
-            let inference = foss.optimize_detailed(&single).unwrap();
+            let inference = foss.snapshot().optimize_detailed(&single).unwrap();
             assert_eq!(inference.selected_step, 0);
             assert_eq!(inference.aam_confidence, 0);
             // The episode ends at step 1: the expert plan is the only one.
@@ -1016,10 +967,6 @@ mod tests {
                 inference.plan.fingerprint(),
                 world.opt.optimize(&single).unwrap().fingerprint()
             );
-            let served = foss.snapshot().optimize_detailed(&single).unwrap();
-            assert_eq!(served.selected_step, 0);
-            assert_eq!(served.candidates, 1);
-            assert_eq!(served.plan.fingerprint(), inference.plan.fingerprint());
         }
     }
 

@@ -81,8 +81,9 @@ pub struct AblationRow {
     pub gmrl: f64,
     /// GMRL after each training iteration (Fig. 9 curve).
     pub gmrl_curve: Vec<f64>,
-    /// Distribution of the selected plan's step index (Fig. 7), indexed by
-    /// step (0 = original plan kept).
+    /// Distribution of the served plan's step index (Fig. 7), indexed by
+    /// step (0 = original plan kept, by the doctor or by the confidence
+    /// floor).
     pub step_histogram: Vec<usize>,
 }
 
@@ -104,13 +105,18 @@ pub fn run(workload: &str, cfg: &RunConfig) -> Result<Vec<AblationRow>> {
         }
         let training_time_s = t0.elapsed().as_secs_f64();
         let eval = evaluate_on(&exp, &adapter, &all)?;
-        // Fig. 7: where on the episode the selected plan sits — read from
-        // the adapter's published snapshot, like the serving path does.
-        let snapshot = adapter.snapshot().clone();
+        // Fig. 7: where on the episode the served plan sits (step 0 where
+        // the confidence floor keeps the expert plan) — the plans the
+        // evaluation above scored.
         let mut step_histogram = vec![0usize; max_steps + 1];
         for q in &all {
-            let inf = snapshot.optimize_detailed(q)?;
-            step_histogram[inf.selected_step.min(max_steps)] += 1;
+            let decision = adapter.decide(q)?;
+            let step = if decision.low_confidence {
+                0
+            } else {
+                decision.inference.selected_step
+            };
+            step_histogram[step.min(max_steps)] += 1;
         }
         let opt_time_us = eval
             .outcomes

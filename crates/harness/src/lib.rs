@@ -27,11 +27,13 @@
 //! rounds (Fig. 5's curves) and over queries in any order without moving a
 //! plan or a later round.
 //!
-//! **Snapshot-based planning**: since the serving redesign, every runner
-//! evaluates FOSS through read-only [`foss_core::PlannerSnapshot`]s — the
-//! [`FossAdapter`] refreshes its snapshot after each training round and
-//! [`LearnedOptimizer::plan`] is `&self` for all methods, so evaluation
-//! exercises exactly the code path the `PlanDoctor` service serves.
+//! **The served decision**: every runner evaluates FOSS through read-only
+//! [`foss_core::PlannerSnapshot`]s. The [`FossAdapter`] refreshes its
+//! snapshot after each training round, and its [`LearnedOptimizer::plan`]
+//! is the plan [`PlannerSnapshot::decide`] serves at
+//! [`DEFAULT_MIN_CONFIDENCE`] (the `PlanDoctor` service's default floor),
+//! so Tables I and II score what the service would serve before it
+//! executes anything.
 
 pub mod ablation;
 pub mod best_plans;
@@ -43,7 +45,7 @@ use std::time::Instant;
 use foss_baselines::{BalsaLite, Bao, HybridQo, LearnedOptimizer, LogerLite, PostgresBaseline};
 use foss_common::{FossError, Result};
 use foss_core::encoding::PlanEncoder;
-use foss_core::{Foss, FossConfig, PlannerSnapshot, TrainReport};
+use foss_core::{Decision, Foss, FossConfig, PlannerSnapshot, TrainReport, DEFAULT_MIN_CONFIDENCE};
 use foss_executor::CachingExecutor;
 use foss_query::Query;
 use foss_workloads::{
@@ -191,8 +193,9 @@ impl Experiment {
 ///
 /// Mirrors the serving architecture in miniature: training mutates the
 /// wrapped [`Foss`], and after every round the adapter publishes a fresh
-/// read-only [`PlannerSnapshot`] that [`LearnedOptimizer::plan`] serves
-/// from — the same snapshot type the `PlanDoctor` service front end holds.
+/// read-only [`PlannerSnapshot`]. [`LearnedOptimizer::plan`] serves that
+/// snapshot's [`FossAdapter::decide`] — the decision the `PlanDoctor`
+/// service takes at its default confidence floor.
 pub struct FossAdapter {
     /// The wrapped system.
     pub foss: Foss,
@@ -224,6 +227,13 @@ impl FossAdapter {
     pub fn last_report(&self) -> Option<&TrainReport> {
         self.last_report.as_ref()
     }
+
+    /// What the current snapshot serves for `query` at
+    /// [`DEFAULT_MIN_CONFIDENCE`].
+    pub fn decide(&self, query: &Query) -> Result<Decision> {
+        let expert = self.snapshot.expert_plan(query)?;
+        self.snapshot.decide(query, &expert, DEFAULT_MIN_CONFIDENCE)
+    }
 }
 
 impl LearnedOptimizer for FossAdapter {
@@ -243,7 +253,7 @@ impl LearnedOptimizer for FossAdapter {
     }
 
     fn plan(&self, query: &Query) -> Result<foss_optimizer::PhysicalPlan> {
-        self.snapshot.optimize(query)
+        Ok(self.decide(query)?.plan)
     }
 }
 
@@ -455,8 +465,8 @@ mod tests {
 
     #[test]
     fn foss_adapter_plans_match_trainer_inference_exactly() {
-        // The redesign's regression guard: the snapshot the adapter serves
-        // must produce bit-identical plans to direct trainer inference.
+        // The adapter serves what a snapshot taken from the trainer right
+        // now decides at the default floor.
         let exp = Experiment::new("tpcdslite", WorkloadSpec::tiny(9)).unwrap();
         let cfg = FossConfig {
             episodes_per_update: 4,
@@ -465,10 +475,12 @@ mod tests {
         let mut foss = FossAdapter::new(exp.foss(cfg));
         let queries: Vec<_> = exp.workload.train.iter().take(2).cloned().collect();
         foss.train_round(&queries).unwrap();
+        let direct = foss.foss.snapshot();
         for q in exp.workload.test.iter().take(3) {
             let served = foss.plan(q).unwrap();
-            let direct = foss.foss.optimize(q).unwrap();
-            assert_eq!(served.fingerprint(), direct.fingerprint());
+            let expert = direct.expert_plan(q).unwrap();
+            let decided = direct.decide(q, &expert, DEFAULT_MIN_CONFIDENCE).unwrap();
+            assert_eq!(served.fingerprint(), decided.plan.fingerprint());
         }
     }
 }

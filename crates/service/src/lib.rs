@@ -31,8 +31,9 @@
 //!   budget ([`QueryRequest::planning_budget_us`] overriding
 //!   [`ServiceConfig::planning_budget_us`]), the doctored plan is discarded
 //!   and the expert plan is served ([`FallbackReason::PlanningTimeout`]).
-//! * **Confidence floor** — a doctored plan is only run when the AAM's
-//!   advantage score over the expert plan reaches
+//! * **Confidence floor** — the snapshot decides
+//!   ([`PlannerSnapshot::decide`]): a doctored plan is only run when the
+//!   AAM's advantage score over the expert plan reaches
 //!   [`ServiceConfig::min_confidence`] ([`FallbackReason::LowConfidence`]
 //!   otherwise).
 //! * **Execution budget** — the doctored plan runs under
@@ -94,7 +95,7 @@ use std::time::{Duration, Instant};
 
 use foss_common::sync::Mutex;
 use foss_common::{FaultPlan, FaultSite, FossError, FxHashMap, QueryId, Result};
-use foss_core::{PlannerSnapshot, SnapshotCell};
+use foss_core::{PlannerSnapshot, SnapshotCell, DEFAULT_MIN_CONFIDENCE};
 use foss_executor::CachingExecutor;
 use foss_optimizer::PhysicalPlan;
 use foss_query::Query;
@@ -115,9 +116,9 @@ pub struct ServiceConfig {
     /// Default per-query planning budget (µs); `None` disables the check.
     pub planning_budget_us: Option<f64>,
     /// Minimum AAM advantage score (over the expert plan) a doctored plan
-    /// needs before the service will run it. `1` accepts anything the
-    /// selector already rated better than the noise floor; `K-1` (= 2 with
-    /// the paper's split points) serves only "much better" verdicts.
+    /// needs before the service will run it; the floor
+    /// [`PlannerSnapshot::decide`] applies (default
+    /// [`DEFAULT_MIN_CONFIDENCE`]).
     pub min_confidence: usize,
     /// Execution budget for doctored plans, as a multiple of the expert
     /// plan's latency.
@@ -146,7 +147,7 @@ impl Default for ServiceConfig {
         Self {
             max_in_flight: 16,
             planning_budget_us: None,
-            min_confidence: 1,
+            min_confidence: DEFAULT_MIN_CONFIDENCE,
             exec_timeout_factor: 10.0,
             breaker: BreakerConfig::default(),
             max_retries: 2,
@@ -265,20 +266,18 @@ impl FallbackReason {
 }
 
 /// The fallback policy for a request whose learned planning finished,
-/// checked in precedence order: planning budget, then confidence floor,
-/// then deadline. A kept expert plan (`selected_step == 0`) is never short
-/// of confidence.
+/// checked in precedence order: planning budget, then the confidence
+/// floor's verdict (`low_confidence`, from [`PlannerSnapshot::decide`]),
+/// then deadline.
 fn judge(
     planning_us: f64,
     budget_us: Option<f64>,
-    selected_step: usize,
-    confidence: usize,
-    min_confidence: usize,
+    low_confidence: bool,
     remaining_us: Option<f64>,
 ) -> FallbackReason {
     if budget_us.is_some_and(|b| planning_us > b) {
         FallbackReason::PlanningTimeout
-    } else if selected_step != 0 && confidence < min_confidence {
+    } else if low_confidence {
         FallbackReason::LowConfidence
     } else if remaining_us.is_some_and(|rem| rem <= 0.0) {
         // Queueing + planning ate the whole deadline: don't spend more on a
@@ -601,8 +600,8 @@ impl PlanDoctor {
             }
         }
         let expert_plan = self.expert_plan(&snapshot, &req.query)?;
-        let inference = if learned {
-            Some(snapshot.optimize_detailed_from(&req.query, &expert_plan)?)
+        let decision = if learned {
+            Some(snapshot.decide(&req.query, &expert_plan, self.cfg.min_confidence)?)
         } else {
             None
         };
@@ -611,22 +610,20 @@ impl PlanDoctor {
         // The safety net: the expert plan, executed unbudgeted.
         let expert = self.execute_plan(&req.query, &expert_plan, None)?;
 
-        let mut reason = match &inference {
-            Some(inference) => judge(
+        let mut reason = match &decision {
+            Some(decision) => judge(
                 planning_us,
                 req.planning_budget_us.or(self.cfg.planning_budget_us),
-                inference.selected_step,
-                inference.aam_confidence,
-                self.cfg.min_confidence,
+                decision.low_confidence,
                 req.remaining_us(start),
             ),
             None => FallbackReason::BreakerOpen,
         };
-        let (selected_step, candidates) = inference
-            .as_ref()
-            .map_or((0, 0), |i| (i.selected_step, i.candidates));
+        let (selected_step, candidates) = decision.as_ref().map_or((0, 0), |d| {
+            (d.inference.selected_step, d.inference.candidates)
+        });
         let mut retries = 0;
-        let (plan, latency) = match inference.map(|i| i.plan) {
+        let (plan, latency) = match decision.map(|d| d.plan) {
             Some(doctored) if reason == FallbackReason::None => {
                 if doctored.fingerprint() == expert_plan.fingerprint() {
                     (doctored, expert.latency)
@@ -1285,32 +1282,28 @@ mod tests {
     #[test]
     fn judge_applies_budget_then_confidence_then_deadline() {
         use FallbackReason as R;
-        // (planning µs, budget µs, selected step, confidence, remaining µs)
-        // under a confidence floor of 2.
+        // (planning µs, budget µs, floor rejected, remaining µs)
         let table = [
-            ((100.0, Some(200.0), 1, 2, Some(1.0)), R::None),
-            ((100.0, None, 1, 2, None), R::None),
+            ((100.0, Some(200.0), false, Some(1.0)), R::None),
+            ((100.0, None, false, None), R::None),
             // Each check on its own.
-            ((300.0, Some(200.0), 1, 2, None), R::PlanningTimeout),
-            ((100.0, Some(200.0), 1, 1, None), R::LowConfidence),
-            ((100.0, Some(200.0), 1, 2, Some(-5.0)), R::DeadlineExceeded),
+            ((300.0, Some(200.0), false, None), R::PlanningTimeout),
+            ((100.0, Some(200.0), true, None), R::LowConfidence),
+            ((100.0, Some(200.0), false, Some(-5.0)), R::DeadlineExceeded),
             // Budget beats confidence, which beats deadline.
-            ((300.0, Some(200.0), 1, 1, None), R::PlanningTimeout),
-            ((300.0, Some(200.0), 1, 2, Some(-5.0)), R::PlanningTimeout),
-            ((300.0, Some(200.0), 1, 0, Some(-5.0)), R::PlanningTimeout),
-            ((100.0, None, 1, 1, Some(-5.0)), R::LowConfidence),
-            // A kept expert plan is never short of confidence.
-            ((100.0, None, 0, 0, None), R::None),
-            ((100.0, None, 0, 0, Some(-5.0)), R::DeadlineExceeded),
+            ((300.0, Some(200.0), true, None), R::PlanningTimeout),
+            ((300.0, Some(200.0), false, Some(-5.0)), R::PlanningTimeout),
+            ((300.0, Some(200.0), true, Some(-5.0)), R::PlanningTimeout),
+            ((100.0, None, true, Some(-5.0)), R::LowConfidence),
             // Spending exactly the budget is in time; nothing left of the
             // deadline is past it.
-            ((200.0, Some(200.0), 1, 2, None), R::None),
-            ((100.0, None, 1, 2, Some(0.0)), R::DeadlineExceeded),
+            ((200.0, Some(200.0), false, None), R::None),
+            ((100.0, None, false, Some(0.0)), R::DeadlineExceeded),
         ];
         for (case, want) in table {
-            let (planning_us, budget_us, step, confidence, remaining_us) = case;
+            let (planning_us, budget_us, low_confidence, remaining_us) = case;
             assert_eq!(
-                judge(planning_us, budget_us, step, confidence, 2, remaining_us),
+                judge(planning_us, budget_us, low_confidence, remaining_us),
                 want,
                 "{case:?}"
             );

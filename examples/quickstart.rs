@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use foss_repro::core::DEFAULT_MIN_CONFIDENCE;
 use foss_repro::prelude::*;
 
 fn main() -> Result<()> {
@@ -55,16 +56,28 @@ fn main() -> Result<()> {
         );
     }
 
-    // 4. Doctor the plan and compare true latencies.
-    let inference = foss.optimize_detailed(query)?;
+    // 4. Let a snapshot of the trained doctor decide what to serve — the
+    //    doctored plan, or the expert plan when the AAM's verdict is below
+    //    the confidence floor — and compare true latencies.
+    let decision = foss
+        .snapshot()
+        .decide(query, &expert_plan, DEFAULT_MIN_CONFIDENCE)?;
+    let inference = &decision.inference;
     println!(
-        "\nFOSS plan (selected at step {} of {}):\n{}",
+        "\nFOSS plan (selected at step {} of {}, AAM confidence {}):\n{}",
         inference.selected_step,
         foss.config().max_steps,
+        inference.aam_confidence,
         inference.plan.explain()
     );
+    let verdict = match (decision.low_confidence, inference.selected_step) {
+        (true, _) => "rejected, the expert plan is served",
+        (false, 0) => "nothing to judge, the doctor kept the expert plan",
+        (false, _) => "passed, the doctored plan is served",
+    };
+    println!("confidence floor {DEFAULT_MIN_CONFIDENCE}: {verdict}");
     let expert_lat = executor.execute(query, &expert_plan, None)?.latency;
-    let foss_lat = executor.execute(query, &inference.plan, None)?.latency;
+    let foss_lat = executor.execute(query, &decision.plan, None)?.latency;
     println!("expert latency: {expert_lat:.0} work units");
     println!(
         "FOSS latency:   {foss_lat:.0} work units ({:.2}x)",

@@ -67,8 +67,9 @@ fn foss_end_to_end_on_real_workload() {
     assert!(reports[1].buffer_plans >= reports[0].buffer_plans);
 
     // Inference on unseen queries must produce semantically correct plans.
+    let snapshot = foss.snapshot();
     for q in wl.test.iter().take(3) {
-        let plan = foss.optimize(q).unwrap();
+        let plan = snapshot.optimize_detailed(q).unwrap().plan;
         let expert = wl.optimizer.optimize(q).unwrap();
         let a = executor.execute(q, &plan, None).unwrap();
         let b = executor.execute(q, &expert, None).unwrap();
@@ -100,10 +101,11 @@ fn foss_never_catastrophically_regresses_with_selector() {
     );
     let train: Vec<Query> = wl.train.iter().take(8).cloned().collect();
     foss.train(&train, 1).unwrap();
+    let snapshot = foss.snapshot();
     let mut learned = 0.0;
     let mut expert = 0.0;
     for q in &train {
-        let plan = foss.optimize(q).unwrap();
+        let plan = snapshot.optimize_detailed(q).unwrap().plan;
         let e = wl.optimizer.optimize(q).unwrap();
         learned += executor.execute(q, &plan, None).unwrap().latency;
         expert += executor.execute(q, &e, None).unwrap().latency;
@@ -210,8 +212,8 @@ fn joblite_expert_leaves_doctoring_headroom() {
 /// A valid one-relation query gives the doctor nothing to do — no swap, no
 /// override — and used to take the planning thread down with it. So does a
 /// query wider than the action space, which has no action in it. Inference
-/// through the trainer and the snapshot, and the serving front end, must hand
-/// back the expert plan instead.
+/// through the snapshot, and the serving front end, must hand back the
+/// expert plan instead.
 #[test]
 fn one_relation_query_is_served_the_expert_plan() {
     let wl = skewstress::build(WorkloadSpec {
@@ -260,13 +262,9 @@ fn one_relation_query_is_served_the_expert_plan() {
 
     for query in [single, wide] {
         let expert = wl.optimizer.optimize(&query).unwrap().fingerprint();
-        for inference in [
-            foss.optimize_detailed(&query).unwrap(),
-            snapshot.optimize_detailed(&query).unwrap(),
-        ] {
-            assert_eq!(inference.selected_step, 0);
-            assert_eq!(inference.plan.fingerprint(), expert);
-        }
+        let inference = snapshot.optimize_detailed(&query).unwrap();
+        assert_eq!(inference.selected_step, 0);
+        assert_eq!(inference.plan.fingerprint(), expert);
         let decision = doctor.submit(QueryRequest::new(query)).unwrap();
         assert_eq!(decision.selected_step, 0);
         assert_eq!(decision.plan.fingerprint(), expert);
