@@ -204,14 +204,17 @@ const PANIC_PATTERNS: &[(&str, &str)] = &[
 ];
 
 /// Paths rule A covers: the whole serving layer, plus the latency cache,
-/// the tier-2 fused engine and the join kernels it drives — they run inside
-/// serving threads on the latency path, so they must degrade (decline to
-/// compile, return `FossError`) rather than abort.
+/// the tier-2 fused engine and the join kernels it drives, the planner
+/// snapshot and the query graph whose fingerprint keys serving state —
+/// they run inside serving threads on the latency path, so they must
+/// degrade (decline to compile, return `FossError`) rather than abort.
 fn panic_rule_applies(rel_path: &str) -> bool {
     rel_path.starts_with("crates/service/")
         || rel_path == "crates/executor/src/cache.rs"
         || rel_path == "crates/executor/src/fused.rs"
         || rel_path == "crates/executor/src/probe.rs"
+        || rel_path == "crates/core/src/snapshot.rs"
+        || rel_path == "crates/query/src/graph.rs"
 }
 
 /// Rule A: panic habits in `crates/service` (and the executor files it
@@ -521,16 +524,25 @@ mod tests {
         let found = scan_panic_habits("crates/service/src/lib.rs", src);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].line, 2);
-        // The latency cache, the fused tier-2 engine and its join kernels
-        // are in scope too; the rest of the executor crate is not.
+        // The latency cache, the fused tier-2 engine, its join kernels, the
+        // planner snapshot and the query graph are in scope too; the rest
+        // of their crates is not.
         for path in [
             "crates/executor/src/cache.rs",
             "crates/executor/src/fused.rs",
             "crates/executor/src/probe.rs",
+            "crates/core/src/snapshot.rs",
+            "crates/query/src/graph.rs",
         ] {
             assert_eq!(scan_panic_habits(path, src).len(), 1, "{path}");
         }
-        assert!(scan_panic_habits("crates/executor/src/exec.rs", src).is_empty());
+        for path in [
+            "crates/executor/src/exec.rs",
+            "crates/core/src/trainer.rs",
+            "crates/query/src/predicate.rs",
+        ] {
+            assert!(scan_panic_habits(path, src).is_empty(), "{path}");
+        }
         // Same source outside crates/service is out of scope for rule A.
         assert!(scan_panic_habits("crates/core/src/lib.rs", src).is_empty());
     }

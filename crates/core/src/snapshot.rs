@@ -3,15 +3,16 @@
 //! [`Foss`](crate::trainer::Foss) owns the mutable training state (PPO
 //! agents, execution buffer, AAM optimiser moments). A [`PlannerSnapshot`]
 //! is an immutable copy of what inference reads — frozen agent policies,
-//! the AAM weights, the plan encoder/action space, the expert optimizer
-//! handle and the expert plans of the training queries — behind `Arc`s, so
-//! cloning a snapshot is a handful of reference-count bumps and
-//! [`PlannerSnapshot::decide`] takes `&self`: any number of threads can
-//! plan concurrently over one snapshot while training continues elsewhere.
+//! the AAM weights, the plan encoder/action space and the expert optimizer
+//! handle — behind `Arc`s, so cloning a snapshot is a handful of
+//! reference-count bumps and [`PlannerSnapshot::decide`] takes `&self`: any
+//! number of threads can plan concurrently over one snapshot while training
+//! continues elsewhere.
 //! A snapshot is the only planner: the trainer plans by taking one, and the
 //! service and the harness serve what its `decide` returns.
-//! The execution buffer and the advantage scale are training machinery for
-//! the simulated environment and stay with the trainer.
+//! The execution buffer, the advantage scale and the training queries'
+//! expert plans are training machinery and stay with the trainer: a
+//! snapshot holds nothing per query.
 //!
 //! [`SnapshotCell`] is the publication point: the trainer calls
 //! [`SnapshotCell::publish`] after an update round (hot model swap), servers
@@ -23,7 +24,7 @@ use std::sync::Arc;
 
 use foss_common::sync::atomic::{AtomicU64, Ordering};
 use foss_common::sync::RwLock;
-use foss_common::{ByteReader, ByteWriter, Codec, FossError, FxHashMap, QueryId, Result};
+use foss_common::{ByteReader, ByteWriter, Codec, FossError, Result};
 use foss_optimizer::{PhysicalPlan, TraditionalOptimizer};
 use foss_query::Query;
 
@@ -42,7 +43,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x504e_5346;
 /// Version of the snapshot wire/file format produced by
 /// [`PlannerSnapshot::to_bytes`]. Bump on any layout change; decode rejects
 /// versions it does not understand.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// The confidence floor served by default: a doctored plan that departs
 /// from the expert plan needs an AAM verdict of at least 1 over it, i.e.
@@ -91,7 +92,6 @@ pub struct PlannerSnapshot {
     space: Arc<ActionSpace>,
     policies: Arc<Vec<FrozenPolicy>>,
     aam: Arc<AdvantageModel>,
-    originals: Arc<FxHashMap<QueryId, PhysicalPlan>>,
 }
 
 impl PlannerSnapshot {
@@ -102,7 +102,6 @@ impl PlannerSnapshot {
         space: Arc<ActionSpace>,
         policies: Arc<Vec<FrozenPolicy>>,
         aam: Arc<AdvantageModel>,
-        originals: Arc<FxHashMap<QueryId, PhysicalPlan>>,
     ) -> Self {
         Self {
             cfg,
@@ -111,7 +110,6 @@ impl PlannerSnapshot {
             space,
             policies,
             aam,
-            originals,
         }
     }
 
@@ -131,12 +129,10 @@ impl PlannerSnapshot {
     }
 
     /// The expert (DP) plan for `query` — the fallback every serving-path
-    /// decision can reach without touching learned state. Answered from the
-    /// frozen original-plan cache when the query was seen in training.
+    /// decision can reach without touching learned state. A function of
+    /// the query's content alone: the snapshot stores no plan per query, so
+    /// a query's id cannot pick another query's plan.
     pub fn expert_plan(&self, query: &Query) -> Result<PhysicalPlan> {
-        if let Some(p) = self.originals.get(&query.id) {
-            return Ok(p.clone());
-        }
         self.optimizer.optimize(query)
     }
 
@@ -151,7 +147,7 @@ impl PlannerSnapshot {
         expert: &PhysicalPlan,
         min_confidence: usize,
     ) -> Result<Decision> {
-        let inference = self.infer(query, expert)?;
+        let inference = self.optimize_detailed_from(query, expert)?;
         let low_confidence =
             inference.selected_step != 0 && inference.aam_confidence < min_confidence;
         let plan = if low_confidence {
@@ -167,26 +163,15 @@ impl PlannerSnapshot {
     }
 
     /// Doctored plan with provenance (selected step, candidate count, AAM
-    /// confidence).
-    pub fn optimize_detailed(&self, query: &Query) -> Result<Inference> {
-        let original = self.expert_plan(query)?;
-        self.optimize_detailed_from(query, &original)
-    }
-
-    /// Like [`PlannerSnapshot::optimize_detailed`] with the expert plan
-    /// supplied by the caller, which must be this snapshot's
-    /// [`PlannerSnapshot::expert_plan`] for `query`.
+    /// confidence), repaired from `original`, which must be this snapshot's
+    /// [`PlannerSnapshot::expert_plan`] for `query`. The greedy-inference
+    /// pipeline: per-policy greedy episodes, a per-policy AAM tournament,
+    /// then a final tournament among champions.
     pub fn optimize_detailed_from(
         &self,
         query: &Query,
         original: &PhysicalPlan,
     ) -> Result<Inference> {
-        self.infer(query, original)
-    }
-
-    /// The greedy-inference pipeline: per-policy greedy episodes, a
-    /// per-policy AAM tournament, then a final tournament among champions.
-    fn infer(&self, query: &Query, original: &PhysicalPlan) -> Result<Inference> {
         let mut champions = Vec::with_capacity(self.policies.len());
         let mut expert_encoded = None;
         let mut candidates = 0;
@@ -239,8 +224,8 @@ impl PlannerSnapshot {
     /// The payload carries everything inference needs *except* the expert
     /// [`TraditionalOptimizer`], which is a pure function of the workload
     /// (name, seed, scale) and is rebuilt by the loading process —
-    /// see [`PlannerSnapshot::from_bytes`]. Maps are key-sorted before
-    /// writing, so the same logical snapshot always yields the same bytes.
+    /// see [`PlannerSnapshot::from_bytes`]. The same logical snapshot always
+    /// yields the same bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u32(SNAPSHOT_MAGIC);
@@ -252,13 +237,6 @@ impl PlannerSnapshot {
         Codec::encode(self.space.as_ref(), &mut w);
         self.policies.as_ref().encode(&mut w);
         self.aam.encode(&mut w);
-        let mut keys: Vec<QueryId> = self.originals.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_usize(keys.len());
-        for qid in keys {
-            qid.encode(&mut w);
-            self.originals[&qid].encode(&mut w);
-        }
         w.into_bytes()
     }
 
@@ -293,11 +271,6 @@ impl PlannerSnapshot {
         let space = <ActionSpace as Codec>::decode(&mut r)?;
         let policies: Vec<FrozenPolicy> = Vec::decode(&mut r)?;
         let aam = AdvantageModel::decode(&mut r)?;
-        let mut originals = FxHashMap::default();
-        for _ in 0..r.get_len()? {
-            let qid = QueryId::decode(&mut r)?;
-            originals.insert(qid, PhysicalPlan::decode(&mut r)?);
-        }
         r.finish()?;
         let snapshot = Self {
             cfg,
@@ -306,7 +279,6 @@ impl PlannerSnapshot {
             space: Arc::new(space),
             policies: Arc::new(policies),
             aam: Arc::new(aam),
-            originals: Arc::new(originals),
         };
         snapshot.check_fit()?;
         Ok(snapshot)
@@ -378,9 +350,9 @@ fn fit<T: PartialEq + std::fmt::Display>(what: &str, snapshot: T, serving: T) ->
     )))
 }
 
-/// The reward oracle of inference: none. `infer` reads an episode's plans,
-/// never its rewards, and the greedy trajectory depends on the policy alone,
-/// so the episode loop runs without a single AAM call.
+/// The reward oracle of inference: none. Inference reads an episode's
+/// plans, never its rewards, and the greedy trajectory depends on the policy
+/// alone, so the episode loop runs without a single AAM call.
 struct NoReward;
 
 impl RewardOracle for NoReward {
@@ -485,9 +457,15 @@ mod tests {
         foss
     }
 
+    /// What `snap` infers for `query`, repaired from its expert plan.
+    fn inferred(snap: &PlannerSnapshot, query: &Query) -> Inference {
+        let expert = snap.expert_plan(query).unwrap();
+        snap.optimize_detailed_from(query, &expert).unwrap()
+    }
+
     /// Fingerprint of the doctored plan `snap` infers for `query`.
     fn planned(snap: &PlannerSnapshot, query: &Query) -> u64 {
-        snap.optimize_detailed(query).unwrap().plan.fingerprint()
+        inferred(snap, query).plan.fingerprint()
     }
 
     #[test]
@@ -495,7 +473,7 @@ mod tests {
         let world = TestWorld::new(21);
         let snap = trained_foss(&world, 21).snapshot();
         let expert = snap.expert_plan(&world.query).unwrap();
-        let raw = snap.optimize_detailed(&world.query).unwrap();
+        let raw = inferred(&snap, &world.query);
         let decide = |floor| snap.decide(&world.query, &expert, floor).unwrap();
         let departs = raw.selected_step != 0;
         let conf = raw.aam_confidence;
@@ -526,10 +504,10 @@ mod tests {
 
     #[test]
     fn inference_episodes_visit_the_same_plans_without_a_reward_oracle() {
-        // What `infer` reads from an episode (the expert plan and the visited
-        // plans, with their encodings) must not depend on the oracle it
-        // dropped: same trajectory under the simulated environment training
-        // uses and under `NoReward`.
+        // What inference reads from an episode (the expert plan and the
+        // visited plans, with their encodings) must not depend on the oracle
+        // it dropped: same trajectory under the simulated environment
+        // training uses and under `NoReward`.
         let world = TestWorld::new(24);
         let foss = trained_foss(&world, 24);
         let snap = foss.snapshot();
@@ -618,8 +596,8 @@ mod tests {
         let snap = foss.snapshot();
         let bytes = snap.to_bytes();
         let back = PlannerSnapshot::from_bytes(&bytes, snap.optimizer().clone()).unwrap();
-        let live = snap.optimize_detailed(&world.query).unwrap();
-        let loaded = back.optimize_detailed(&world.query).unwrap();
+        let live = inferred(&snap, &world.query);
+        let loaded = inferred(&back, &world.query);
         assert_eq!(live.plan.fingerprint(), loaded.plan.fingerprint());
         assert_eq!(live.selected_step, loaded.selected_step);
         assert_eq!(live.candidates, loaded.candidates);
@@ -651,14 +629,16 @@ mod tests {
     fn a_version_1_snapshot_is_refused_by_name() {
         let world = TestWorld::new(27);
         let snap = trained_foss(&world, 27).snapshot();
-        let mut bytes = snap.to_bytes();
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let Err(FossError::Serde(msg)) =
-            PlannerSnapshot::from_bytes(&bytes, snap.optimizer().clone())
-        else {
-            panic!("a v1 snapshot must be refused");
-        };
-        assert!(msg.contains("version 1"), "{msg}");
+        for old in [1u32, 2] {
+            let mut bytes = snap.to_bytes();
+            bytes[4..8].copy_from_slice(&old.to_le_bytes());
+            let Err(FossError::Serde(msg)) =
+                PlannerSnapshot::from_bytes(&bytes, snap.optimizer().clone())
+            else {
+                panic!("a v{old} snapshot must be refused");
+            };
+            assert!(msg.contains(&format!("version {old}")), "{msg}");
+        }
     }
 
     /// `snapshot`'s bytes decoded against `world`'s expert: the error text.

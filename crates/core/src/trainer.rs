@@ -665,10 +665,11 @@ impl Foss {
     }
 
     /// Freeze the current planner into an immutable [`PlannerSnapshot`]
-    /// (frozen agent policies, AAM weights and the training queries' expert
-    /// plans behind `Arc`s). The snapshot is a deep copy: subsequent training
-    /// rounds do not affect plans served from it. The execution buffer is
-    /// not part of it — inference never reads the buffer. Publish through a
+    /// (frozen agent policies and AAM weights behind `Arc`s). The snapshot
+    /// is a deep copy: subsequent training rounds do not affect plans served
+    /// from it. Neither the execution buffer nor the training queries'
+    /// expert plans are part of it — inference never reads the buffer, and
+    /// the snapshot plans any query's expert plan by DP. Publish through a
     /// [`crate::snapshot::SnapshotCell`] for hot model swaps.
     pub fn snapshot(&self) -> PlannerSnapshot {
         PlannerSnapshot::new(
@@ -678,7 +679,6 @@ impl Foss {
             Arc::new(self.space),
             Arc::new(self.agents.iter().map(|a| a.freeze()).collect()),
             Arc::new(self.aam.clone()),
-            Arc::new(self.originals.clone()),
         )
     }
 }
@@ -687,6 +687,14 @@ impl Foss {
 mod tests {
     use super::*;
     use crate::envs::tests_support::TestWorld;
+
+    /// What `foss`'s snapshot infers for `query`, repaired from its expert
+    /// plan.
+    fn inferred(foss: &Foss, query: &Query) -> crate::snapshot::Inference {
+        let snap = foss.snapshot();
+        let expert = snap.expert_plan(query).unwrap();
+        snap.optimize_detailed_from(query, &expert).unwrap()
+    }
 
     fn foss_over(world: &TestWorld, cfg: FossConfig) -> Foss {
         let executor = Arc::new(CachingExecutor::new(
@@ -752,7 +760,7 @@ mod tests {
         };
         let mut foss = foss_over(&world, cfg);
         foss.train(std::slice::from_ref(&world.query), 1).unwrap();
-        let inf = foss.snapshot().optimize_detailed(&world.query).unwrap();
+        let inf = inferred(&foss, &world.query);
         assert!(inf.selected_step <= foss.config().max_steps);
         // The plan must execute and give the correct result cardinality.
         let exec = CachingExecutor::new(world.db.clone(), *world.opt.cost_model());
@@ -773,7 +781,7 @@ mod tests {
             };
             let mut foss = foss_over(&world, cfg);
             foss.train(std::slice::from_ref(&world.query), 1).unwrap();
-            let inf = foss.snapshot().optimize_detailed(&world.query).unwrap();
+            let inf = inferred(&foss, &world.query);
             assert_eq!(inf.candidates, policies * 4, "{num_agents} agents");
         }
     }
@@ -812,7 +820,7 @@ mod tests {
             let queries = vec![world.query.clone()];
             let reports = foss.train(&queries, 2).unwrap();
             let rewards: Vec<u32> = reports.iter().map(|r| r.mean_reward.to_bits()).collect();
-            let plan = foss.snapshot().optimize_detailed(&world.query).unwrap();
+            let plan = inferred(&foss, &world.query);
             let plan = plan.plan.fingerprint();
             (rewards, plan, foss.buffer().total_plans())
         };
@@ -958,7 +966,7 @@ mod tests {
             );
             let queries = vec![world.query.clone(), single.clone()];
             foss.train(&queries, 2).unwrap();
-            let inference = foss.snapshot().optimize_detailed(&single).unwrap();
+            let inference = inferred(&foss, &single);
             assert_eq!(inference.selected_step, 0);
             assert_eq!(inference.aam_confidence, 0);
             // The episode ends at step 1: the expert plan is the only one.

@@ -6,17 +6,19 @@
 //! execution buffer semantics: once a plan's latency is known it never needs
 //! to be re-executed.
 //!
-//! The cache is unbounded: one map from `(query, plan fingerprint)` to the
-//! outcome, under one lock. Misses run the default (chunked) engine, or the
-//! fused tier when the caller hands one in; both charge the same work units,
-//! so what is cached never depends on which ran.
+//! The cache is unbounded: one map from `(query fingerprint, plan
+//! fingerprint)` to the outcome, under one lock. A query is its content
+//! ([`Query::fingerprint`]), whatever id it arrives under. Misses run the
+//! default (chunked) engine, or the fused tier when the caller hands one
+//! in; both charge the same work units, so what is cached never depends on
+//! which ran.
 
 use std::sync::Arc;
 
 use foss_common::sync::atomic::{AtomicU64, Ordering};
 use foss_common::sync::{Condvar, Mutex, MutexGuard};
 
-use foss_common::{FaultPlan, FaultSite, FossError, FxHashMap, FxHashSet, QueryId, Result};
+use foss_common::{FaultPlan, FaultSite, FossError, FxHashMap, FxHashSet, Result};
 use foss_optimizer::{CostModel, PhysicalPlan};
 use foss_query::Query;
 
@@ -80,7 +82,12 @@ impl CacheStats {
     }
 }
 
-type CacheKey = (QueryId, u64);
+type CacheKey = (u64, u64);
+
+/// The one place a cache key is computed.
+fn cache_key(query: &Query, plan: &PhysicalPlan) -> CacheKey {
+    (query.fingerprint(), plan.fingerprint())
+}
 
 /// An [`Executor`] front-end with a fingerprint-keyed latency cache and an
 /// execution counter (used to report "plans executed" statistics).
@@ -233,7 +240,7 @@ impl CachingExecutor {
                 std::thread::sleep(std::time::Duration::from_micros(rule.param as u64));
             }
         }
-        let key = (query.id, plan.fingerprint());
+        let key = cache_key(query, plan);
         let claim = loop {
             if let Some(res) = self.lookup(key, budget) {
                 return res;
@@ -258,23 +265,31 @@ impl CachingExecutor {
             Some(fused) => fused.execute(&self.db, self.cost, query, budget),
             None => Executor::new(&self.db, self.cost).execute(query, plan, budget),
         };
-        let result = match outcome {
-            Ok(out) => {
-                self.cache.lock().insert(key, CachedResult::Done(out));
-                Ok(out)
-            }
-            Err(e @ FossError::Timeout { spent, .. }) => {
-                if let Some(b) = budget {
-                    self.cache
-                        .lock()
-                        .insert(key, CachedResult::TimedOut { budget: b, spent });
-                }
-                Err(e)
-            }
-            Err(e) => Err(e),
-        };
+        let result = self.record(key, budget, outcome);
         drop(claim);
         result
+    }
+
+    /// Memoise one real execution's `outcome` under `key` — a finished run,
+    /// or a timeout under a budget — and hand it back.
+    fn record(
+        &self,
+        key: CacheKey,
+        budget: Option<f64>,
+        outcome: Result<ExecOutcome>,
+    ) -> Result<ExecOutcome> {
+        let entry = match &outcome {
+            Ok(out) => Some(CachedResult::Done(*out)),
+            Err(FossError::Timeout { spent, .. }) => budget.map(|b| CachedResult::TimedOut {
+                budget: b,
+                spent: *spent,
+            }),
+            Err(_) => None,
+        };
+        if let Some(entry) = entry {
+            self.cache.lock().insert(key, entry);
+        }
+        outcome
     }
 
     /// Pre-single-flight `execute` (the PR 6 behaviour before the in-flight
@@ -292,26 +307,13 @@ impl CachingExecutor {
         plan: &PhysicalPlan,
         budget: Option<f64>,
     ) -> Result<ExecOutcome> {
-        let key = (query.id, plan.fingerprint());
+        let key = cache_key(query, plan);
         if let Some(res) = self.lookup(key, budget) {
             return res;
         }
         self.executions.fetch_add(1, Ordering::Relaxed);
-        match Executor::new(&self.db, self.cost).execute(query, plan, budget) {
-            Ok(out) => {
-                self.cache.lock().insert(key, CachedResult::Done(out));
-                Ok(out)
-            }
-            Err(e @ FossError::Timeout { spent, .. }) => {
-                if let Some(b) = budget {
-                    self.cache
-                        .lock()
-                        .insert(key, CachedResult::TimedOut { budget: b, spent });
-                }
-                Err(e)
-            }
-            Err(e) => Err(e),
-        }
+        let outcome = Executor::new(&self.db, self.cost).execute(query, plan, budget);
+        self.record(key, budget, outcome)
     }
 
     /// Number of *real* executions performed (cache misses) over the

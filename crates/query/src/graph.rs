@@ -1,9 +1,11 @@
 //! The query graph: relations, join edges, predicates.
 
 use foss_catalog::Schema;
+use foss_common::hash::FxHasher;
 use foss_common::{FossError, QueryId, Result, TableId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::predicate::Predicate;
 
@@ -80,6 +82,20 @@ pub struct Query {
 }
 
 impl Query {
+    /// The query's identity for serving state: a hash of each relation's
+    /// table and predicates (constants included) and the join edges, but not
+    /// of the id, the template or the aliases. Lengths are hashed before
+    /// their items, so no two layouts feed the hasher the same words.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = FxHasher::default();
+        self.relations.len().hash(&mut h);
+        for rel in &self.relations {
+            (rel.table, &rel.predicates).hash(&mut h);
+        }
+        self.joins.hash(&mut h);
+        h.finish()
+    }
+
     /// Number of relations (the paper's `n`).
     pub fn relation_count(&self) -> usize {
         self.relations.len()
@@ -349,6 +365,45 @@ mod tests {
         let text = q.to_string();
         assert!(text.starts_with("SELECT COUNT(*) FROM a, b, c"));
         assert!(text.contains("a.c1 = 3"));
+    }
+
+    #[test]
+    fn fingerprint_is_content_not_id_template_or_alias() {
+        let s = schema3();
+        let q = chain_query(&s);
+        let mut renamed = q.clone();
+        renamed.id = QueryId::new(77);
+        renamed.template = 9;
+        renamed.relations[0].alias = "x".into();
+        assert_eq!(renamed.fingerprint(), q.fingerprint());
+        let edits: [fn(&mut Query); 6] = [
+            |q| {
+                q.relations[0].predicates[0] = Predicate::Eq {
+                    column: 1,
+                    value: 4,
+                }
+            },
+            |q| {
+                q.relations[0].predicates[0] = Predicate::Range {
+                    column: 1,
+                    lo: 3,
+                    hi: 3,
+                }
+            },
+            |q| q.relations[2].table = q.relations[1].table,
+            |q| q.joins[1].right_column = 0,
+            |q| q.joins.swap(0, 1),
+            // The same predicate on the next relation.
+            |q| {
+                let p = q.relations[0].predicates.remove(0);
+                q.relations[1].predicates.push(p);
+            },
+        ];
+        for (i, edit) in edits.into_iter().enumerate() {
+            let mut other = q.clone();
+            edit(&mut other);
+            assert_ne!(other.fingerprint(), q.fingerprint(), "edit {i}");
+        }
     }
 
     #[test]

@@ -94,7 +94,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use foss_common::sync::Mutex;
-use foss_common::{FaultPlan, FaultSite, FossError, FxHashMap, QueryId, Result};
+use foss_common::{FaultPlan, FaultSite, FossError, FxHashMap, Result};
 use foss_core::{PlannerSnapshot, SnapshotCell, DEFAULT_MIN_CONFIDENCE};
 use foss_executor::CachingExecutor;
 use foss_optimizer::PhysicalPlan;
@@ -326,11 +326,11 @@ pub struct PlanDoctor {
     /// *while* the service runs still lands in the delta — see
     /// [`PlanDoctor::metrics`].)
     cache_baseline: foss_executor::CacheStats,
-    /// Every expert plan this service has served, whether the snapshot
-    /// answered it from its frozen originals or by a DP run. Consulted
-    /// before the snapshot, so a query pays the DP cost once, not per
-    /// submit. Cleared on [`PlanDoctor::publish`].
-    expert_memo: Mutex<FxHashMap<QueryId, PhysicalPlan>>,
+    /// Every expert plan this service has served, keyed by
+    /// [`Query::fingerprint`]: a query pays its DP run once, not per
+    /// submit, whatever id it arrives under. Cleared on
+    /// [`PlanDoctor::publish`].
+    expert_memo: Mutex<FxHashMap<u64, PhysicalPlan>>,
     cfg: ServiceConfig,
     gate: AdmissionGate,
     metrics: MetricsRegistry,
@@ -399,7 +399,7 @@ impl PlanDoctor {
 
     /// Hot-swap the served model; in-flight queries finish on the snapshot
     /// they loaded, subsequent submits plan on the new one. The expert-plan
-    /// memo is dropped so the new snapshot's original-plan view governs.
+    /// memo is dropped: the new snapshot's optimizer plans from now on.
     ///
     /// A failed publish ([`FaultSite::PublishFail`] under chaos, or any
     /// future real failure mode) leaves the previous generation serving —
@@ -458,15 +458,15 @@ impl PlanDoctor {
         self.executor.execute_tiered(query, plan, budget, pipeline)
     }
 
-    /// The expert plan for `query`: from the service memo, else from the
-    /// snapshot (its frozen originals, else one DP run), memoised either
-    /// way.
+    /// The expert plan for `query`: from the service memo, else one DP run
+    /// of the snapshot's optimizer, which is then memoised.
     fn expert_plan(&self, snapshot: &PlannerSnapshot, query: &Query) -> Result<PhysicalPlan> {
-        if let Some(plan) = self.expert_memo.lock().get(&query.id) {
+        let key = query.fingerprint();
+        if let Some(plan) = self.expert_memo.lock().get(&key) {
             return Ok(plan.clone());
         }
         let plan = snapshot.expert_plan(query)?;
-        self.expert_memo.lock().insert(query.id, plan.clone());
+        self.expert_memo.lock().insert(key, plan.clone());
         Ok(plan)
     }
 

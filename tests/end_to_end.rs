@@ -69,8 +69,8 @@ fn foss_end_to_end_on_real_workload() {
     // Inference on unseen queries must produce semantically correct plans.
     let snapshot = foss.snapshot();
     for q in wl.test.iter().take(3) {
-        let plan = snapshot.optimize_detailed(q).unwrap().plan;
         let expert = wl.optimizer.optimize(q).unwrap();
+        let plan = snapshot.optimize_detailed_from(q, &expert).unwrap().plan;
         let a = executor.execute(q, &plan, None).unwrap();
         let b = executor.execute(q, &expert, None).unwrap();
         assert_eq!(a.rows, b.rows, "FOSS changed query semantics on {}", q.id);
@@ -105,8 +105,8 @@ fn foss_never_catastrophically_regresses_with_selector() {
     let mut learned = 0.0;
     let mut expert = 0.0;
     for q in &train {
-        let plan = snapshot.optimize_detailed(q).unwrap().plan;
         let e = wl.optimizer.optimize(q).unwrap();
+        let plan = snapshot.optimize_detailed_from(q, &e).unwrap().plan;
         learned += executor.execute(q, &plan, None).unwrap().latency;
         expert += executor.execute(q, &e, None).unwrap().latency;
     }
@@ -261,8 +261,11 @@ fn one_relation_query_is_served_the_expert_plan() {
     let doctor = PlanDoctor::new(snapshot.clone(), executor, ServiceConfig::default());
 
     for query in [single, wide] {
-        let expert = wl.optimizer.optimize(&query).unwrap().fingerprint();
-        let inference = snapshot.optimize_detailed(&query).unwrap();
+        let expert_plan = wl.optimizer.optimize(&query).unwrap();
+        let expert = expert_plan.fingerprint();
+        let inference = snapshot
+            .optimize_detailed_from(&query, &expert_plan)
+            .unwrap();
         assert_eq!(inference.selected_step, 0);
         assert_eq!(inference.plan.fingerprint(), expert);
         let decision = doctor.submit(QueryRequest::new(query)).unwrap();

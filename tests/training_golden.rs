@@ -13,10 +13,14 @@
 //! moved them.
 //!
 //! The buffer digests were taken before `.fsnp` v2 dropped the buffer from
-//! the snapshot, and the v2 snapshot digests are the v1 snapshots of the same
-//! runs with the version word changed and the buffer and advantage-scale
-//! sections cut out: the format change moved no learned bit. A v2 snapshot
-//! no longer grows with training, hence one length for both runs.
+//! the snapshot, and the v2 snapshot digests were the v1 snapshots of the
+//! same runs with the version word changed and the buffer and
+//! advantage-scale sections cut out: the format change moved no learned bit.
+//! A snapshot no longer grows with training, hence one length for both
+//! runs. The v3 snapshot digests are, in turn, the v2 snapshots of the same
+//! runs cut before their last section (the training queries' expert plans,
+//! 17 990 bytes in every run) with the version word set to 3; v3 dropped
+//! that section and nothing else.
 //!
 //! The 30-iteration run also pins what its final snapshot serves on the
 //! train and test splits through `harness::evaluate_on`: the Σ-ratio, the
@@ -180,9 +184,9 @@ fn five_iterations_reproduce_the_pinned_snapshot_and_reports() {
         "execution buffer diverged: {:016x}",
         got.buffer_fnv
     );
-    assert_eq!(got.snapshot_len, 117_268);
+    assert_eq!(got.snapshot_len, 99_278);
     assert_eq!(
-        got.snapshot_fnv, 0xeb86_c594_8ec2_8103,
+        got.snapshot_fnv, 0x0735_766b_5614_14e9,
         "snapshot bytes diverged: {:016x}",
         got.snapshot_fnv
     );
@@ -212,9 +216,9 @@ fn thirty_iterations_reproduce_the_pinned_snapshot_and_reports() {
         "execution buffer diverged: {:016x}",
         got.buffer_fnv
     );
-    assert_eq!(got.snapshot_len, 117_268);
+    assert_eq!(got.snapshot_len, 99_278);
     assert_eq!(
-        got.snapshot_fnv, 0x1a88_fdc9_81e0_4dac,
+        got.snapshot_fnv, 0x5890_fa30_faca_9f0a,
         "snapshot bytes diverged: {:016x}",
         got.snapshot_fnv
     );
@@ -277,9 +281,9 @@ fn off_simulated_reproduces_the_pinned_snapshot_and_reports() {
         "execution buffer diverged: {:016x}",
         got.buffer_fnv
     );
-    assert_eq!(got.snapshot_len, 117_268);
+    assert_eq!(got.snapshot_len, 99_278);
     assert_eq!(
-        got.snapshot_fnv, 0x1def_b774_9695_ea35,
+        got.snapshot_fnv, 0xd5a2_f599_f19c_00cf,
         "snapshot bytes diverged: {:016x}",
         got.snapshot_fnv
     );
@@ -313,9 +317,9 @@ fn two_agents_reproduce_the_pinned_snapshot_and_reports() {
         "execution buffer diverged: {:016x}",
         got.buffer_fnv
     );
-    assert_eq!(got.snapshot_len, 169_688);
+    assert_eq!(got.snapshot_len, 151_698);
     assert_eq!(
-        got.snapshot_fnv, 0x0f69_0fc0_6ea2_b8b7,
+        got.snapshot_fnv, 0x2695_c42b_1756_07fd,
         "snapshot bytes diverged: {:016x}",
         got.snapshot_fnv
     );

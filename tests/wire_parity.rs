@@ -134,7 +134,8 @@ fn snapshot_survives_save_load_serve_round_trip() {
             PlanOutcome::Rejected(r) => panic!("query {idx} rejected: {r:?}"),
         };
         // Bit-identical to what the trainer's in-memory snapshot plans.
-        let trained = t.snapshot.optimize_detailed(q).unwrap();
+        let expert = t.snapshot.expert_plan(q).unwrap();
+        let trained = t.snapshot.optimize_detailed_from(q, &expert).unwrap();
         assert_eq!(
             reply.fingerprint,
             trained.plan.fingerprint(),
