@@ -432,114 +432,68 @@ mod metrics {
 }
 
 // ---------------------------------------------------------------------------
-// service: TierCell (tiered-execution publish/claim)
+// service: TierEngine (one compile verdict per shape)
 // ---------------------------------------------------------------------------
 
 mod tier {
     use super::*;
-    use foss_service::TierCell;
+    use foss_service::tier::TierEntry;
+    use foss_service::{TierConfig, TierEngine, TierStats};
+    use std::sync::atomic::AtomicUsize;
 
     const SHAPE: u64 = 7;
 
-    /// The compile discipline `TierEngine::pipeline_for` runs per racer:
-    /// read the cell, try to claim, publish on success. Returns 1 if this
-    /// racer published.
-    fn try_compile(cell: &TierCell<(u64, u64)>, tid: u64) -> u32 {
-        if cell.get(SHAPE).is_some() {
-            return 0;
-        }
-        match cell.claim(SHAPE) {
-            Some(claim) => {
-                claim.publish((tid, tid));
-                1
-            }
-            None => 0,
-        }
-    }
-
-    /// `racers` compile racers for one shape against `reads` observer
-    /// loads: exactly one racer publishes, no load observes a torn
-    /// pipeline payload, the generation is monotone, and an observed
-    /// generation ≥ 1 guarantees the entry is visible (publish swaps the
-    /// map *before* bumping, mirroring `SnapshotCell`).
-    fn compile_race(racers: u64, reads: usize) {
-        let cell = Arc::new(TierCell::<(u64, u64)>::new());
-        let compilers: Vec<_> = (1..=racers)
-            .map(|tid| {
-                let cell = Arc::clone(&cell);
-                foss_check::thread::spawn(move || try_compile(&cell, tid))
+    /// `racers` threads resolve one shape at once, each with a compiler
+    /// that declines. The get-or-insert must run exactly one compile, hand
+    /// every racer that one recorded verdict, and count each lookup once.
+    fn verdict_race(racers: usize) {
+        let engine = Arc::new(TierEngine::new(TierConfig));
+        let compiled = Arc::new(AtomicUsize::new(0));
+        let handles: Vec<_> = (0..racers)
+            .map(|_| {
+                let engine = Arc::clone(&engine);
+                let compiled = Arc::clone(&compiled);
+                foss_check::thread::spawn(move || {
+                    engine.resolve(SHAPE, || {
+                        compiled.fetch_add(1, RealOrdering::Relaxed);
+                        TierEntry::Unsupported
+                    })
+                })
             })
             .collect();
-        let reader = (reads > 0).then(|| {
-            let cell = Arc::clone(&cell);
-            foss_check::thread::spawn(move || {
-                let mut last_gen = 0;
-                for _ in 0..reads {
-                    let g0 = cell.generation();
-                    if let Some(v) = cell.get(SHAPE) {
-                        assert_eq!(v.0, v.1, "torn pipeline read: {:?}", *v);
-                    } else {
-                        assert_eq!(g0, 0, "generation {g0} observed but entry missing");
-                    }
-                    let g1 = cell.generation();
-                    assert!(g1 >= g0, "generation went backwards: {g0} -> {g1}");
-                    assert!(g0 >= last_gen, "generation went backwards across loads");
-                    last_gen = g1;
-                }
-            })
-        });
-        let published: u32 = compilers.into_iter().map(|h| h.join()).sum();
-        if let Some(reader) = reader {
-            reader.join();
-        }
-        assert_eq!(published, 1, "compile race must have exactly one winner");
-        assert_eq!(cell.generation(), 1, "exactly one publish bumps once");
-        let v = cell.get(SHAPE).expect("winner's entry visible after join");
-        assert_eq!(v.0, v.1, "published entry torn");
-    }
-
-    #[test]
-    fn exhaustive_one_compile_winner() {
-        let report = check_exhaustive(400_000, || compile_race(2, 0));
-        report.assert_ok();
-        assert!(report.complete, "exhaustive budget too small");
-    }
-
-    #[test]
-    fn random_one_compile_winner_no_torn_reads() {
-        check_random(0xF055_0007, 1_000, || compile_race(3, 2)).assert_ok();
-    }
-
-    /// A claim dropped without publishing (a compiler that declined) must
-    /// release the key in every interleaving: whatever order the decliner
-    /// and the racer land in, the shape ends published exactly once — by
-    /// the racer or by a retry after both settle — and never wedged.
-    #[test]
-    fn exhaustive_dropped_claim_releases_the_key() {
-        let report = check_exhaustive(1_000_000, || {
-            let cell = Arc::new(TierCell::<(u64, u64)>::new());
-            let decliner = {
-                let cell = Arc::clone(&cell);
-                foss_check::thread::spawn(move || {
-                    drop(cell.claim(SHAPE));
-                    0u32
-                })
-            };
-            let racer = {
-                let cell = Arc::clone(&cell);
-                foss_check::thread::spawn(move || try_compile(&cell, 9))
-            };
-            let published = decliner.join() + racer.join();
-            if published == 0 {
-                // The racer lost its claim to the decliner; the key must be
-                // claimable again now — a wedged key would return None.
-                assert_eq!(try_compile(&cell, 10), 1, "dropped claim wedged the key");
+        let verdicts: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        assert_eq!(
+            compiled.load(RealOrdering::Relaxed),
+            1,
+            "shape compiled twice"
+        );
+        assert!(matches!(*verdicts[0], TierEntry::Unsupported));
+        assert!(
+            verdicts.iter().all(|v| Arc::ptr_eq(v, &verdicts[0])),
+            "racers saw different verdicts"
+        );
+        let after = engine.resolve(SHAPE, || unreachable!("recorded verdict recompiled"));
+        assert!(Arc::ptr_eq(&after, &verdicts[0]), "verdict replaced");
+        assert_eq!(
+            engine.stats(),
+            TierStats {
+                compiles: 0,
+                hits: 0,
+                fallbacks: racers as u64 + 1,
             }
-            assert_eq!(cell.generation(), 1);
-            assert!(cell.get(SHAPE).is_some());
-        });
+        );
+    }
+
+    #[test]
+    fn exhaustive_one_verdict_per_shape() {
+        let report = check_exhaustive(400_000, || verdict_race(2));
         report.assert_ok();
         assert!(report.complete, "exhaustive budget too small");
+    }
+
+    #[test]
+    fn random_one_verdict_per_shape() {
+        check_random(0xF055_0007, 1_000, || verdict_race(3)).assert_ok();
     }
 }
 

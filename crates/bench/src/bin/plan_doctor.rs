@@ -108,19 +108,6 @@ fn train_snapshot(exp: &Experiment, shared: &SharedArgs) -> PlannerSnapshot {
     adapter.snapshot().as_ref().clone()
 }
 
-/// The execution tier in effect: `--tier` beats `FOSS_TIER`, neither means
-/// the service default (count-and-compile).
-fn tier_config(shared: &SharedArgs) -> foss_service::TierConfig {
-    let default = foss_service::TierConfig::default();
-    foss_service::TierConfig {
-        mode: shared
-            .tier
-            .or_else(foss_service::TierMode::from_env)
-            .unwrap_or(default.mode),
-        ..default
-    }
-}
-
 /// Wrap a snapshot in a service front end configured by the shared flags.
 fn doctor_for(exp: &Experiment, shared: &SharedArgs, snapshot: PlannerSnapshot) -> PlanDoctor {
     let mut doctor = PlanDoctor::new(
@@ -129,7 +116,6 @@ fn doctor_for(exp: &Experiment, shared: &SharedArgs, snapshot: PlannerSnapshot) 
         ServiceConfig {
             max_in_flight: shared.max_in_flight,
             planning_budget_us: shared.budget_us,
-            tier: tier_config(shared),
             ..ServiceConfig::default()
         },
     );

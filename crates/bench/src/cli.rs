@@ -24,8 +24,6 @@
 
 use std::str::FromStr;
 
-use foss_service::TierMode;
-
 /// The valid subcommands, in help order.
 pub const SUBCOMMANDS: &[&str] = &["bench", "serve", "load"];
 
@@ -58,10 +56,6 @@ pub struct SharedArgs {
     pub max_in_flight: usize,
     /// Deterministic fault-plan spec (`--faults`, beats `FOSS_FAULTS`).
     pub faults: Option<String>,
-    /// Execution-tier override (`--tier off|auto|force`, beats
-    /// `FOSS_TIER`; `None` defers to the env var, then the service
-    /// default).
-    pub tier: Option<TierMode>,
 }
 
 impl Default for SharedArgs {
@@ -73,7 +67,6 @@ impl Default for SharedArgs {
             budget_us: None,
             max_in_flight: 16,
             faults: None,
-            tier: None,
         }
     }
 }
@@ -89,11 +82,6 @@ impl SharedArgs {
             "--budget-us" => self.budget_us = Some(num(flag, value)?),
             "--max-in-flight" => self.max_in_flight = num(flag, value)?,
             "--faults" => self.faults = Some(value.to_string()),
-            "--tier" => {
-                self.tier = Some(TierMode::parse(value).ok_or_else(|| {
-                    format!("--tier must be one of off|interpreter|auto|force|fused, got `{value}`")
-                })?)
-            }
             _ => return Ok(false),
         }
         Ok(true)
@@ -469,18 +457,16 @@ mod tests {
     }
 
     #[test]
-    fn tier_flag_parses_and_rejects_garbage() {
-        let Command::Bench(b) = parse(&argv("--tier force")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(b.shared.tier, Some(TierMode::Force));
-        let Command::Serve(s) = parse(&argv("serve --tier off")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(s.shared.tier, Some(TierMode::Interpreter));
-        assert!(parse(&argv("--tier warp"))
-            .unwrap_err()
-            .contains("off|interpreter|auto|force|fused"));
-        assert!(parse(&[]).is_ok_and(|c| matches!(c, Command::Bench(b) if b.shared.tier.is_none())));
+    fn tier_flag_is_gone() {
+        // Spelled in two parts so a search for the deleted flag finds only
+        // live uses.
+        let flag = concat!("--", "tier");
+        for line in [format!("{flag} force"), format!("serve {flag} off")] {
+            let err = parse(&argv(&line)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown flag {flag}")),
+                "{line}: {err}"
+            );
+        }
     }
 }

@@ -27,9 +27,7 @@ use foss_harness::RunConfig;
 use foss_nn::{GradStore, Graph, Linear, Matrix, ParamSet};
 use foss_optimizer::{AccessPath, Icp, JoinMethod, PhysicalPlan, PlanNode};
 use foss_query::{Predicate, Query, QueryBuilder};
-use foss_service::{
-    PlanDoctor, PlanRequest, PlanServer, QueryRequest, ServiceConfig, TierConfig, TierMode,
-};
+use foss_service::{PlanDoctor, PlanRequest, PlanServer, QueryRequest, ServiceConfig};
 use foss_workloads::{joblite, skewstress, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -174,7 +172,7 @@ pub fn micro_suite(c: &mut Criterion) {
     // The same hash join through the tier-2 fused pipeline: identical rows
     // and metered latency as `exec/hash_join` by construction, so the delta
     // to that bench is pure dispatch overhead removed — the steady-state
-    // win the hot-shape compiler buys.
+    // win the fused tier buys.
     let fused_join = FusedPipeline::compile(&join_query, &join_plan)
         .expect("forced hash join is a supported tier-2 shape");
     c.bench_function("exec/fused_hot_path", |b| {
@@ -277,46 +275,6 @@ pub fn micro_suite(c: &mut Criterion) {
         b.iter(|| black_box(client.plan(&wire_request).unwrap()))
     });
     server.shutdown();
-
-    // Tiered serving A/B: the same repeated-template batch with the latency
-    // cache cleared every pass so each submission actually executes.
-    // `_tiered` force-compiles hot shapes to fused pipelines, `_tiered_off`
-    // pins the interpreter; their ratio is the steady-state tier-2 win on
-    // the serving path (compile cost amortises after the first pass — the
-    // tier cell persists across iterations).
-    let bench_tiered = |mode: TierMode| {
-        let exec = Arc::new(CachingExecutor::new(wl.db.clone(), *opt.cost_model()));
-        let doctor = PlanDoctor::new(
-            foss.snapshot(),
-            exec.clone(),
-            ServiceConfig {
-                tier: TierConfig {
-                    mode,
-                    hot_threshold: 1,
-                },
-                ..ServiceConfig::default()
-            },
-        );
-        (exec, doctor)
-    };
-    let (tiered_exec, tiered_doctor) = bench_tiered(TierMode::Force);
-    c.bench_function("service/submit_throughput_tiered", |b| {
-        b.iter(|| {
-            tiered_exec.clear();
-            for q in &serve_queries {
-                black_box(tiered_doctor.submit(QueryRequest::new(q.clone())).unwrap());
-            }
-        })
-    });
-    let (off_exec, off_doctor) = bench_tiered(TierMode::Interpreter);
-    c.bench_function("service/submit_throughput_tiered_off", |b| {
-        b.iter(|| {
-            off_exec.clear();
-            for q in &serve_queries {
-                black_box(off_doctor.submit(QueryRequest::new(q.clone())).unwrap());
-            }
-        })
-    });
 
     // The two phases that decide a training iteration's wall time, on a
     // buffer bootstrapped over the whole train split under the serving

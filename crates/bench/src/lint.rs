@@ -1,6 +1,6 @@
 //! `foss-lint`: hand-rolled repo static checks (no parser dependencies).
 //!
-//! Four rules, each encoding an invariant this repo actually relies on:
+//! Five rules, each encoding an invariant this repo actually relies on:
 //!
 //! * **panic-habits** (`A`) — no `.unwrap()` / `.expect(` / `panic!(` in
 //!   `crates/service` or `crates/executor/src/{cache,fused,probe}.rs`
@@ -26,6 +26,13 @@
 //!   their dispatch), test code included, and every use carries a
 //!   `// SAFETY:` comment on its own line or in the comment and attribute
 //!   lines directly above it.
+//! * **env-knobs** (`E`) — non-test code under `crates/` reads the
+//!   environment (`std::env::var` / `var_os`) only in the files that
+//!   resolve the repo's existing variables: `crates/common/src/faults.rs`
+//!   (`FOSS_FAULTS`) and `crates/bench/src/{cli,lib}.rs` (`FOSS_SCALE`,
+//!   `FOSS_ROUNDS`). A new environment knob is a new way for two runs of
+//!   one binary to differ; it goes through one of those resolvers or not
+//!   at all.
 //!
 //! The scanner is line-based: string/char literals and `//` comments are
 //! stripped first, and `#[cfg(test)]` regions are tracked by brace depth so
@@ -45,7 +52,7 @@ pub struct Finding {
     /// 1-based line.
     pub line: usize,
     /// Short rule id (`panic-habits`, `sync-facade`, `wire-mapping`,
-    /// `unsafe-scope`).
+    /// `unsafe-scope`, `env-knobs`).
     pub rule: &'static str,
     /// What was found.
     pub message: String,
@@ -382,6 +389,52 @@ pub fn scan_unsafe(rel_path: &str, source: &str) -> Vec<Finding> {
     findings
 }
 
+/// The files rule E lets read the environment.
+const ENV_ALLOWED: &[&str] = &[
+    "crates/common/src/faults.rs",
+    "crates/bench/src/cli.rs",
+    "crates/bench/src/lib.rs",
+];
+
+/// Whether the *sanitized* line names `env::var` or `env::var_os` (so
+/// `env::vars`, `env::args` and the `env!` macro do not count).
+fn reads_env_var(line: &str) -> bool {
+    line.match_indices("env::var").any(|(pos, w)| {
+        let rest: String = line[pos + w.len()..]
+            .chars()
+            .take_while(|c| c.is_alphanumeric() || *c == '_')
+            .collect();
+        rest.is_empty() || rest == "_os"
+    })
+}
+
+/// Rule E: `std::env::var` / `var_os` outside the resolver files in non-test
+/// code (`#[cfg(test)]` regions and integration-test directories are
+/// exempt).
+pub fn scan_env_knobs(rel_path: &str, source: &str) -> Vec<Finding> {
+    if ENV_ALLOWED.contains(&rel_path) || rel_path.contains("/tests/") {
+        return Vec::new();
+    }
+    let mut region = TestRegion::default();
+    let mut findings = Vec::new();
+    for (idx, raw) in source.lines().enumerate() {
+        let line = sanitize(raw);
+        if region.is_test(&line) || !reads_env_var(&line) {
+            continue;
+        }
+        findings.push(Finding {
+            file: rel_path.to_string(),
+            line: idx + 1,
+            rule: "env-knobs",
+            message: format!(
+                "environment read outside {} (no new env knobs)",
+                ENV_ALLOWED.join(", ")
+            ),
+        });
+    }
+    findings
+}
+
 /// Extract the variant names of `pub enum FossError` from `error.rs`
 /// source, with the 1-based line each is declared on.
 fn foss_error_variants(error_src: &str) -> Vec<(String, usize)> {
@@ -486,6 +539,7 @@ pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
         findings.extend(scan_panic_habits(&rel, &source));
         findings.extend(scan_sync_facade(&rel, &source));
         findings.extend(scan_unsafe(&rel, &source));
+        findings.extend(scan_env_knobs(&rel, &source));
     }
     let error_path = root.join("crates/common/src/error.rs");
     let wire_path = root.join("crates/service/src/wire.rs");
@@ -628,6 +682,24 @@ mod tests {
     fn unsafe_scope_ignores_identifiers_strings_and_comments() {
         let src = "use std::cell::UnsafeCell;\nlet m = \"unsafe { }\";\n// unsafe here is prose\nfn not_unsafe_op() {}\n";
         assert!(scan_unsafe("crates/core/src/x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn env_knobs_flags_env_reads_outside_the_resolvers() {
+        let src = "fn f() {\n    let a = std::env::var(\"X\");\n    let b = env::var_os(\"Y\");\n    let c = std::env::args();\n    let d = env!(\"CARGO_MANIFEST_DIR\");\n    let e = std::env::vars();\n}\n#[cfg(test)]\nmod tests {\n    fn g() { std::env::var(\"Z\"); }\n}\n";
+        let lines: Vec<usize> = scan_env_knobs("crates/service/src/tier.rs", src)
+            .iter()
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(lines, vec![2, 3]);
+        for path in ENV_ALLOWED {
+            assert!(scan_env_knobs(path, src).is_empty(), "{path}");
+        }
+        // Integration tests and quoted or commented names are exempt.
+        assert!(scan_env_knobs("crates/bench/tests/x.rs", src).is_empty());
+        let quoted =
+            "fn f() {\n    // std::env::var here is prose\n    let m = \"env::var_os\";\n}\n";
+        assert!(scan_env_knobs("crates/core/src/x.rs", quoted).is_empty());
     }
 
     /// The repo itself must be clean — this is the same gate CI runs via

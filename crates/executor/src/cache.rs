@@ -221,7 +221,7 @@ impl CachingExecutor {
     /// records and recorded latencies are bit-identical either way — the
     /// tier is invisible to every consumer of this cache. The caller is
     /// responsible for only passing a pipeline compiled for this exact
-    /// `(query, plan)` shape (the service keys its tier cell on
+    /// `(query, plan)` shape (the service keys its tier engine on
     /// [`crate::fused::shape_key`]).
     pub fn execute_tiered(
         &self,

@@ -1,4 +1,4 @@
-//! Tier-2 execution: hot plan shapes compiled into fused pipelines.
+//! Tier-2 execution: plan shapes compiled into fused pipelines.
 //!
 //! The chunked interpreter ([`crate::exec`]) walks the plan tree on every
 //! execution: per-node `match` dispatch, per-join slot lookups
@@ -178,8 +178,8 @@ impl JoinStage {
 }
 
 /// A plan shape compiled to a stage program. Immutable and `Send + Sync`;
-/// the service publishes these through its tier cell and reuses one
-/// instance across every query instance of the shape.
+/// the service records these in its tier engine and reuses one instance
+/// across every query instance of the shape.
 #[derive(Debug, Clone)]
 pub struct FusedPipeline {
     /// [`shape_key`] of the `(query, plan)` this was compiled from. The

@@ -22,6 +22,11 @@
 //!                                             MetricsRegistry (atomic counters)
 //! ```
 //!
+//! Every execution first asks the [`tier`] engine for a fused pipeline
+//! compiled for the plan's shape; a supported shape runs fused from its
+//! first execution, any other on the chunked interpreter, with
+//! bit-identical results and latencies either way.
+//!
 //! # Admission and fallback semantics
 //!
 //! * **Admission** — at most [`ServiceConfig::max_in_flight`] queries run
@@ -105,7 +110,7 @@ pub use gate::{AdmissionGate, Permit};
 pub use http::{PlanClient, PlanOutcome, PlanServer, Rejection};
 pub use json::Json;
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
-pub use tier::{HotShapeTracker, TierCell, TierConfig, TierEngine, TierMode, TierStats};
+pub use tier::{TierConfig, TierEngine, TierStats};
 pub use wire::{PlanReply, PlanRequest, WireError};
 
 /// Serving knobs (see the module docs for the semantics of each).
@@ -135,10 +140,8 @@ pub struct ServiceConfig {
     /// sheds low-priority traffic immediately when the gate is full, which
     /// is what guarantees low sheds before high under overload.
     pub low_shed_wait_us: f64,
-    /// Tiered-execution knobs (see [`tier`]). The `plan-doctor` CLI
-    /// resolves [`TierConfig::mode`] as `--tier` flag > `FOSS_TIER` env >
-    /// this default ([`TierMode::from_env`] does the env half); library
-    /// callers set it directly.
+    /// Tiered execution (see [`tier`]). It has no settings: every
+    /// supported plan shape runs fused from its first execution.
     pub tier: TierConfig,
 }
 
@@ -153,7 +156,7 @@ impl Default for ServiceConfig {
             max_retries: 2,
             retry_backoff_us: 100.0,
             low_shed_wait_us: 0.0,
-            tier: TierConfig::default(),
+            tier: TierConfig,
         }
     }
 }
@@ -335,8 +338,8 @@ pub struct PlanDoctor {
     gate: AdmissionGate,
     metrics: MetricsRegistry,
     breaker: CircuitBreaker,
-    /// Tier-2 engine: hot-shape tracking + compiled-pipeline cell (see
-    /// [`tier`]). Every execution the doctor performs routes through
+    /// Tier-2 engine: one compile verdict per plan shape (see [`tier`]).
+    /// Every execution the doctor performs routes through
     /// [`PlanDoctor::execute_plan`] so both tiers share one dispatch
     /// point.
     tier: TierEngine,
@@ -430,16 +433,10 @@ impl PlanDoctor {
         self.snapshots.load()
     }
 
-    /// The tier engine's counters and generation (read-only view for
-    /// operators and tests; the internal execute path drives it).
-    pub fn tier(&self) -> &TierEngine {
-        &self.tier
-    }
-
     /// Execute `plan` on whichever tier the engine selects: a compiled
-    /// fused pipeline when the shape is hot and supported, the chunked
-    /// interpreter otherwise. Results, recorded latencies and timeout
-    /// errors are bit-identical across tiers (the fused engine replays the
+    /// fused pipeline when the shape is supported, the chunked interpreter
+    /// otherwise. Results, recorded latencies and timeout errors are
+    /// bit-identical across tiers (the fused engine replays the
     /// interpreter's exact work-unit charge sequence), so this choice is
     /// invisible to everything downstream — including the executor's
     /// result cache, which both tiers share.
@@ -672,6 +669,7 @@ impl PlanDoctor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use foss_common::FxHashSet;
     use foss_core::envs::tests_support::TestWorld;
     use foss_core::{Foss, FossConfig};
     use foss_query::QueryBuilder;
@@ -1107,84 +1105,56 @@ mod tests {
     }
 
     #[test]
-    fn tier_force_is_bit_identical_to_interpreter_and_counts() {
-        let cfg = |mode| ServiceConfig {
-            tier: TierConfig {
-                mode,
-                hot_threshold: 1,
-            },
-            ..ServiceConfig::default()
-        };
-        let key = |d: &PlanDecision| (d.plan.fingerprint(), d.latency.to_bits(), d.fallback);
-        let off = served(51, cfg(TierMode::Interpreter));
-        let on = served(51, cfg(TierMode::Force));
-        for q in query_mix(&off.world) {
-            for _ in 0..3 {
-                let a = off.doctor.submit(QueryRequest::new(q.clone())).unwrap();
-                let b = on.doctor.submit(QueryRequest::new(q.clone())).unwrap();
-                assert_eq!(key(&a), key(&b), "tier must be invisible in outcomes");
-            }
+    fn tier_compiles_each_shape_once_and_never_moves_a_latency() {
+        let s = served(51, ServiceConfig::default());
+        let queries = query_mix(&s.world);
+        let direct = foss_executor::Executor::new(&s.world.db, *s.world.opt.cost_model());
+        let snapshot = s.doctor.snapshot();
+        let mut shapes = FxHashSet::default();
+        for q in &queries {
+            let d = s.doctor.submit(QueryRequest::new(q.clone())).unwrap();
+            let want = direct.execute(q, &d.plan, None).unwrap().latency;
+            assert_eq!(d.latency.to_bits(), want.to_bits(), "tier moved a latency");
+            // The expert plan always executes; a served doctored plan too.
+            assert!(matches!(
+                d.reason,
+                FallbackReason::None | FallbackReason::LowConfidence
+            ));
+            shapes.insert(foss_executor::fused::shape_key(q, &d.plan));
+            let expert = snapshot.expert_plan(q).unwrap();
+            shapes.insert(foss_executor::fused::shape_key(q, &expert));
         }
-        let t_off = off.doctor.tier().stats();
-        assert_eq!(t_off, TierStats::default(), "interpreter mode never tiers");
-        let t_on = on.doctor.tier().stats();
-        assert!(
-            t_on.compiles + t_on.fallbacks > 0,
-            "force mode must resolve every shape: {t_on:?}"
+        let first = s.doctor.tier.stats();
+        assert!(first.compiles > 0, "no shape compiled: {first:?}");
+        assert_eq!(
+            (first.compiles + first.fallbacks) as usize,
+            shapes.len(),
+            "one verdict per distinct shape: {first:?}"
         );
-        assert!(
-            t_on.compiles == 0 || t_on.hits > 0,
-            "compiled shapes must serve tier-2 hits: {t_on:?}"
-        );
-        // Counters flow into the snapshot, the summary line and the wire.
-        let m = on.doctor.metrics();
+        for q in &queries {
+            s.doctor.submit(QueryRequest::new(q.clone())).unwrap();
+        }
+        let second = s.doctor.tier.stats();
+        assert_eq!(second.compiles, first.compiles, "a seen shape recompiled");
+        assert!(second.hits > first.hits, "{first:?} -> {second:?}");
+        // The counters reach the snapshot, the summary line and the wire.
+        let m = s.doctor.metrics();
         assert_eq!(
             (m.tier_compiles, m.tier_hits, m.tier_fallbacks),
-            (t_on.compiles, t_on.hits, t_on.fallbacks)
+            (second.compiles, second.hits, second.fallbacks)
         );
         assert!(m.summary_line().contains(&format!(
             "tier={}/{}/{}",
             m.tier_hits, m.tier_compiles, m.tier_fallbacks
         )));
-    }
-
-    #[test]
-    fn auto_tier_compiles_only_past_the_hot_threshold() {
-        let s = served(
-            52,
-            ServiceConfig {
-                tier: TierConfig {
-                    mode: TierMode::Auto,
-                    hot_threshold: 4,
-                },
-                ..ServiceConfig::default()
-            },
-        );
-        // Submits 1–3 stay cold on every shape the doctor executes.
-        for _ in 0..3 {
-            s.doctor
-                .submit(QueryRequest::new(s.world.query.clone()))
-                .unwrap();
+        let wire = wire::metrics_to_json(&m);
+        for (field, want) in [
+            ("tier_compiles", m.tier_compiles),
+            ("tier_hits", m.tier_hits),
+            ("tier_fallbacks", m.tier_fallbacks),
+        ] {
+            assert_eq!(wire.get(field).and_then(Json::as_f64), Some(want as f64));
         }
-        let cold = s.doctor.tier().stats();
-        assert_eq!((cold.compiles, cold.hits, cold.fallbacks), (0, 0, 0));
-        // Enough further submits push the expert shape past the threshold
-        // (each submit may execute one or two plans, all counted).
-        for _ in 0..8 {
-            s.doctor
-                .submit(QueryRequest::new(s.world.query.clone()))
-                .unwrap();
-        }
-        let hot = s.doctor.tier().stats();
-        assert!(
-            hot.compiles + hot.fallbacks > 0,
-            "hot shapes must be resolved: {hot:?}"
-        );
-        // One generation bump per resolved shape (compiled or negative-
-        // cached), never per execution.
-        let generation = s.doctor.tier().generation();
-        assert!(generation >= hot.compiles && generation > 0);
-        assert!(generation <= hot.compiles + hot.fallbacks);
     }
 
     #[test]

@@ -209,9 +209,11 @@ pub struct MetricsSnapshot {
     pub cache_hit_rate: f64,
     /// Plan shapes compiled to tier-2 fused pipelines.
     pub tier_compiles: u64,
-    /// Executions served by a fused pipeline.
+    /// Plan lookups that resolved to a compiled pipeline, cache hits
+    /// included.
     pub tier_hits: u64,
-    /// Hot-but-unsupported shapes that fell back to the interpreter.
+    /// Plan lookups that resolved to an unsupported shape, cache hits
+    /// included.
     pub tier_fallbacks: u64,
 }
 
