@@ -1105,21 +1105,58 @@ mod tests {
     }
 
     #[test]
-    fn tier_compiles_each_shape_once_and_never_moves_a_latency() {
+    fn tier_force_is_bit_identical_to_interpreter_and_counts() {
+        // Every supported shape runs fused; a direct `Executor` is the
+        // chunked interpreter.
         let s = served(51, ServiceConfig::default());
-        let queries = query_mix(&s.world);
         let direct = foss_executor::Executor::new(&s.world.db, *s.world.opt.cost_model());
+        for q in query_mix(&s.world) {
+            for _ in 0..3 {
+                let d = s.doctor.submit(QueryRequest::new(q.clone())).unwrap();
+                let want = direct.execute(&q, &d.plan, None).unwrap().latency;
+                assert_eq!(d.latency.to_bits(), want.to_bits(), "tier moved a latency");
+                // The expert plan always executes; a served doctored plan too.
+                assert!(matches!(
+                    d.reason,
+                    FallbackReason::None | FallbackReason::LowConfidence
+                ));
+            }
+        }
+        let t = s.doctor.tier.stats();
+        assert!(t.compiles > 0, "no shape compiled: {t:?}");
+        assert!(t.hits > 0, "compiled shapes must serve tier hits: {t:?}");
+        // The counters reach the snapshot, the summary line and the wire.
+        let m = s.doctor.metrics();
+        assert_eq!(
+            (m.tier_compiles, m.tier_hits, m.tier_fallbacks),
+            (t.compiles, t.hits, t.fallbacks)
+        );
+        assert!(m.summary_line().contains(&format!(
+            "tier={}/{}/{}",
+            m.tier_hits, m.tier_compiles, m.tier_fallbacks
+        )));
+        let wire = wire::metrics_to_json(&m);
+        for (field, want) in [
+            ("tier_compiles", m.tier_compiles),
+            ("tier_hits", m.tier_hits),
+            ("tier_fallbacks", m.tier_fallbacks),
+        ] {
+            assert_eq!(wire.get(field).and_then(Json::as_f64), Some(want as f64));
+        }
+    }
+
+    #[test]
+    fn auto_tier_compiles_only_past_the_hot_threshold() {
+        // The hot threshold is the first execution: nothing compiles
+        // before a shape runs, each shape compiles on its first lookup,
+        // and never again.
+        let s = served(52, ServiceConfig::default());
+        assert_eq!(s.doctor.tier.stats(), TierStats::default());
+        let queries = query_mix(&s.world);
         let snapshot = s.doctor.snapshot();
         let mut shapes = FxHashSet::default();
         for q in &queries {
             let d = s.doctor.submit(QueryRequest::new(q.clone())).unwrap();
-            let want = direct.execute(q, &d.plan, None).unwrap().latency;
-            assert_eq!(d.latency.to_bits(), want.to_bits(), "tier moved a latency");
-            // The expert plan always executes; a served doctored plan too.
-            assert!(matches!(
-                d.reason,
-                FallbackReason::None | FallbackReason::LowConfidence
-            ));
             shapes.insert(foss_executor::fused::shape_key(q, &d.plan));
             let expert = snapshot.expert_plan(q).unwrap();
             shapes.insert(foss_executor::fused::shape_key(q, &expert));
@@ -1137,24 +1174,6 @@ mod tests {
         let second = s.doctor.tier.stats();
         assert_eq!(second.compiles, first.compiles, "a seen shape recompiled");
         assert!(second.hits > first.hits, "{first:?} -> {second:?}");
-        // The counters reach the snapshot, the summary line and the wire.
-        let m = s.doctor.metrics();
-        assert_eq!(
-            (m.tier_compiles, m.tier_hits, m.tier_fallbacks),
-            (second.compiles, second.hits, second.fallbacks)
-        );
-        assert!(m.summary_line().contains(&format!(
-            "tier={}/{}/{}",
-            m.tier_hits, m.tier_compiles, m.tier_fallbacks
-        )));
-        let wire = wire::metrics_to_json(&m);
-        for (field, want) in [
-            ("tier_compiles", m.tier_compiles),
-            ("tier_hits", m.tier_hits),
-            ("tier_fallbacks", m.tier_fallbacks),
-        ] {
-            assert_eq!(wire.get(field).and_then(Json::as_f64), Some(want as f64));
-        }
     }
 
     #[test]

@@ -130,21 +130,78 @@ mod tests {
     use super::*;
 
     #[test]
-    fn resolve_records_one_verdict_per_shape_and_counts_every_lookup() {
+    fn tracker_counts_per_shape() {
         let engine = TierEngine::new(TierConfig);
         assert_eq!(engine.stats(), TierStats::default());
-        let first = engine.resolve(5, || TierEntry::Unsupported);
-        let again = engine.resolve(5, || unreachable!("recorded verdict recompiled"));
+        let first = engine.resolve(7, || TierEntry::Unsupported);
+        let again = engine.resolve(7, || unreachable!("recorded verdict recompiled"));
         assert!(Arc::ptr_eq(&first, &again));
         // Other shapes are independent.
-        engine.resolve(6, || TierEntry::Unsupported);
+        engine.resolve(9, || TierEntry::Unsupported);
+        assert_eq!(engine.verdicts.read().len(), 2, "one verdict per shape");
         assert_eq!(
             engine.stats(),
             TierStats {
                 compiles: 0,
                 hits: 0,
                 fallbacks: 3,
-            }
+            },
+            "every lookup counts"
         );
+    }
+
+    #[test]
+    fn tier_cell_claim_is_exclusive_and_released_on_drop() {
+        use foss_common::sync::atomic::AtomicUsize;
+        // Racers on one shape: exactly one runs the compile, all share
+        // its verdict.
+        let engine = TierEngine::new(TierConfig);
+        let compiled = AtomicUsize::new(0);
+        let barrier = std::sync::Barrier::new(4);
+        let entries: Vec<Arc<TierEntry>> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        engine.resolve(5, || {
+                            compiled.fetch_add(1, Ordering::Relaxed);
+                            TierEntry::Unsupported
+                        })
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(compiled.load(Ordering::Relaxed), 1, "claim is exclusive");
+        assert!(entries.iter().all(|e| Arc::ptr_eq(e, &entries[0])));
+        // A compile that unwinds records nothing and leaves the lock
+        // usable: the next lookup of that shape compiles again.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.resolve(6, || panic!("compile unwound"))
+        }));
+        assert!(unwound.is_err());
+        assert!(
+            !engine.verdicts.read().contains_key(&6),
+            "no verdict recorded"
+        );
+        engine.resolve(6, || TierEntry::Unsupported);
+        assert!(engine.verdicts.read().contains_key(&6), "key released");
+        assert_eq!(engine.stats().fallbacks, 5);
+    }
+
+    #[test]
+    fn tier_cell_publish_is_copy_on_write() {
+        let engine = TierEngine::new(TierConfig);
+        let before = engine.resolve(0, || TierEntry::Unsupported);
+        for shape in 1..3 {
+            engine.resolve(shape, || TierEntry::Unsupported);
+        }
+        // Recording later shapes never touches a verdict already handed
+        // out: the same `Arc` comes back, unchanged.
+        assert!(matches!(*before, TierEntry::Unsupported));
+        let after = engine.resolve(0, || unreachable!("recorded verdict recompiled"));
+        assert!(Arc::ptr_eq(&before, &after));
+        assert_eq!(engine.verdicts.read().len(), 3);
+        assert!(!engine.verdicts.read().contains_key(&9));
     }
 }
