@@ -384,13 +384,7 @@ mod metrics {
         let observer = with_observer.then(|| {
             let reg = Arc::clone(&reg);
             foss_check::thread::spawn(move || {
-                let mid = reg.snapshot(
-                    CacheStats::default(),
-                    0,
-                    idle_breaker(),
-                    0,
-                    foss_service::TierStats::default(),
-                );
+                let mid = reg.snapshot(CacheStats::default(), 0, idle_breaker(), 0);
                 assert!(
                     mid.submitted <= 2,
                     "snapshot saw {} > 2 submissions",
@@ -404,13 +398,7 @@ mod metrics {
         if let Some(o) = observer {
             o.join();
         }
-        let fin = reg.snapshot(
-            CacheStats::default(),
-            0,
-            idle_breaker(),
-            0,
-            foss_service::TierStats::default(),
-        );
+        let fin = reg.snapshot(CacheStats::default(), 0, idle_breaker(), 0);
         assert_eq!(fin.submitted, 2);
         assert_eq!(fin.fallbacks, 1);
         assert_eq!(fin.exec_errors, 1);
@@ -428,72 +416,6 @@ mod metrics {
     #[test]
     fn random_concurrent_records_conserve_totals() {
         check_random(0xF055_0004, 500, || concurrent_records(true)).assert_ok();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// service: TierEngine (one compile verdict per shape)
-// ---------------------------------------------------------------------------
-
-mod tier {
-    use super::*;
-    use foss_service::tier::TierEntry;
-    use foss_service::{TierConfig, TierEngine, TierStats};
-    use std::sync::atomic::AtomicUsize;
-
-    const SHAPE: u64 = 7;
-
-    /// `racers` threads resolve one shape at once, each with a compiler
-    /// that declines. The get-or-insert must run exactly one compile, hand
-    /// every racer that one recorded verdict, and count each lookup once.
-    fn verdict_race(racers: usize) {
-        let engine = Arc::new(TierEngine::new(TierConfig));
-        let compiled = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..racers)
-            .map(|_| {
-                let engine = Arc::clone(&engine);
-                let compiled = Arc::clone(&compiled);
-                foss_check::thread::spawn(move || {
-                    engine.resolve(SHAPE, || {
-                        compiled.fetch_add(1, RealOrdering::Relaxed);
-                        TierEntry::Unsupported
-                    })
-                })
-            })
-            .collect();
-        let verdicts: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        assert_eq!(
-            compiled.load(RealOrdering::Relaxed),
-            1,
-            "shape compiled twice"
-        );
-        assert!(matches!(*verdicts[0], TierEntry::Unsupported));
-        assert!(
-            verdicts.iter().all(|v| Arc::ptr_eq(v, &verdicts[0])),
-            "racers saw different verdicts"
-        );
-        let after = engine.resolve(SHAPE, || unreachable!("recorded verdict recompiled"));
-        assert!(Arc::ptr_eq(&after, &verdicts[0]), "verdict replaced");
-        assert_eq!(
-            engine.stats(),
-            TierStats {
-                compiles: 0,
-                hits: 0,
-                fallbacks: racers as u64 + 1,
-            }
-        );
-    }
-
-    #[test]
-    fn exhaustive_one_verdict_per_shape() {
-        let report = check_exhaustive(400_000, || verdict_race(2));
-        report.assert_ok();
-        assert!(report.complete, "exhaustive budget too small");
-    }
-
-    #[test]
-    fn random_one_verdict_per_shape() {
-        check_random(0xF055_0007, 1_000, || verdict_race(3)).assert_ok();
     }
 }
 

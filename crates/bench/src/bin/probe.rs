@@ -9,8 +9,10 @@
 //!   `--baseline <path>` + `--max-regress <factor>` turn the run into a
 //!   regression gate (non-zero exit when a guarded benchmark's median
 //!   exceeds `factor ×` its baseline median, or the run did not produce
-//!   it). The factor must be a finite number above 0; a bad flag exits 2
-//!   before anything is measured.
+//!   it). The factor must be a finite number above 0; a bad flag, or a
+//!   baseline that is not a JSON array of `{"name", "median_ns"}` entries,
+//!   exits 2 before anything is measured, and a baseline that holds none of
+//!   the guarded benchmarks fails the gate.
 //! * **Headroom mode** (no `--out`): exhaustively search small queries for
 //!   the expert-vs-optimal latency headroom that motivates plan doctoring,
 //!   on any registered workload (`--workload <name>`, default `joblite`).
@@ -34,13 +36,12 @@ use std::time::Duration;
 /// Benchmarks the regression gate guards: the FOSS serving hot path (AAM
 /// inference, end-to-end PlanDoctor submits and the warm round trip over a
 /// reused loopback connection) plus the chunked executor
-/// operators — including the heavy-tail skewed hash join, the tier-2
-/// fused pipeline and count mode on a wide plan.
+/// operators — including the heavy-tail skewed hash join and count mode
+/// on a wide plan.
 const GUARDED: &[&str] = &[
     "aam/pair_inference",
     "exec/scan_filter",
     "exec/hash_join",
-    "exec/fused_hot_path",
     "exec/count_wide",
     "exec/hash_join_skewed",
     "service/submit_throughput",
@@ -115,7 +116,8 @@ fn parse_args(argv: &[String]) -> Result<Mode, String> {
 /// The gate's report, one line per guarded benchmark, and whether it fails:
 /// a guarded benchmark this run did not produce fails by name, one slower
 /// than `max_regress ×` its baseline median fails as a regression, and one
-/// the baseline lacks is skipped.
+/// the baseline lacks is skipped. A baseline that holds no guarded
+/// benchmark at all fails: the gate would compare nothing.
 fn gate(
     results: &[(String, f64)],
     baseline: &[(String, f64)],
@@ -125,7 +127,7 @@ fn gate(
     let median =
         |set: &[(String, f64)], name: &str| set.iter().find(|(n, _)| n == name).map(|&(_, ns)| ns);
     let mut failed = false;
-    let lines = GUARDED
+    let mut lines: Vec<String> = GUARDED
         .iter()
         .map(|&name| match (median(results, name), median(baseline, name)) {
             (None, _) => {
@@ -142,6 +144,13 @@ fn gate(
             }
         })
         .collect();
+    if GUARDED.iter().all(|&name| median(baseline, name).is_none()) {
+        failed = true;
+        lines.push(format!(
+            "baseline {baseline_path} holds none of the {} guarded benchmarks: nothing compared",
+            GUARDED.len()
+        ));
+    }
     (lines, failed)
 }
 
@@ -157,32 +166,39 @@ fn bench_mode(args: BenchArgs) {
             .measurement_time(Duration::from_secs(3))
             .warm_up_time(Duration::from_millis(500))
     };
+    // A baseline the gate cannot read fails before anything is measured.
+    let baseline = args.baseline.map(|path| {
+        let parsed = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| parse_bench_json(&text));
+        match parsed {
+            Ok(entries) => (path, entries),
+            Err(e) => {
+                eprintln!("probe: baseline {path}: {e}");
+                std::process::exit(2);
+            }
+        }
+    });
     println!("probe: kernel build {}", foss_nn::kernel_build());
     micro_suite(&mut c);
     c.write_json(&args.out).expect("write bench summary");
     println!("wrote {}", args.out);
 
-    let Some(baseline_path) = args.baseline else {
+    let Some((baseline_path, baseline)) = baseline else {
         return;
     };
-    let text = std::fs::read_to_string(&baseline_path).expect("read baseline");
     let results: Vec<(String, f64)> = c
         .results()
         .iter()
         .map(|r| (r.name.clone(), r.median_ns()))
         .collect();
-    let (lines, failed) = gate(
-        &results,
-        &parse_bench_json(&text),
-        &baseline_path,
-        args.max_regress,
-    );
+    let (lines, failed) = gate(&results, &baseline, &baseline_path, args.max_regress);
     for line in lines {
         println!("{line}");
     }
     if failed {
         eprintln!(
-            "perf regression gate failed (>{:.1}x baseline or a guarded benchmark missing)",
+            "perf regression gate failed (>{:.1}x baseline, a guarded benchmark missing, or none in the baseline)",
             args.max_regress
         );
         std::process::exit(1);
@@ -370,5 +386,25 @@ mod tests {
         assert!(lines
             .iter()
             .any(|l| l.contains(&dropped) && l.contains("skipping")));
+    }
+
+    #[test]
+    fn gate_fails_on_a_baseline_without_guarded_benchmarks() {
+        let run: Vec<(String, f64)> = GUARDED.iter().map(|n| (n.to_string(), 100.0)).collect();
+        let unrelated = vec![("nn/matmul_64x64".to_string(), 100.0)];
+        for baseline in [Vec::new(), unrelated] {
+            let (lines, failed) = gate(&run, &baseline, "b.json", 2.0);
+            assert!(failed, "{baseline:?}");
+            assert!(lines.iter().any(|l| l.contains("nothing compared")));
+        }
+    }
+
+    #[test]
+    fn committed_gate_baseline_holds_every_guarded_benchmark() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr23.json");
+        let baseline = parse_bench_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+        for name in GUARDED {
+            assert!(baseline.iter().any(|(n, _)| n == name), "{name}");
+        }
     }
 }

@@ -22,7 +22,7 @@ use criterion::Criterion;
 use foss_common::QueryId;
 use foss_core::encoding::PlanEncoder;
 use foss_core::{AdvantageModel, AdvantageScale, Foss, FossConfig};
-use foss_executor::{CachingExecutor, ExecMode, Executor, FusedPipeline};
+use foss_executor::{CachingExecutor, ExecMode, Executor};
 use foss_harness::RunConfig;
 use foss_nn::{GradStore, Graph, Linear, Matrix, ParamSet};
 use foss_optimizer::{AccessPath, Icp, JoinMethod, PhysicalPlan, PlanNode};
@@ -169,22 +169,6 @@ pub fn micro_suite(c: &mut Criterion) {
     c.bench_function("exec/hash_join_scalar", |b| {
         b.iter(|| black_box(scalar.execute(&join_query, &join_plan, None).unwrap()))
     });
-    // The same hash join through the tier-2 fused pipeline: identical rows
-    // and metered latency as `exec/hash_join` by construction, so the delta
-    // to that bench is pure dispatch overhead removed — the steady-state
-    // win the fused tier buys.
-    let fused_join = FusedPipeline::compile(&join_query, &join_plan)
-        .expect("forced hash join is a supported tier-2 shape");
-    c.bench_function("exec/fused_hot_path", |b| {
-        b.iter(|| {
-            black_box(
-                fused_join
-                    .execute(&full.db, cost, &join_query, None)
-                    .unwrap(),
-            )
-        })
-    });
-
     // Count mode through the interpreter on a wide plan: the heaviest expert
     // plan among the ≥ 6-relation joblite queries (seven relations, 1.26 M
     // result rows at this scale). What it guards is that the root join only
@@ -489,34 +473,28 @@ fn hash_join_case(wl: &foss_workloads::Workload) -> (Query, PhysicalPlan) {
 }
 
 /// Parse a `BENCH_<tag>.json` file (the format [`Criterion::summary_json`]
-/// writes) into `(name, median_ns)` entries. Hand-rolled: the format is owned
-/// by this workspace and the build is offline (no serde_json).
-pub fn parse_bench_json(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(name_start) = line.find("\"name\"") else {
-            continue;
-        };
-        let rest = &line[name_start + 6..];
-        let Some(q1) = rest.find('"') else { continue };
-        let Some(q2) = rest[q1 + 1..].find('"') else {
-            continue;
-        };
-        let name = &rest[q1 + 1..q1 + 1 + q2];
-        let Some(med_start) = line.find("\"median_ns\"") else {
-            continue;
-        };
-        let med_rest = &line[med_start + 11..];
-        let num: String = med_rest
-            .chars()
-            .skip_while(|c| !c.is_ascii_digit() && *c != '-')
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.push((name.to_string(), v));
-        }
-    }
-    out
+/// writes: an array of `{"name": …, "median_ns": …}` objects, in any
+/// layout) into `(name, median_ns)` entries. A document that is not such
+/// an array is an error naming what is wrong.
+pub fn parse_bench_json(text: &str) -> Result<Vec<(String, f64)>, String> {
+    let doc = foss_service::Json::parse(text).map_err(|e| e.to_string())?;
+    let foss_service::Json::Arr(entries) = doc else {
+        return Err("expected a JSON array of benchmark entries".to_string());
+    };
+    entries
+        .iter()
+        .enumerate()
+        .map(|(i, entry)| {
+            let name = entry.get("name").and_then(foss_service::Json::as_str);
+            let median = entry.get("median_ns").and_then(foss_service::Json::as_f64);
+            match (name, median) {
+                (Some(name), Some(median)) => Ok((name.to_string(), median)),
+                _ => Err(format!(
+                    "entry {i} lacks a string `name` or a numeric `median_ns`"
+                )),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -526,11 +504,36 @@ mod tests {
     #[test]
     fn bench_json_roundtrip() {
         let text = "[\n  {\"name\": \"aam/pair_inference\", \"median_ns\": 121373.8},\n  {\"name\": \"nn/matmul_64x64\", \"median_ns\": 31992.3}\n]\n";
-        let parsed = parse_bench_json(text);
+        let parsed = parse_bench_json(text).unwrap();
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].0, "aam/pair_inference");
         assert!((parsed[0].1 - 121373.8).abs() < 1e-6);
         assert!((parsed[1].1 - 31992.3).abs() < 1e-6);
+    }
+
+    #[test]
+    fn bench_json_layout_does_not_matter() {
+        let one_per_line = "[\n  {\"name\": \"exec/hash_join\", \"median_ns\": 637.5},\n  {\"name\": \"exec/count_wide\", \"median_ns\": 12.0}\n]\n";
+        let pretty = "[\n  {\n    \"name\": \"exec/hash_join\",\n    \"median_ns\": 637.5\n  },\n  {\n    \"median_ns\": 12,\n    \"name\": \"exec/count_wide\"\n  }\n]";
+        let compact = "[{\"name\":\"exec/hash_join\",\"median_ns\":637.5},{\"name\":\"exec/count_wide\",\"median_ns\":12.0}]";
+        let want = parse_bench_json(one_per_line).unwrap();
+        assert_eq!(want.len(), 2);
+        assert_eq!(parse_bench_json(pretty).unwrap(), want);
+        assert_eq!(parse_bench_json(compact).unwrap(), want);
+    }
+
+    #[test]
+    fn malformed_bench_json_is_an_error() {
+        for text in [
+            "",
+            "[{\"name\": \"exec/hash_join\", \"median_ns\": 637.5}",
+            "{\"name\": \"exec/hash_join\", \"median_ns\": 637.5}",
+            "[{\"name\": \"exec/hash_join\"}]",
+            "[{\"name\": 7, \"median_ns\": 637.5}]",
+            "[{\"name\": \"exec/hash_join\", \"median_ns\": \"637.5\"}]",
+        ] {
+            assert!(parse_bench_json(text).is_err(), "{text:?} parsed");
+        }
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! Five rules, each encoding an invariant this repo actually relies on:
 //!
 //! * **panic-habits** (`A`) — no `.unwrap()` / `.expect(` / `panic!(` in
-//!   `crates/service` or `crates/executor/src/{cache,fused,probe}.rs`
+//!   `crates/service` or `crates/executor/src/{cache,probe}.rs`
 //!   non-test code. The serving layer (and the latency cache every one of
-//!   its executions passes through, the tier-2 fused engine it dispatches
-//!   to and the join kernels that engine runs) must degrade (fallback,
-//!   shed, wire error), never abort a worker thread.
+//!   its executions passes through and the join kernels behind it) must
+//!   degrade (fallback, shed, wire error), never abort a worker thread.
 //! * **sync-facade** (`B`) — no direct `std::sync` lock/atomic imports and
 //!   no `parking_lot` anywhere outside the `foss_common::sync` facade, the
 //!   `crates/analysis` checker (which implements the shims) and the vendor
@@ -34,6 +33,10 @@
 //!   one binary to differ; it goes through one of those resolvers or not
 //!   at all.
 //!
+//! A path a rule names (rule A's files and directory, rule D's and rule E's
+//! files) that is missing under the root is itself a finding, so deleting
+//! or moving a file cannot leave a rule that silently checks nothing.
+//!
 //! The scanner is line-based: string/char literals and `//` comments are
 //! stripped first, and `#[cfg(test)]` regions are tracked by brace depth so
 //! test modules are exempt. That is deliberately simple — the repo's style
@@ -49,7 +52,7 @@ use std::path::{Path, PathBuf};
 pub struct Finding {
     /// Repo-relative path.
     pub file: String,
-    /// 1-based line.
+    /// 1-based line; 0 when the finding is about the path itself.
     pub line: usize,
     /// Short rule id (`panic-habits`, `sync-facade`, `wire-mapping`,
     /// `unsafe-scope`, `env-knobs`).
@@ -210,18 +213,23 @@ const PANIC_PATTERNS: &[(&str, &str)] = &[
     ),
 ];
 
-/// Paths rule A covers: the whole serving layer, plus the latency cache,
-/// the tier-2 fused engine and the join kernels it drives, the planner
-/// snapshot and the query graph whose fingerprint keys serving state —
-/// they run inside serving threads on the latency path, so they must
-/// degrade (decline to compile, return `FossError`) rather than abort.
+/// The directory rule A covers whole: the serving layer.
+const PANIC_DIR: &str = "crates/service/";
+
+/// The files outside [`PANIC_DIR`] rule A covers: the latency cache, the
+/// join kernels behind it, the planner snapshot and the query graph whose
+/// fingerprint keys serving state — they run inside serving threads on the
+/// latency path, so they must degrade (return `FossError`) rather than
+/// abort.
+const PANIC_FILES: &[&str] = &[
+    "crates/executor/src/cache.rs",
+    "crates/executor/src/probe.rs",
+    "crates/core/src/snapshot.rs",
+    "crates/query/src/graph.rs",
+];
+
 fn panic_rule_applies(rel_path: &str) -> bool {
-    rel_path.starts_with("crates/service/")
-        || rel_path == "crates/executor/src/cache.rs"
-        || rel_path == "crates/executor/src/fused.rs"
-        || rel_path == "crates/executor/src/probe.rs"
-        || rel_path == "crates/core/src/snapshot.rs"
-        || rel_path == "crates/query/src/graph.rs"
+    rel_path.starts_with(PANIC_DIR) || PANIC_FILES.contains(&rel_path)
 }
 
 /// Rule A: panic habits in `crates/service` (and the executor files it
@@ -497,6 +505,31 @@ pub fn check_wire_mapping(error_src: &str, wire_src: &str) -> Vec<Finding> {
     findings
 }
 
+/// Every path a rule names, with the rule: rule A's directory and files,
+/// rule D's and rule E's files.
+fn named_paths() -> impl Iterator<Item = (&'static str, &'static str)> {
+    std::iter::once(PANIC_DIR)
+        .chain(PANIC_FILES.iter().copied())
+        .map(|p| ("panic-habits", p))
+        .chain(UNSAFE_ALLOWED.iter().map(|&p| ("unsafe-scope", p)))
+        .chain(ENV_ALLOWED.iter().map(|&p| ("env-knobs", p)))
+}
+
+/// One finding for each path a rule names that does not exist under
+/// `root`: a rule over a missing file checks nothing.
+pub fn check_named_paths(root: &Path) -> Vec<Finding> {
+    named_paths()
+        .filter(|(_, path)| !root.join(path).exists())
+        .map(|(rule, path)| Finding {
+            file: path.to_string(),
+            line: 0,
+            rule,
+            message: "the rule names this path, but it does not exist (update the rule)"
+                .to_string(),
+        })
+        .collect()
+}
+
 /// Collect every `.rs` file under `root/crates`, skipping the vendor tree
 /// and build artifacts; paths come back repo-relative with `/` separators.
 fn rust_sources(root: &Path) -> Result<Vec<(String, PathBuf)>, String> {
@@ -548,6 +581,7 @@ pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
     let wire_src = std::fs::read_to_string(&wire_path)
         .map_err(|e| format!("read {}: {e}", wire_path.display()))?;
     findings.extend(check_wire_mapping(&error_src, &wire_src));
+    findings.extend(check_named_paths(root));
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(findings)
 }
@@ -578,16 +612,9 @@ mod tests {
         let found = scan_panic_habits("crates/service/src/lib.rs", src);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].line, 2);
-        // The latency cache, the fused tier-2 engine, its join kernels, the
-        // planner snapshot and the query graph are in scope too; the rest
-        // of their crates is not.
-        for path in [
-            "crates/executor/src/cache.rs",
-            "crates/executor/src/fused.rs",
-            "crates/executor/src/probe.rs",
-            "crates/core/src/snapshot.rs",
-            "crates/query/src/graph.rs",
-        ] {
+        // The latency cache, its join kernels, the planner snapshot and the
+        // query graph are in scope too; the rest of their crates is not.
+        for path in PANIC_FILES {
             assert_eq!(scan_panic_habits(path, src).len(), 1, "{path}");
         }
         for path in [
@@ -687,7 +714,7 @@ mod tests {
     #[test]
     fn env_knobs_flags_env_reads_outside_the_resolvers() {
         let src = "fn f() {\n    let a = std::env::var(\"X\");\n    let b = env::var_os(\"Y\");\n    let c = std::env::args();\n    let d = env!(\"CARGO_MANIFEST_DIR\");\n    let e = std::env::vars();\n}\n#[cfg(test)]\nmod tests {\n    fn g() { std::env::var(\"Z\"); }\n}\n";
-        let lines: Vec<usize> = scan_env_knobs("crates/service/src/tier.rs", src)
+        let lines: Vec<usize> = scan_env_knobs("crates/service/src/gate.rs", src)
             .iter()
             .map(|f| f.line)
             .collect();
@@ -700,6 +727,39 @@ mod tests {
         let quoted =
             "fn f() {\n    // std::env::var here is prose\n    let m = \"env::var_os\";\n}\n";
         assert!(scan_env_knobs("crates/core/src/x.rs", quoted).is_empty());
+    }
+
+    #[test]
+    fn named_paths_must_exist_under_the_root() {
+        let root = std::env::temp_dir().join(format!("foss-lint-named-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        for (_, path) in named_paths() {
+            let full = root.join(path);
+            if path.ends_with('/') {
+                std::fs::create_dir_all(&full).unwrap();
+            } else {
+                std::fs::create_dir_all(full.parent().unwrap()).unwrap();
+                std::fs::write(&full, "").unwrap();
+            }
+        }
+        assert!(check_named_paths(&root).is_empty());
+        // Each rule reports its own missing path.
+        for (rule, gone) in [
+            ("panic-habits", "crates/executor/src/probe.rs"),
+            ("unsafe-scope", "crates/nn/src/matrix.rs"),
+            ("env-knobs", "crates/common/src/faults.rs"),
+        ] {
+            std::fs::remove_file(root.join(gone)).unwrap();
+            let found = check_named_paths(&root);
+            std::fs::write(root.join(gone), "").unwrap();
+            assert_eq!(found.len(), 1, "{found:?}");
+            assert_eq!((found[0].rule, found[0].file.as_str()), (rule, gone));
+        }
+        std::fs::remove_dir_all(root.join(PANIC_DIR)).unwrap();
+        let found = check_named_paths(&root);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].file, PANIC_DIR);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// The repo itself must be clean — this is the same gate CI runs via

@@ -9,9 +9,7 @@
 //! The cache is unbounded: one map from `(query fingerprint, plan
 //! fingerprint)` to the outcome, under one lock. A query is its content
 //! ([`Query::fingerprint`]), whatever id it arrives under. Misses run the
-//! default (chunked) engine, or the fused tier when the caller hands one
-//! in; both charge the same work units, so what is cached never depends on
-//! which ran.
+//! default (chunked) engine.
 
 use std::sync::Arc;
 
@@ -210,26 +208,6 @@ impl CachingExecutor {
         plan: &PhysicalPlan,
         budget: Option<f64>,
     ) -> Result<ExecOutcome> {
-        self.execute_tiered(query, plan, budget, None)
-    }
-
-    /// [`CachingExecutor::execute`] with an optional tier-2 pipeline.
-    ///
-    /// When `pipeline` is `Some`, a cache miss runs the fused pipeline
-    /// instead of the interpreter. The fused tier charges the identical
-    /// work-unit sequence (see [`crate::fused`]), so cache entries, timeout
-    /// records and recorded latencies are bit-identical either way — the
-    /// tier is invisible to every consumer of this cache. The caller is
-    /// responsible for only passing a pipeline compiled for this exact
-    /// `(query, plan)` shape (the service keys its tier engine on
-    /// [`crate::fused::shape_key`]).
-    pub fn execute_tiered(
-        &self,
-        query: &Query,
-        plan: &PhysicalPlan,
-        budget: Option<f64>,
-        pipeline: Option<&crate::fused::FusedPipeline>,
-    ) -> Result<ExecOutcome> {
         if let Some(faults) = &self.faults {
             if faults.roll(FaultSite::CacheError).is_some() {
                 return Err(FossError::Transient(
@@ -261,13 +239,22 @@ impl CachingExecutor {
             return res;
         }
         self.executions.fetch_add(1, Ordering::Relaxed);
-        let outcome = match pipeline {
-            Some(fused) => fused.execute(&self.db, self.cost, query, budget),
-            None => Executor::new(&self.db, self.cost).execute(query, plan, budget),
-        };
+        let outcome = Executor::new(&self.db, self.cost).execute(query, plan, budget);
         let result = self.record(key, budget, outcome);
         drop(claim);
         result
+    }
+
+    /// [`CachingExecutor::execute`]; kept for `benchmark/src/traced.rs`
+    /// until ROADMAP item 18 (no pipeline can be built).
+    pub fn execute_tiered(
+        &self,
+        query: &Query,
+        plan: &PhysicalPlan,
+        budget: Option<f64>,
+        _pipeline: Option<&std::convert::Infallible>,
+    ) -> Result<ExecOutcome> {
+        self.execute(query, plan, budget)
     }
 
     /// Memoise one real execution's `outcome` under `key` — a finished run,

@@ -7,12 +7,12 @@
 //!   predicates column-at-a-time over contiguous slices and refine a
 //!   selection vector; joins hoist key columns out of the loop, gather probe
 //!   keys into chunk-local buffers, and emit (project) matched tuples in
-//!   bulk. The hash build+probe and index nested-loop loops are the shared
-//!   kernels in `crate::probe`, which the fused tier runs too. Every join
-//!   emits into a `probe::Sink`: [`Executor::execute`] runs in *count mode* —
-//!   the root join counts instead of storing its matches and the joins below
-//!   it keep only the slots a later join reads — while
-//!   [`Executor::execute_rows`] keeps every slot of every tuple.
+//!   bulk. The hash build+probe and index nested-loop loops are the kernels
+//!   in `crate::probe`. Every join emits into a `probe::Sink`:
+//!   [`Executor::execute`] runs in *count mode* — the root join counts
+//!   instead of storing its matches and the joins below it keep only the
+//!   slots a later join reads — while [`Executor::execute_rows`] keeps every
+//!   slot of every tuple.
 //! * **Scalar** — the reference row-at-a-time interpreter, kept for
 //!   differential testing (see the chunked-vs-scalar property tests) and
 //!   reachable only through [`Executor::with_mode`]. It always materialises
@@ -72,7 +72,7 @@ pub struct RowSet {
 }
 
 impl RowSet {
-    pub(crate) fn stride(&self) -> usize {
+    fn stride(&self) -> usize {
         self.rels.len()
     }
 
@@ -95,7 +95,7 @@ impl RowSet {
         &self.data[i * s..(i + 1) * s]
     }
 
-    pub(crate) fn slot_of(&self, rel: usize) -> usize {
+    fn slot_of(&self, rel: usize) -> usize {
         self.rels
             .iter()
             .position(|&r| r == rel)
@@ -165,13 +165,7 @@ impl WorkMeter {
 /// so LLVM would inline them into `exec_scan`, where the same loops compile
 /// about 40% slower (`exec/scan_filter` 33 → 47 µs on the 2-core box).
 #[inline(never)]
-pub(crate) fn filter_chunk(
-    pred: &Predicate,
-    col: &[i64],
-    start: usize,
-    end: usize,
-    sel: &mut Vec<u32>,
-) {
+fn filter_chunk(pred: &Predicate, col: &[i64], start: usize, end: usize, sel: &mut Vec<u32>) {
     sel.clear();
     sel.resize(end - start, 0);
     let out = &mut sel[..end - start];
@@ -251,7 +245,7 @@ impl BatchCharge {
 /// branchless compaction as [`filter_chunk`] (and out of line for the same
 /// reason).
 #[inline(never)]
-pub(crate) fn refine_selection(pred: &Predicate, col: &[i64], sel: &mut Vec<u32>) {
+fn refine_selection(pred: &Predicate, col: &[i64], sel: &mut Vec<u32>) {
     let mut n = 0usize;
     match *pred {
         Predicate::Eq { value, .. } => {
@@ -321,7 +315,7 @@ impl<'a> Executor<'a> {
 
     /// Like [`Executor::execute`], but materialises and returns the full
     /// result tuples, one slot per joined relation — what the differential
-    /// tests compare across [`ExecMode`]s and against the fused tier.
+    /// tests compare across [`ExecMode`]s.
     pub fn execute_rows(
         &self,
         query: &Query,
@@ -447,17 +441,15 @@ impl<'a> Executor<'a> {
     /// Backing column slice for `(rel, col)` — hoisted out of inner loops by
     /// the chunked operators.
     #[inline]
-    pub(crate) fn column_slice(&self, query: &Query, rel: usize, col: usize) -> &'a [i64] {
+    fn column_slice(&self, query: &Query, rel: usize, col: usize) -> &'a [i64] {
         self.db
             .table(query.relations[rel].table)
             .column(col)
             .values()
     }
 
-    /// Leaf scan shared with the fused tier-2 engine (`crate::fused`): both
-    /// tiers must charge and filter identically, so there is exactly one
-    /// implementation.
-    pub(crate) fn exec_scan(
+    /// Leaf scan of relation `rel` through `access`: the surviving row ids.
+    fn exec_scan(
         &self,
         query: &Query,
         rel: usize,
@@ -951,7 +943,7 @@ impl<'a> Executor<'a> {
     /// The inner side of an index nested loop keyed on `right_col` of
     /// `inner_rel`: its table, the hash index on that column, and the charge
     /// for one descent into it.
-    pub(crate) fn index_nl_inner(
+    fn index_nl_inner(
         &self,
         query: &Query,
         inner_rel: usize,

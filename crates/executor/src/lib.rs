@@ -25,19 +25,14 @@
 //! Every query is a `COUNT(*)` join block: [`Executor::execute`] never
 //! materialises the result it counts, nor the slots of an intermediate tuple
 //! no later join reads; [`Executor::execute_rows`] returns full tuples for the
-//! differential tests. Hot left-deep shapes can additionally be compiled to a
-//! [`FusedPipeline`], which drives the same join kernels and output sinks
-//! (`probe`) as the chunked engine with the per-join analysis done once.
-//! [`CachingExecutor`] memoises outcomes in an unbounded cache; its misses
-//! always run the chunked engine (or a fused pipeline the caller supplies).
+//! differential tests. [`CachingExecutor`] memoises outcomes in an unbounded
+//! cache; its misses always run the chunked engine.
 
 pub mod cache;
 pub mod database;
 pub mod exec;
-pub mod fused;
 mod probe;
 
 pub use cache::{CacheStats, CachingExecutor};
 pub use database::Database;
 pub use exec::{ExecMode, ExecOutcome, Executor, RowSet, CHUNK_SIZE};
-pub use fused::FusedPipeline;

@@ -1,6 +1,6 @@
 //! The chunked join kernels: one hash build+probe loop and one index
-//! nested-loop fetch loop, run by both the interpreter ([`crate::exec`],
-//! `ExecMode::Chunked`) and the fused tier ([`crate::fused`]).
+//! nested-loop fetch loop, run by the interpreter ([`crate::exec`],
+//! `ExecMode::Chunked`).
 //!
 //! A kernel owns the matching and the metering — one probe (or descent)
 //! charge per [`CHUNK_SIZE`] outer tuples, fetched rows and emitted tuples
@@ -15,9 +15,9 @@
 //! sequence row-at-a-time; the differential suites hold all of them
 //! bit-identical.
 //!
-//! The tier runs these on the serving path, so this module stays panic-free
+//! Every served execution runs these, so this module stays panic-free
 //! (`foss-lint` enforces the no-`unwrap`/`expect`/`panic!` rule here as it
-//! does for `fused.rs`).
+//! does for `cache.rs`).
 
 use foss_common::{FxHashMap, Result};
 use foss_optimizer::CostParams;
@@ -160,11 +160,6 @@ impl Layout {
         if self.keep_inner {
             rels.push(inner_rel);
         }
-    }
-
-    /// Slots per emitted tuple.
-    pub(crate) fn stride(&self) -> usize {
-        self.keep.len() + usize::from(self.keep_inner)
     }
 }
 

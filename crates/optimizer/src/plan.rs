@@ -1,7 +1,7 @@
 //! Physical plans (the paper's *complete plan*, `CP`).
 
 use foss_common::{fx_hash_one, ByteReader, ByteWriter, Codec, FossError, Result};
-use foss_query::{JoinEdge, Query};
+use foss_query::JoinEdge;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -157,46 +157,6 @@ impl PhysicalPlan {
         }
         let mut acc = Vec::with_capacity(self.root.node_count() * 3);
         feed(&self.root, &mut acc);
-        fx_hash_one(&acc)
-    }
-
-    /// Tiering key: [`PhysicalPlan::fingerprint`] strengthened with the
-    /// query-side facts execution depends on. The structural fingerprint
-    /// deliberately ignores join edges, base tables and predicates (two
-    /// different templates can share one fingerprint), so the tier cache —
-    /// which reuses one compiled pipeline across query *instances* — keys on
-    /// this instead: structure plus per-relation table ids, predicate
-    /// columns and every join edge. Predicate **constants** are excluded on
-    /// purpose; instances of one template differ only in constants and must
-    /// share a pipeline.
-    pub fn shape_key(&self, query: &Query) -> u64 {
-        let mut acc: Vec<u64> = Vec::with_capacity(16);
-        acc.push(0x71e5);
-        acc.push(self.fingerprint());
-        for rel in &query.relations {
-            acc.push(0x7ab1);
-            acc.push(rel.table.index() as u64);
-            for pred in &rel.predicates {
-                acc.push(pred.column() as u64);
-            }
-        }
-        fn feed_edges(node: &PlanNode, acc: &mut Vec<u64>) {
-            if let PlanNode::Join {
-                left, right, edges, ..
-            } = node
-            {
-                for e in edges {
-                    acc.push(0xed6e);
-                    acc.push(e.left as u64);
-                    acc.push(e.left_column as u64);
-                    acc.push(e.right as u64);
-                    acc.push(e.right_column as u64);
-                }
-                feed_edges(left, acc);
-                feed_edges(right, acc);
-            }
-        }
-        feed_edges(&self.root, &mut acc);
         fx_hash_one(&acc)
     }
 
@@ -442,36 +402,6 @@ mod tests {
         }
         assert_ne!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.fingerprint(), left_deep3().fingerprint());
-    }
-
-    #[test]
-    fn shape_key_distinguishes_what_fingerprint_cannot() {
-        use foss_common::{QueryId, TableId};
-        use foss_query::{Predicate, QueryBuilder};
-        let plan = PhysicalPlan { root: scan(0) };
-        let mk = |table: usize, pred_col: usize, value: i64| {
-            let mut b = QueryBuilder::new(QueryId::new(0), 0);
-            let r = b.relation(TableId::new(table), "a");
-            b.predicate(
-                r,
-                Predicate::Eq {
-                    column: pred_col,
-                    value,
-                },
-            );
-            b.build_unchecked()
-        };
-        let q = mk(0, 1, 7);
-        assert_eq!(plan.shape_key(&q), plan.shape_key(&mk(0, 1, 7)));
-        // Same structural fingerprint, different tier shapes.
-        assert_ne!(plan.shape_key(&q), plan.shape_key(&mk(1, 1, 7)), "table");
-        assert_ne!(plan.shape_key(&q), plan.shape_key(&mk(0, 2, 7)), "column");
-        // Constants are instance data: one template = one shape.
-        assert_eq!(
-            plan.shape_key(&q),
-            plan.shape_key(&mk(0, 1, 99)),
-            "constants must not split the shape"
-        );
     }
 
     #[test]

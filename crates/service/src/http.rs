@@ -996,6 +996,9 @@ mod tests {
         let metrics = client.metrics().unwrap();
         assert_eq!(metrics.get("submitted").and_then(Json::as_usize), Some(2));
         assert_eq!(metrics.get("errors").and_then(Json::as_usize), Some(0));
+        for field in ["tier_compiles", "tier_hits", "tier_fallbacks"] {
+            assert!(metrics.get(field).is_none(), "`/metrics` reports {field}");
+        }
     }
 
     #[test]

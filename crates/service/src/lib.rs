@@ -22,10 +22,8 @@
 //!                                             MetricsRegistry (atomic counters)
 //! ```
 //!
-//! Every execution first asks the [`tier`] engine for a fused pipeline
-//! compiled for the plan's shape; a supported shape runs fused from its
-//! first execution, any other on the chunked interpreter, with
-//! bit-identical results and latencies either way.
+//! Every execution runs on the executor's chunked interpreter, behind its
+//! latency cache.
 //!
 //! # Admission and fallback semantics
 //!
@@ -110,7 +108,7 @@ pub use gate::{AdmissionGate, Permit};
 pub use http::{PlanClient, PlanOutcome, PlanServer, Rejection};
 pub use json::Json;
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
-pub use tier::{TierConfig, TierEngine, TierStats};
+pub use tier::{TierConfig, TierEngine};
 pub use wire::{PlanReply, PlanRequest, WireError};
 
 /// Serving knobs (see the module docs for the semantics of each).
@@ -140,8 +138,7 @@ pub struct ServiceConfig {
     /// sheds low-priority traffic immediately when the gate is full, which
     /// is what guarantees low sheds before high under overload.
     pub low_shed_wait_us: f64,
-    /// Tiered execution (see [`tier`]). It has no settings: every
-    /// supported plan shape runs fused from its first execution.
+    /// Field-less; kept for `benchmark/src/traced.rs` until ROADMAP item 18.
     pub tier: TierConfig,
 }
 
@@ -338,11 +335,6 @@ pub struct PlanDoctor {
     gate: AdmissionGate,
     metrics: MetricsRegistry,
     breaker: CircuitBreaker,
-    /// Tier-2 engine: one compile verdict per plan shape (see [`tier`]).
-    /// Every execution the doctor performs routes through
-    /// [`PlanDoctor::execute_plan`] so both tiers share one dispatch
-    /// point.
-    tier: TierEngine,
     /// Deterministic fault hooks ([`FaultSite::PlanStall`] /
     /// [`FaultSite::ExecTimeout`] / [`FaultSite::ExecError`] /
     /// [`FaultSite::PublishFail`]); `None` in production.
@@ -364,7 +356,6 @@ impl PlanDoctor {
             gate: AdmissionGate::new(cfg.max_in_flight),
             metrics: MetricsRegistry::default(),
             breaker: CircuitBreaker::new(cfg.breaker),
-            tier: TierEngine::new(cfg.tier),
             faults: None,
             cfg,
         }
@@ -431,28 +422,6 @@ impl PlanDoctor {
     /// /publish` payloads against the serving workload's expert optimizer.
     pub fn snapshot(&self) -> Arc<PlannerSnapshot> {
         self.snapshots.load()
-    }
-
-    /// Execute `plan` on whichever tier the engine selects: a compiled
-    /// fused pipeline when the shape is supported, the chunked interpreter
-    /// otherwise. Results, recorded latencies and timeout errors are
-    /// bit-identical across tiers (the fused engine replays the
-    /// interpreter's exact work-unit charge sequence), so this choice is
-    /// invisible to everything downstream — including the executor's
-    /// result cache, which both tiers share.
-    fn execute_plan(
-        &self,
-        query: &Query,
-        plan: &PhysicalPlan,
-        budget: Option<f64>,
-    ) -> Result<foss_executor::ExecOutcome> {
-        // `pipeline_for` answers `None` for an unsupported shape.
-        let entry = self.tier.pipeline_for(query, plan);
-        let pipeline = match entry.as_deref() {
-            Some(tier::TierEntry::Compiled(pipeline)) => Some(pipeline),
-            _ => None,
-        };
-        self.executor.execute_tiered(query, plan, budget, pipeline)
     }
 
     /// The expert plan for `query`: from the service memo, else one DP run
@@ -554,7 +523,7 @@ impl PlanDoctor {
             });
             let attempt = match injected {
                 Some(e) => Err(e),
-                None => self.execute_plan(&req.query, plan, Some(exec_budget)),
+                None => self.executor.execute(&req.query, plan, Some(exec_budget)),
             };
             match attempt {
                 Ok(out) => return Ok(Ok(out.latency)),
@@ -605,7 +574,7 @@ impl PlanDoctor {
         let planning_us = t0.elapsed().as_secs_f64() * 1e6;
 
         // The safety net: the expert plan, executed unbudgeted.
-        let expert = self.execute_plan(&req.query, &expert_plan, None)?;
+        let expert = self.executor.execute(&req.query, &expert_plan, None)?;
 
         let mut reason = match &decision {
             Some(decision) => judge(
@@ -661,7 +630,6 @@ impl PlanDoctor {
             self.gate.high_water(),
             self.breaker.view(),
             self.fault_stats().injected_total(),
-            self.tier.stats(),
         )
     }
 }
@@ -669,7 +637,6 @@ impl PlanDoctor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use foss_common::FxHashSet;
     use foss_core::envs::tests_support::TestWorld;
     use foss_core::{Foss, FossConfig};
     use foss_query::QueryBuilder;
@@ -1105,16 +1072,14 @@ mod tests {
     }
 
     #[test]
-    fn tier_force_is_bit_identical_to_interpreter_and_counts() {
-        // Every supported shape runs fused; a direct `Executor` is the
-        // chunked interpreter.
+    fn served_latencies_equal_a_direct_interpreter_run() {
         let s = served(51, ServiceConfig::default());
         let direct = foss_executor::Executor::new(&s.world.db, *s.world.opt.cost_model());
         for q in query_mix(&s.world) {
             for _ in 0..3 {
                 let d = s.doctor.submit(QueryRequest::new(q.clone())).unwrap();
                 let want = direct.execute(&q, &d.plan, None).unwrap().latency;
-                assert_eq!(d.latency.to_bits(), want.to_bits(), "tier moved a latency");
+                assert_eq!(d.latency.to_bits(), want.to_bits(), "served latency moved");
                 // The expert plan always executes; a served doctored plan too.
                 assert!(matches!(
                     d.reason,
@@ -1122,58 +1087,6 @@ mod tests {
                 ));
             }
         }
-        let t = s.doctor.tier.stats();
-        assert!(t.compiles > 0, "no shape compiled: {t:?}");
-        assert!(t.hits > 0, "compiled shapes must serve tier hits: {t:?}");
-        // The counters reach the snapshot, the summary line and the wire.
-        let m = s.doctor.metrics();
-        assert_eq!(
-            (m.tier_compiles, m.tier_hits, m.tier_fallbacks),
-            (t.compiles, t.hits, t.fallbacks)
-        );
-        assert!(m.summary_line().contains(&format!(
-            "tier={}/{}/{}",
-            m.tier_hits, m.tier_compiles, m.tier_fallbacks
-        )));
-        let wire = wire::metrics_to_json(&m);
-        for (field, want) in [
-            ("tier_compiles", m.tier_compiles),
-            ("tier_hits", m.tier_hits),
-            ("tier_fallbacks", m.tier_fallbacks),
-        ] {
-            assert_eq!(wire.get(field).and_then(Json::as_f64), Some(want as f64));
-        }
-    }
-
-    #[test]
-    fn auto_tier_compiles_only_past_the_hot_threshold() {
-        // The hot threshold is the first execution: nothing compiles
-        // before a shape runs, each shape compiles on its first lookup,
-        // and never again.
-        let s = served(52, ServiceConfig::default());
-        assert_eq!(s.doctor.tier.stats(), TierStats::default());
-        let queries = query_mix(&s.world);
-        let snapshot = s.doctor.snapshot();
-        let mut shapes = FxHashSet::default();
-        for q in &queries {
-            let d = s.doctor.submit(QueryRequest::new(q.clone())).unwrap();
-            shapes.insert(foss_executor::fused::shape_key(q, &d.plan));
-            let expert = snapshot.expert_plan(q).unwrap();
-            shapes.insert(foss_executor::fused::shape_key(q, &expert));
-        }
-        let first = s.doctor.tier.stats();
-        assert!(first.compiles > 0, "no shape compiled: {first:?}");
-        assert_eq!(
-            (first.compiles + first.fallbacks) as usize,
-            shapes.len(),
-            "one verdict per distinct shape: {first:?}"
-        );
-        for q in &queries {
-            s.doctor.submit(QueryRequest::new(q.clone())).unwrap();
-        }
-        let second = s.doctor.tier.stats();
-        assert_eq!(second.compiles, first.compiles, "a seen shape recompiled");
-        assert!(second.hits > first.hits, "{first:?} -> {second:?}");
     }
 
     #[test]

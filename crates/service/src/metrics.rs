@@ -11,7 +11,6 @@ use foss_common::sync::Mutex;
 use foss_executor::CacheStats;
 
 use crate::breaker::{BreakerState, BreakerView};
-use crate::tier::TierStats;
 use crate::FallbackReason;
 
 /// Capacity of each sample reservoir. Percentiles are computed over a
@@ -91,17 +90,15 @@ impl MetricsRegistry {
     /// A consistent-enough snapshot for reporting (counters are read
     /// individually; percentiles come from the reservoirs — the most
     /// recent 4096 samples — at call time). `cache`,
-    /// `in_flight_high_water`, `breaker`, `faults_injected` and `tier`
-    /// are supplied by the owner, which holds the executor, the admission
-    /// gate, the circuit breaker, the (optional) fault plan and the tier
-    /// engine.
+    /// `in_flight_high_water`, `breaker` and `faults_injected` are
+    /// supplied by the owner, which holds the executor, the admission
+    /// gate, the circuit breaker and the (optional) fault plan.
     pub fn snapshot(
         &self,
         cache: CacheStats,
         in_flight_high_water: usize,
         breaker: BreakerView,
         faults_injected: u64,
-        tier: TierStats,
     ) -> MetricsSnapshot {
         let latencies = self.latencies.lock().samples.clone();
         let planning = self.planning_us.lock().samples.clone();
@@ -143,9 +140,9 @@ impl MetricsRegistry {
             in_flight_high_water,
             cache_hit_rate: cache.hit_rate(),
             cache,
-            tier_compiles: tier.compiles,
-            tier_hits: tier.hits,
-            tier_fallbacks: tier.fallbacks,
+            tier_compiles: 0,
+            tier_hits: 0,
+            tier_fallbacks: 0,
         }
     }
 }
@@ -207,32 +204,29 @@ pub struct MetricsSnapshot {
     pub cache: CacheStats,
     /// `cache.hit_rate()` at snapshot time.
     pub cache_hit_rate: f64,
-    /// Plan shapes compiled to tier-2 fused pipelines.
+    /// Always 0; kept for `benchmark/src/traced.rs` until ROADMAP item 18.
     pub tier_compiles: u64,
-    /// Plan lookups that resolved to a compiled pipeline, cache hits
-    /// included.
+    /// Always 0; kept for `benchmark/src/traced.rs` until ROADMAP item 18.
     pub tier_hits: u64,
-    /// Plan lookups that resolved to an unsupported shape, cache hits
-    /// included.
+    /// Always 0; kept for `benchmark/src/traced.rs` until ROADMAP item 18.
     pub tier_fallbacks: u64,
 }
 
 impl MetricsSnapshot {
     /// One-line operator summary (the `plan-doctor` binary prints this and
-    /// CI asserts on it).
+    /// CI asserts on it, on `submitted=`, `opened=` and `faults=` each
+    /// followed by a space).
     pub fn summary_line(&self) -> String {
         format!(
             "plan-doctor metrics: submitted={} p50={:.0} p95={:.0} p99={:.0} \
-             fallback_rate={:.3} cache_hit_rate={:.3} inflight_hwm={} errors={} \
-             shed={}/{} retries={} breaker={} opened={} faults={} \
-             tier={}/{}/{}",
+             fallback_rate={:.3} cache_hit_rate={:.3} errors={} \
+             shed={}/{} retries={} breaker={} opened={} faults={} inflight_hwm={}",
             self.submitted,
             self.latency_p50,
             self.latency_p95,
             self.latency_p99,
             self.fallback_rate,
             self.cache_hit_rate,
-            self.in_flight_high_water,
             self.errors,
             self.shed_low,
             self.shed_high,
@@ -240,9 +234,7 @@ impl MetricsSnapshot {
             self.breaker_state.label(),
             self.breaker_times_opened,
             self.faults_injected,
-            self.tier_hits,
-            self.tier_compiles,
-            self.tier_fallbacks,
+            self.in_flight_high_water,
         )
     }
 }
@@ -263,13 +255,7 @@ mod tests {
     #[test]
     fn empty_registry_reports_zeros() {
         let reg = MetricsRegistry::default();
-        let snap = reg.snapshot(
-            CacheStats::default(),
-            0,
-            idle_breaker(),
-            0,
-            TierStats::default(),
-        );
+        let snap = reg.snapshot(CacheStats::default(), 0, idle_breaker(), 0);
         assert_eq!(snap.submitted, 0);
         assert_eq!(snap.fallback_rate, 0.0);
         assert_eq!(snap.latency_p99, 0.0, "empty percentiles must not panic");
@@ -296,7 +282,6 @@ mod tests {
             7,
             idle_breaker(),
             0,
-            TierStats::default(),
         );
         assert_eq!(snap.submitted, 100);
         assert_eq!(snap.fallbacks, 10);
@@ -315,13 +300,7 @@ mod tests {
         reg.record(FallbackReason::None, 10.0, 5.0);
         reg.record_error();
         reg.record_error();
-        let snap = reg.snapshot(
-            CacheStats::default(),
-            1,
-            idle_breaker(),
-            0,
-            TierStats::default(),
-        );
+        let snap = reg.snapshot(CacheStats::default(), 1, idle_breaker(), 0);
         assert_eq!(snap.submitted, 1);
         assert_eq!(snap.errors, 2);
         assert!(snap.summary_line().contains("errors=2"));
@@ -355,7 +334,7 @@ mod tests {
             transitions: 3,
             times_opened: 2,
         };
-        let snap = reg.snapshot(CacheStats::default(), 1, view, 5, TierStats::default());
+        let snap = reg.snapshot(CacheStats::default(), 1, view, 5);
         assert_eq!(snap.submitted, 28);
         assert_eq!(snap.fallbacks, 27, "every degraded reason is a fallback");
         assert!((snap.fallback_rate - 27.0 / 28.0).abs() < 1e-12);
@@ -383,11 +362,17 @@ mod tests {
             "shed=2/1",
             "retries=1",
             "breaker=open",
-            "opened=2",
-            "faults=5",
+            " opened=2 ",
+            " faults=5 ",
         ] {
             assert!(line.contains(needle), "summary `{line}` lacks `{needle}`");
         }
+        // There is no execution tier: its fields read 0 and stay off the line.
+        assert_eq!(
+            (snap.tier_compiles, snap.tier_hits, snap.tier_fallbacks),
+            (0, 0, 0)
+        );
+        assert!(!line.contains("tier="), "summary `{line}` names a tier");
     }
 
     #[test]
@@ -401,13 +386,7 @@ mod tests {
             reg.record(FallbackReason::None, 10.0, 100.0);
         }
         assert_eq!(reg.latencies.lock().samples.len(), RESERVOIR_CAP);
-        let snap = reg.snapshot(
-            CacheStats::default(),
-            1,
-            idle_breaker(),
-            0,
-            TierStats::default(),
-        );
+        let snap = reg.snapshot(CacheStats::default(), 1, idle_breaker(), 0);
         assert_eq!(snap.submitted, (2 * RESERVOIR_CAP + 100) as u64);
         assert_eq!(
             snap.latency_p50, 100.0,
@@ -433,13 +412,7 @@ mod tests {
                 });
             }
         });
-        let snap = reg.snapshot(
-            CacheStats::default(),
-            4,
-            idle_breaker(),
-            0,
-            TierStats::default(),
-        );
+        let snap = reg.snapshot(CacheStats::default(), 4, idle_breaker(), 0);
         assert_eq!(snap.submitted, 200);
         assert_eq!(snap.exec_timeouts, 50);
         assert_eq!(snap.fallbacks, 50);

@@ -319,9 +319,6 @@ pub fn metrics_to_json(m: &MetricsSnapshot) -> Json {
             Json::num(m.in_flight_high_water as f64),
         ),
         ("cache_hit_rate", Json::num(m.cache_hit_rate)),
-        ("tier_compiles", count(m.tier_compiles)),
-        ("tier_hits", count(m.tier_hits)),
-        ("tier_fallbacks", count(m.tier_fallbacks)),
     ])
 }
 

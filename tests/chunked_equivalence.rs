@@ -8,13 +8,12 @@
 //! small, and at scale 0.3 where the fact tables span several chunks, so
 //! chunk boundaries and mid-chunk timeouts are exercised too.
 //!
-//! Count mode (`Executor::execute` on the chunked engine, and
-//! `FusedPipeline::execute`) keeps no result and only the live slots of each
-//! intermediate, which nothing but memory shows — so a second, exhaustive
-//! test holds it to the materialising paths on rows, latency bits and abort
-//! points.
+//! Count mode (`Executor::execute` on the chunked engine) keeps no result
+//! and only the live slots of each intermediate, which nothing but memory
+//! shows — so a second, exhaustive test holds it to the materialising paths
+//! on rows, latency bits and abort points.
 
-use foss_repro::executor::{ExecMode, ExecOutcome, Executor, FusedPipeline};
+use foss_repro::executor::{ExecMode, ExecOutcome, Executor};
 use foss_repro::optimizer::{PlanNode, ALL_JOIN_METHODS};
 use foss_repro::prelude::*;
 use proptest::prelude::*;
@@ -154,7 +153,6 @@ struct RootCoverage {
     index_nl_unfiltered: usize,
     multi_edge: usize,
     cross: usize,
-    fused: usize,
     timeouts: usize,
 }
 
@@ -204,9 +202,8 @@ impl RootCoverage {
 /// five workloads, the expert plan and rotated-order plans with every join
 /// method forced at the root (which also yields multi-edge joins, cross joins
 /// below the root and index nested loops over filtered and unfiltered inners),
-/// the chunked `execute`, the chunked `execute_rows`, the scalar reference and
-/// — where the shape compiles — both fused modes agree on rows and latency
-/// bits, and under budgets of 0.1 … 0.9 of the full latency abort at the same
+/// the chunked `execute`, the chunked `execute_rows` and the scalar reference
+/// agree on rows and latency bits, and under budgets of 0.1 … 0.9 of the full latency abort at the same
 /// `Timeout { spent, budget }`.
 #[test]
 fn count_mode_equals_materialised_execution() {
@@ -235,8 +232,6 @@ fn count_mode_equals_materialised_execution() {
             }
             for plan in &plans {
                 seen.record(query, plan);
-                let fused = FusedPipeline::compile(query, plan);
-                seen.fused += usize::from(fused.is_some());
                 // Catastrophic perturbations compare their abort point under
                 // a cap instead of running to completion.
                 let cap = expert_latency * 25.0;
@@ -275,24 +270,6 @@ fn count_mode_equals_materialised_execution() {
                         "count mode vs scalar: {}",
                         label()
                     );
-                    if let Some(fused) = &fused {
-                        let count = fused.execute(&wl.db, cost, query, Some(budget));
-                        assert_eq!(
-                            verdict(count),
-                            reference,
-                            "fused count vs scalar: {}",
-                            label()
-                        );
-                        let rows = fused
-                            .execute_rows(&wl.db, cost, query, Some(budget))
-                            .map(|(out, _)| out);
-                        assert_eq!(
-                            verdict(rows),
-                            reference,
-                            "fused rows vs scalar: {}",
-                            label()
-                        );
-                    }
                 }
             }
         }
@@ -312,7 +289,6 @@ fn count_mode_equals_materialised_execution() {
         ),
         ("multi-edge root", seen.multi_edge),
         ("cross join below the root", seen.cross),
-        ("fused pipelines", seen.fused),
         ("capped (timed-out) plans", seen.timeouts),
     ] {
         assert!(n > 0, "no plan exercised: {what} ({seen:?})");
