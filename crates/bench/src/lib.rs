@@ -195,6 +195,17 @@ pub fn micro_suite(c: &mut Criterion) {
         b.iter(|| black_box(skew_exec.execute(&skew_query, &skew_plan, None).unwrap()))
     });
 
+    // The pipelined count mode on the skew-stress instance with the largest
+    // intermediates: a five-way index-nested-loop chain whose intermediate,
+    // materialised join by join, would hold 25 MB. What it measures is
+    // chunks streaming from join to join.
+    let chain = skewstress::build(WorkloadSpec::seeded(42)).expect("full-scale skewstress");
+    let chain_exec = Executor::new(&chain.db, *chain.optimizer.cost_model());
+    let (chain_query, chain_plan) = inl_chain_skewed_case(&chain);
+    c.bench_function("exec/inl_chain_skewed", |b| {
+        b.iter(|| black_box(chain_exec.execute(&chain_query, &chain_plan, None).unwrap()))
+    });
+
     // PlanDoctor serving throughput: the same submission batch planned and
     // executed through the service front end by one thread vs four worker
     // threads over a single shared snapshot. The 1→4-thread ratio is the
@@ -453,6 +464,29 @@ fn hash_join_skewed_case(wl: &foss_workloads::Workload) -> (Query, PhysicalPlan)
         .optimizer
         .optimize_with_hint(&query, &icp)
         .expect("skewed hash plan");
+    (query, plan)
+}
+
+/// Instance 1940 of the `serve_skew` benchmark pool — `skewstress` at
+/// scale 1.0, templates round-robin, constants from
+/// `StdRng::seed_from_u64(42)` — and its expert plan: among the pool's
+/// instances that finish under the benchmark's work cap, the one with the
+/// largest intermediate results.
+fn inl_chain_skewed_case(wl: &foss_workloads::Workload) -> (Query, PhysicalPlan) {
+    const INSTANCE: usize = 1940;
+    let templates = skewstress::templates();
+    let mut constants = StdRng::seed_from_u64(42);
+    let mut query = None;
+    for i in 0..=INSTANCE {
+        let template = &templates[i % templates.len()];
+        query = Some(
+            template
+                .instantiate(wl.db.schema(), QueryId::new(1_000_000 + i), &mut constants)
+                .expect("skewstress templates instantiate"),
+        );
+    }
+    let query = query.expect("the pool is not empty");
+    let plan = wl.optimizer.optimize(&query).expect("expert plan");
     (query, plan)
 }
 

@@ -2,25 +2,29 @@
 //!
 //! Two interchangeable engines live behind [`ExecMode`]:
 //!
-//! * **Chunked** (the default) — chunk-at-a-time execution: every operator
-//!   consumes and produces batches of [`CHUNK_SIZE`] tuples. Scans evaluate
-//!   predicates column-at-a-time over contiguous slices and refine a
-//!   selection vector; joins hoist key columns out of the loop, gather probe
-//!   keys into chunk-local buffers, and emit (project) matched tuples in
-//!   bulk. The hash build+probe and index nested-loop loops are the kernels
-//!   in `crate::probe`. Every join emits into a `probe::Sink`:
-//!   [`Executor::execute`] runs in *count mode* — the root join counts
-//!   instead of storing its matches and the joins below it keep only the
-//!   slots a later join reads — while [`Executor::execute_rows`] keeps every
-//!   slot of every tuple.
+//! * **Chunked** (the default) — a push pipeline of [`CHUNK_SIZE`]-tuple
+//!   chunks. Scans evaluate predicates column-at-a-time over contiguous
+//!   slices and refine a selection vector. The leftmost scan feeds its row
+//!   ids, a chunk at a time, into the bottom join; every join runs its kernel
+//!   (`crate::probe`) over one chunk and writes each match, narrowed to the
+//!   slots a later join reads, into the next join's input, which runs as soon
+//!   as a full chunk has gathered. A hash join builds its table once, before
+//!   the first chunk arrives; a merge join is the one pipeline breaker and
+//!   gathers its whole outer input before it runs. [`Executor::execute`]
+//!   runs in *count mode* — the root join counts its matches — so it holds
+//!   the joins' inner sides plus at most a chunk per join, and never a
+//!   whole intermediate. [`Executor::execute_rows`] is the same pipeline
+//!   with every slot kept and the root's matches stored.
 //! * **Scalar** — the reference row-at-a-time interpreter, kept for
 //!   differential testing (see the chunked-vs-scalar property tests) and
-//!   reachable only through [`Executor::with_mode`]. It always materialises
-//!   full tuples.
+//!   reachable only through [`Executor::with_mode`]. It runs the joins one
+//!   after another and materialises every intermediate in full.
 //!
 //! Every query is a `COUNT(*)` join block, so a result is its tuple count;
 //! [`Executor::execute_rows`] hands back the tuples themselves only for
 //! comparison.
+//!
+//! # Metering
 //!
 //! Both engines share one *chunk-granular metering discipline*: work-unit
 //! charges are accrued per chunk, in the same order, with the same floating
@@ -28,14 +32,38 @@
 //! and between count mode and materialising execution, and results match
 //! row-for-row in the same order — switching engines can never change
 //! trained-model behaviour.
+//!
+//! The scalar engine charges one join's work after the previous join's, and
+//! that order defines a plan's latency (an IEEE sum depends on its order).
+//! The pipeline interleaves the joins' work instead, so each of its
+//! *stages* — the leftmost scan, or one join with its inner scan — logs its
+//! charges, and the run replays the logs into the [`WorkMeter`] stage by
+//! stage once the input is exhausted. A stage re-chunks its input at the
+//! 1024-tuple boundaries the materialised intermediate had, so its log is
+//! exactly the scalar engine's charges for that join. The leftmost scan's
+//! single charge is the run's first and goes to the meter directly.
+//!
+//! Under a budget a stage stops early: once the sum of every charge logged
+//! through it (the earlier stages' logs, then its own) exceeds the budget,
+//! the replay is certain to cross the budget by the end of the stage's log,
+//! so neither it nor any stage above it does more work. That sum is a lower
+//! bound on where the replay stands at the same point: every charge is
+//! non-negative and IEEE addition is monotone, so a sum over a subsequence
+//! of the charges, in order, never exceeds the sum over all of them, and
+//! [`StageLog`] discounts the rounding its own regrouping of the terms may
+//! add. The stages below a stopped one run on until their input is
+//! exhausted, and the replay then finds the exact charge that crosses the
+//! budget, so `Timeout { spent, budget }` is the scalar engine's too.
 
-use foss_common::{FossError, Result};
+use std::cell::Cell;
+
+use foss_common::{FossError, FxHashMap, Result};
 use foss_optimizer::{AccessPath, CostModel, JoinMethod, PhysicalPlan, PlanNode};
 use foss_query::{JoinEdge, Predicate, Query};
 use foss_storage::{HashIndex, Table};
 
 use crate::database::Database;
-use crate::probe::{Count, Layout, Liveness, Rows, Sink};
+use crate::probe::{self, Count, Kernel, Layout, Liveness, Outer, Rows, Sink};
 
 /// Rows per execution chunk (tuples processed between two meter charges).
 pub const CHUNK_SIZE: usize = 1024;
@@ -43,7 +71,8 @@ pub const CHUNK_SIZE: usize = 1024;
 /// Which operator implementations the interpreter dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Chunk-at-a-time operators over column chunks with selection vectors.
+    /// Pipelined chunk-at-a-time operators over column chunks with selection
+    /// vectors.
     #[default]
     Chunked,
     /// Row-at-a-time reference interpreter (differential-testing flag).
@@ -94,13 +123,15 @@ impl RowSet {
         let s = self.stride();
         &self.data[i * s..(i + 1) * s]
     }
+}
 
-    fn slot_of(&self, rel: usize) -> usize {
-        self.rels
-            .iter()
-            .position(|&r| r == rel)
-            .expect("join edge references un-joined relation")
-    }
+/// The tuple slot of relation `rel` in a layout of `rels`.
+fn slot_of(rels: &[usize], rel: usize) -> Result<usize> {
+    rels.iter().position(|&r| r == rel).ok_or_else(|| {
+        FossError::InvalidPlan(format!(
+            "join edge references relation {rel}, which is not joined below it"
+        ))
+    })
 }
 
 /// Hoisted per-edge extra join-condition columns:
@@ -114,18 +145,78 @@ pub struct Executor<'a> {
     mode: ExecMode,
 }
 
-/// One join of a plan, ready to run: its conditions and its executed inputs.
-struct JoinStep<'p> {
+/// One join of a left-deep plan, as the plan states it.
+struct JoinSpec<'p> {
     method: JoinMethod,
     index_nl: bool,
     edges: &'p [JoinEdge],
-    /// The outer (probe) side, narrowed to what this join and those above read.
-    outer: RowSet,
+    inner: &'p PlanNode,
+}
+
+impl<'p> JoinSpec<'p> {
+    /// The inner side's relation and access path.
+    fn inner_scan(&self) -> Result<(usize, &'p AccessPath)> {
+        match self.inner {
+            PlanNode::Scan {
+                relation, access, ..
+            } => Ok((*relation, access)),
+            PlanNode::Join { .. } => Err(FossError::InvalidPlan(
+                "plans are left-deep: a join's inner side must be a scan".into(),
+            )),
+        }
+    }
+}
+
+/// `plan`'s leftmost scan (relation, access path) and its joins, bottom-up.
+fn spine(plan: &PhysicalPlan) -> ((usize, &AccessPath), Vec<JoinSpec<'_>>) {
+    let mut joins = Vec::new();
+    let mut node = &plan.root;
+    loop {
+        match node {
+            PlanNode::Scan {
+                relation, access, ..
+            } => {
+                joins.reverse();
+                return ((*relation, access), joins);
+            }
+            PlanNode::Join {
+                method,
+                left,
+                right,
+                edges,
+                index_nl,
+                ..
+            } => {
+                joins.push(JoinSpec {
+                    method: *method,
+                    index_nl: *index_nl,
+                    edges,
+                    inner: right,
+                });
+                node = left;
+            }
+        }
+    }
+}
+
+/// One join of the scalar engine, ready to run: its conditions and its
+/// executed inputs.
+struct JoinStep<'s> {
+    edges: &'s [JoinEdge],
+    /// The outer (probe) side: every tuple of the join below, full-width.
+    outer: &'s RowSet,
     /// The inner relation — always a base-table scan (plans are left-deep).
     inner_rel: usize,
     /// The inner scan's row ids; empty for an index nested loop, which
     /// probes the relation's index instead of scanning it.
     inner: Vec<u32>,
+}
+
+/// What work is charged to: the run's [`WorkMeter`], or a pipeline stage's
+/// [`StageLog`].
+pub(crate) trait Meter {
+    /// Add `amount` work units; fails once the budget is exceeded.
+    fn charge(&mut self, amount: f64) -> Result<()>;
 }
 
 pub(crate) struct WorkMeter {
@@ -141,8 +232,10 @@ impl WorkMeter {
             budget: budget.unwrap_or(f64::INFINITY),
         }
     }
+}
 
-    pub(crate) fn charge(&mut self, amount: f64) -> Result<()> {
+impl Meter for WorkMeter {
+    fn charge(&mut self, amount: f64) -> Result<()> {
         self.spent += amount;
         if self.spent > self.budget {
             Err(FossError::Timeout {
@@ -152,6 +245,176 @@ impl WorkMeter {
         } else {
             Ok(())
         }
+    }
+}
+
+/// One pipeline stage's charges, logged in order for the replay, and the
+/// rule that stops the stage under a budget. The stage's kernel charges it
+/// while its forwarding sink reads its running sum for the stage above, so
+/// both hold it shared and its fields are cells.
+struct StageLog {
+    /// The charges, except zeros: once the leftmost scan has charged the
+    /// meter, adding zero changes neither its sum nor its verdict.
+    charges: Cell<Vec<f64>>,
+    /// Sum and count of every charge logged below this stage, as of the
+    /// call the stage is running.
+    below: Cell<(f64, usize)>,
+    /// Sum and count of this stage's own charges.
+    own: Cell<(f64, usize)>,
+    budget: f64,
+    stopped: Cell<bool>,
+}
+
+impl StageLog {
+    fn new(budget: f64, below: (f64, usize)) -> Self {
+        Self {
+            charges: Cell::default(),
+            below: Cell::new(below),
+            own: Cell::new((0.0, 0)),
+            budget,
+            stopped: Cell::new(false),
+        }
+    }
+
+    /// Sum and count of every charge logged through this stage.
+    fn through(&self) -> (f64, usize) {
+        let ((below, m), (own, n)) = (self.below.get(), self.own.get());
+        (below + own, m + n + 1)
+    }
+}
+
+impl Meter for &StageLog {
+    /// Log `amount`, and stop the stage once the charges logged through it
+    /// exceed the budget for certain. That sum groups its terms stage by
+    /// stage rather than in replay order; each of its `n` additions (and each
+    /// of the replay's) rounds by at most a factor `1 ± ε/2` on non-negative
+    /// terms, so discounting it by `2n·ε` leaves a lower bound on the replay.
+    fn charge(&mut self, amount: f64) -> Result<()> {
+        if amount != 0.0 {
+            let mut charges = self.charges.take();
+            charges.push(amount);
+            self.charges.set(charges);
+        }
+        let (own, n) = self.own.get();
+        self.own.set((own + amount, n + 1));
+        let (sum, n) = self.through();
+        if sum * (1.0 - 2.0 * n as f64 * f64::EPSILON) > self.budget {
+            self.stopped.set(true);
+            return Err(FossError::Timeout {
+                spent: sum as u64,
+                budget: self.budget as u64,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// One join of the running pipeline.
+struct Stage<'a> {
+    kernel: Kernel<'a>,
+    log: StageLog,
+    /// Slots per outer tuple.
+    stride: usize,
+    /// The slots of each match this stage hands on.
+    layout: Layout,
+    /// Matches not yet handed on to the stage above.
+    out: Vec<u32>,
+    /// `out`'s length at which the stage above runs on it: one chunk of its
+    /// input, or never before the input is exhausted (a merge join).
+    hand_on: usize,
+}
+
+/// What the root stage's matches become.
+enum Output {
+    Count(Count),
+    Rows(Vec<u32>),
+}
+
+/// Run the outer tuples `chunk` through `stages[0]`, whose matches flow on
+/// into the stages above it. `below` is the sum and count of every charge
+/// logged below the stage. A kernel fails only through its stage's stop
+/// rule, so an error ends the stage — its log records the stop — and the
+/// stages above it get no more input.
+fn feed(
+    stages: &mut [Stage<'_>],
+    root: &mut Output,
+    cost: &CostModel,
+    below: (f64, usize),
+    chunk: &[u32],
+) {
+    let Some((stage, next)) = stages.split_first_mut() else {
+        return;
+    };
+    if stage.log.stopped.get() {
+        return;
+    }
+    stage.log.below.set(below);
+    let Stage {
+        kernel,
+        log,
+        stride,
+        layout,
+        out,
+        hand_on,
+    } = stage;
+    let (log, stride) = (&*log, *stride);
+    let _stopped = match (next.is_empty(), root) {
+        (false, root) => {
+            let mut sink = Forward {
+                log,
+                layout,
+                out,
+                hand_on: *hand_on,
+                next,
+                root,
+                cost,
+            };
+            kernel.run(chunk, stride, cost, &mut &*log, &mut sink)
+        }
+        (true, Output::Count(count)) => kernel.run(chunk, stride, cost, &mut &*log, count),
+        (true, Output::Rows(rows)) => {
+            let mut sink = Rows { layout, out: rows };
+            kernel.run(chunk, stride, cost, &mut &*log, &mut sink)
+        }
+    };
+}
+
+/// The sink of every stage below the root: it narrows each match into the
+/// stage's output buffer and runs the stages above on every full chunk.
+struct Forward<'s, 'a> {
+    log: &'s StageLog,
+    layout: &'s Layout,
+    out: &'s mut Vec<u32>,
+    hand_on: usize,
+    next: &'s mut [Stage<'a>],
+    root: &'s mut Output,
+    cost: &'s CostModel,
+}
+
+impl Sink for Forward<'_, '_> {
+    #[inline]
+    fn push(&mut self, t: &[u32], row: u32) {
+        self.layout.write(t, row, self.out);
+        if self.out.len() == self.hand_on {
+            self.hand_on();
+        }
+    }
+}
+
+impl Forward<'_, '_> {
+    /// Run the stages above on the full chunk in `out`. Out of line: it
+    /// closes the recursion `push` → [`feed`] → kernel → `push`, which would
+    /// otherwise keep `push` from being inlined into the kernels' loops.
+    #[inline(never)]
+    fn hand_on(&mut self) {
+        feed(
+            self.next,
+            self.root,
+            self.cost,
+            self.log.through(),
+            self.out,
+        );
+        self.out.clear();
     }
 }
 
@@ -205,7 +468,7 @@ impl BatchCharge {
 
     /// Record `n` units, charging whenever a full chunk has accumulated.
     #[inline]
-    pub(crate) fn add(&mut self, n: usize, meter: &mut WorkMeter) -> Result<()> {
+    pub(crate) fn add<M: Meter + ?Sized>(&mut self, n: usize, meter: &mut M) -> Result<()> {
         self.pending += n;
         if self.pending >= CHUNK_SIZE {
             let pend = std::mem::take(&mut self.pending);
@@ -216,7 +479,7 @@ impl BatchCharge {
 
     /// Record one unit (an emitted tuple).
     #[inline]
-    pub(crate) fn emitted(&mut self, meter: &mut WorkMeter) -> Result<()> {
+    pub(crate) fn emitted<M: Meter + ?Sized>(&mut self, meter: &mut M) -> Result<()> {
         self.add(1, meter)
     }
 
@@ -224,7 +487,11 @@ impl BatchCharge {
     /// would — a full `CHUNK_SIZE × unit` charge each time the pending count
     /// reaches [`CHUNK_SIZE`] — in O(n / CHUNK_SIZE).
     #[inline]
-    pub(crate) fn add_each(&mut self, mut n: usize, meter: &mut WorkMeter) -> Result<()> {
+    pub(crate) fn add_each<M: Meter + ?Sized>(
+        &mut self,
+        mut n: usize,
+        meter: &mut M,
+    ) -> Result<()> {
         while self.pending + n >= CHUNK_SIZE {
             n -= CHUNK_SIZE - self.pending;
             self.pending = 0;
@@ -235,7 +502,7 @@ impl BatchCharge {
     }
 
     /// Charge whatever remains below one chunk.
-    pub(crate) fn flush(&mut self, meter: &mut WorkMeter) -> Result<()> {
+    pub(crate) fn flush<M: Meter + ?Sized>(&mut self, meter: &mut M) -> Result<()> {
         let pend = std::mem::take(&mut self.pending);
         meter.charge(pend as f64 * self.unit)
     }
@@ -245,7 +512,7 @@ impl BatchCharge {
 /// branchless compaction as [`filter_chunk`] (and out of line for the same
 /// reason).
 #[inline(never)]
-fn refine_selection(pred: &Predicate, col: &[i64], sel: &mut Vec<u32>) {
+pub(crate) fn refine_selection(pred: &Predicate, col: &[i64], sel: &mut Vec<u32>) {
     let mut n = 0usize;
     match *pred {
         Predicate::Eq { value, .. } => {
@@ -292,8 +559,8 @@ impl<'a> Executor<'a> {
     /// the training loop can label the plan.
     ///
     /// The chunked engine runs this in *count mode*: the root join counts its
-    /// matches instead of storing them, and every join below it emits only
-    /// the slots a later join's conditions read. Charges, row count and
+    /// matches instead of storing them, and every join below it hands on
+    /// only the slots a later join's conditions read. Charges, row count and
     /// timeout accounting are those of [`Executor::execute_rows`] bit for bit;
     /// the scalar reference simply materialises and counts.
     pub fn execute(
@@ -323,8 +590,11 @@ impl<'a> Executor<'a> {
         budget: Option<f64>,
     ) -> Result<(ExecOutcome, RowSet)> {
         let mut meter = WorkMeter::new(budget);
-        let (_, rows) = self.run(query, plan, true, &mut meter)?;
-        let rows = rows.unwrap_or_default();
+        let rows = match self.mode {
+            ExecMode::Chunked => self.run(query, plan, true, &mut meter)?.1,
+            ExecMode::Scalar => Some(self.run_scalar(query, plan, &mut meter)?),
+        }
+        .unwrap_or_default();
         let outcome = ExecOutcome {
             latency: meter.spent,
             rows: rows.len() as u64,
@@ -332,11 +602,10 @@ impl<'a> Executor<'a> {
         Ok((outcome, rows))
     }
 
-    /// Run `plan` — its leftmost scan, then its joins bottom-up (plans are
-    /// left-deep: every join's inner side is a base-table scan) — and return
-    /// the result's row count, with the full-width tuples if `want_rows`.
-    /// Without them the root join only counts and the joins below it emit
-    /// just the slots a join above reads.
+    /// Run `plan` as a pipeline (see the module docs) and return the
+    /// result's row count, with the full-width tuples if `want_rows`.
+    /// Without them the root join only counts and the joins below it hand
+    /// on just the slots a join above reads.
     fn run(
         &self,
         query: &Query,
@@ -344,98 +613,269 @@ impl<'a> Executor<'a> {
         want_rows: bool,
         meter: &mut WorkMeter,
     ) -> Result<(u64, Option<RowSet>)> {
-        let mut joins = Vec::new();
-        let mut node = &plan.root;
-        let mut outer = loop {
-            match node {
-                PlanNode::Scan {
-                    relation, access, ..
-                } => {
-                    let data = self.exec_scan(query, *relation, access, meter)?;
-                    break RowSet {
-                        rels: vec![*relation],
-                        data,
-                    };
-                }
-                PlanNode::Join {
-                    method,
-                    left,
-                    right,
-                    edges,
-                    index_nl,
-                    ..
-                } => {
-                    joins.push((*method, *index_nl, edges.as_slice(), right.as_ref()));
-                    node = left;
-                }
-            }
-        };
-        joins.reverse();
+        let ((first, access), joins) = spine(plan);
+        let ids = self.exec_scan(query, first, access, meter)?;
+        let mut rels = vec![first];
+        if joins.is_empty() {
+            return Ok((
+                ids.len() as u64,
+                want_rows.then_some(RowSet { rels, data: ids }),
+            ));
+        }
         let relations = query.relation_count();
         let live = if want_rows {
             Liveness::all(relations)
         } else {
-            Liveness::of(relations, joins.iter().map(|j| j.2))
+            Liveness::of(relations, joins.iter().map(|j| j.edges))
         };
-        for (pos, &(method, index_nl, edges, right)) in joins.iter().enumerate() {
-            let PlanNode::Scan {
-                relation, access, ..
-            } = right
-            else {
-                return Err(FossError::InvalidPlan(
-                    "plans are left-deep: a join's inner side must be a scan".into(),
-                ));
-            };
-            let step = JoinStep {
-                method,
-                index_nl,
-                edges,
-                inner_rel: *relation,
-                // An index nested loop probes the inner's index in place.
-                inner: if index_nl {
-                    Vec::new()
-                } else {
-                    self.exec_scan(query, *relation, access, meter)?
-                },
-                outer,
-            };
-            if !want_rows && pos + 1 == joins.len() {
-                let mut count = Count::default();
-                self.join(query, &step, meter, &mut count)?;
-                return Ok((count.0, None));
+
+        // Set the joins up bottom-up, up to the first whose set-up stops it
+        // (`cut`) or fails. What set-up charges is its stage's first log
+        // entries.
+        let mut stages: Vec<Stage<'a>> = Vec::with_capacity(joins.len());
+        let (mut cut, mut failed) = (None, None);
+        for (pos, join) in joins.iter().enumerate() {
+            let below = stages.last().map_or((meter.spent, 1), |s| s.log.through());
+            let log = StageLog::new(meter.budget, below);
+            match self.stage(query, &rels, join, &log) {
+                Ok((kernel, inner_rel)) => {
+                    if let Some(below) = stages.last_mut() {
+                        below.hand_on = if kernel.breaks() {
+                            usize::MAX
+                        } else {
+                            CHUNK_SIZE * rels.len()
+                        };
+                    }
+                    let layout = Layout::narrow(&rels, inner_rel, &live, pos);
+                    let stride = rels.len();
+                    layout.apply(&mut rels, inner_rel);
+                    stages.push(Stage {
+                        kernel,
+                        log,
+                        stride,
+                        layout,
+                        out: Vec::new(),
+                        hand_on: usize::MAX,
+                    });
+                }
+                Err(_) if log.stopped.get() => {
+                    cut = Some(log);
+                    break;
+                }
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
             }
-            let layout = Layout::narrow(&step.outer.rels, step.inner_rel, &live, pos);
-            let mut rows = Rows::new(&layout);
-            self.join(query, &step, meter, &mut rows)?;
-            let mut rels = step.outer.rels;
-            layout.apply(&mut rels, step.inner_rel);
-            outer = RowSet {
-                rels,
-                data: rows.out,
-            };
         }
-        Ok((outer.len() as u64, want_rows.then_some(outer)))
+
+        // Stream: the leftmost scan's ids into the bottom join, then,
+        // bottom-up, what each stage has not handed on yet into the next,
+        // once the stages below it are done.
+        let mut root = if want_rows {
+            Output::Rows(Vec::new())
+        } else {
+            Output::Count(Count::default())
+        };
+        let mut input = ids;
+        for k in 0..stages.len() {
+            if stages[k].log.stopped.get() {
+                break;
+            }
+            let below = match k {
+                0 => (meter.spent, 1),
+                _ => stages[k - 1].log.through(),
+            };
+            if stages[k].kernel.breaks() {
+                feed(&mut stages[k..], &mut root, &self.cost, below, &input);
+            } else {
+                for chunk in input.chunks(CHUNK_SIZE * stages[k].stride) {
+                    feed(&mut stages[k..], &mut root, &self.cost, below, chunk);
+                }
+            }
+            input = std::mem::take(&mut stages[k].out);
+        }
+
+        // Replay the logs, bottom-up: the scalar engine's charge sequence.
+        for log in stages.iter().map(|s| &s.log).chain(&cut) {
+            for amount in log.charges.take() {
+                meter.charge(amount)?;
+            }
+        }
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        if cut.is_some() || stages.iter().any(|s| s.log.stopped.get()) {
+            // A stop's bound lies below the replayed sum, so the replay has
+            // crossed the budget already; this only keeps a stopped run from
+            // ever passing for a complete one.
+            return Err(FossError::Timeout {
+                spent: meter.spent as u64,
+                budget: meter.budget as u64,
+            });
+        }
+        Ok(match root {
+            Output::Count(Count(n)) => (n, None),
+            Output::Rows(data) => {
+                let rows = RowSet { rels, data };
+                (rows.len() as u64, Some(rows))
+            }
+        })
     }
 
-    /// Run one join, handing every match to `sink`.
-    fn join<S: Sink>(
+    /// Set up `join` over outer tuples laid out as `rels`: scan its inner
+    /// side (an index nested loop probes the inner's index in place) and
+    /// build what its kernel probes, charging `log`. Returns the kernel and
+    /// the inner relation.
+    fn stage(
         &self,
         query: &Query,
-        step: &JoinStep<'_>,
-        meter: &mut WorkMeter,
-        sink: &mut S,
-    ) -> Result<()> {
-        if step.index_nl {
-            return self.index_nl_join(query, step, meter, sink);
+        rels: &[usize],
+        join: &JoinSpec<'_>,
+        mut log: &StageLog,
+    ) -> Result<(Kernel<'a>, usize)> {
+        let (inner_rel, access) = join.inner_scan()?;
+        let edges = join.edges;
+        if join.index_nl {
+            let key = edges.first().ok_or_else(|| {
+                FossError::InvalidPlan("index nested loop requires a join edge".into())
+            })?;
+            let (table, index, descent) =
+                self.index_nl_inner(query, inner_rel, key.right_column)?;
+            let preds = query.relations[inner_rel].predicates.clone();
+            let pred_cols = preds
+                .iter()
+                .map(|pr| table.column(pr.column()).values())
+                .collect();
+            let kernel = Kernel::IndexNl {
+                outer: self.outer(query, rels, inner_rel, edges)?,
+                index,
+                preds,
+                pred_cols,
+                descent,
+            };
+            return Ok((kernel, inner_rel));
         }
-        match step.method {
-            JoinMethod::Hash | JoinMethod::Merge if step.edges.is_empty() => {
-                self.cross_join(step, meter, sink)
+        let inner = self.exec_scan(query, inner_rel, access, &mut log)?;
+        let kernel = match (join.method, edges.first()) {
+            (JoinMethod::Hash | JoinMethod::Merge, None) => Kernel::Cross(inner),
+            (JoinMethod::Hash, Some(key)) => {
+                log.charge(inner.len() as f64 * self.cost.params.hash_build)?;
+                let outer = self.outer(query, rels, inner_rel, edges)?;
+                let col = self.column_slice(query, inner_rel, key.right_column);
+                Kernel::Hash(outer, probe::hash_build(&inner, col))
             }
-            JoinMethod::Hash => self.hash_join(query, step, meter, sink),
-            JoinMethod::Merge => self.merge_join(query, step, meter, sink),
-            JoinMethod::NestLoop => self.nl_join(query, step, meter, sink),
+            (JoinMethod::Merge, Some(key)) => Kernel::Merge(
+                self.outer(query, rels, inner_rel, edges)?,
+                inner,
+                self.column_slice(query, inner_rel, key.right_column),
+            ),
+            (JoinMethod::NestLoop, _) => {
+                // Per edge: the outer slot and column, and the inner key
+                // values gathered once, aligned with `inner`.
+                let lcols = edges
+                    .iter()
+                    .map(|e| {
+                        let col = self.column_slice(query, e.left, e.left_column);
+                        Ok((slot_of(rels, e.left)?, col))
+                    })
+                    .collect::<Result<_>>()?;
+                let ivals = edges
+                    .iter()
+                    .map(|e| {
+                        let icol = self.column_slice(query, inner_rel, e.right_column);
+                        inner.iter().map(|&row| icol[row as usize]).collect()
+                    })
+                    .collect();
+                Kernel::NestLoop {
+                    lcols,
+                    rows: inner,
+                    ivals,
+                }
+            }
+        };
+        Ok((kernel, inner_rel))
+    }
+
+    /// Where `edges` read outer tuples laid out as `rels`: the first edge is
+    /// the key, the rest are checked per match.
+    fn outer(
+        &self,
+        query: &Query,
+        rels: &[usize],
+        inner_rel: usize,
+        edges: &[JoinEdge],
+    ) -> Result<Outer<'a>> {
+        let Some((key, extra)) = edges.split_first() else {
+            return Err(FossError::InvalidPlan("a keyed join needs an edge".into()));
+        };
+        Ok(Outer {
+            key_slot: slot_of(rels, key.left)?,
+            key_col: self.column_slice(query, key.left, key.left_column),
+            extra: extra
+                .iter()
+                .map(|e| {
+                    Ok((
+                        slot_of(rels, e.left)?,
+                        self.column_slice(query, e.left, e.left_column),
+                        self.column_slice(query, inner_rel, e.right_column),
+                    ))
+                })
+                .collect::<Result<_>>()?,
+        })
+    }
+
+    /// The scalar reference: the plan's joins one after another, each over
+    /// the whole materialised result of the one below.
+    fn run_scalar(
+        &self,
+        query: &Query,
+        plan: &PhysicalPlan,
+        meter: &mut WorkMeter,
+    ) -> Result<RowSet> {
+        let ((first, access), joins) = spine(plan);
+        let mut outer = RowSet {
+            rels: vec![first],
+            data: self.exec_scan(query, first, access, meter)?,
+        };
+        let live = Liveness::all(query.relation_count());
+        for (pos, join) in joins.iter().enumerate() {
+            let (inner_rel, access) = join.inner_scan()?;
+            let inner = if join.index_nl {
+                Vec::new()
+            } else {
+                self.exec_scan(query, inner_rel, access, meter)?
+            };
+            let layout = Layout::narrow(&outer.rels, inner_rel, &live, pos);
+            let mut data = Vec::new();
+            let step = JoinStep {
+                edges: join.edges,
+                outer: &outer,
+                inner_rel,
+                inner,
+            };
+            let mut sink = Rows {
+                layout: &layout,
+                out: &mut data,
+            };
+            match join.method {
+                _ if join.index_nl => self.index_nl_scalar(query, &step, meter, &mut sink)?,
+                JoinMethod::Hash | JoinMethod::Merge if join.edges.is_empty() => {
+                    let stride = outer.stride();
+                    let cross = Kernel::Cross(step.inner);
+                    for chunk in outer.data.chunks(CHUNK_SIZE * stride) {
+                        cross.run(chunk, stride, &self.cost, meter, &mut sink)?;
+                    }
+                }
+                JoinMethod::Hash => self.hash_scalar(query, &step, meter, &mut sink)?,
+                JoinMethod::Merge => self.merge_scalar(query, &step, meter, &mut sink)?,
+                JoinMethod::NestLoop => self.nl_scalar(query, &step, meter, &mut sink)?,
+            }
+            let mut rels = outer.rels;
+            layout.apply(&mut rels, inner_rel);
+            outer = RowSet { rels, data };
         }
+        Ok(outer)
     }
 
     /// Backing column slice for `(rel, col)` — hoisted out of inner loops by
@@ -449,12 +889,12 @@ impl<'a> Executor<'a> {
     }
 
     /// Leaf scan of relation `rel` through `access`: the surviving row ids.
-    fn exec_scan(
+    fn exec_scan<M: Meter>(
         &self,
         query: &Query,
         rel: usize,
         access: &AccessPath,
-        meter: &mut WorkMeter,
+        meter: &mut M,
     ) -> Result<Vec<u32>> {
         let relation = &query.relations[rel];
         let table = self.db.table(relation.table);
@@ -484,14 +924,14 @@ impl<'a> Executor<'a> {
                         let mut sel: Vec<u32> = Vec::with_capacity(CHUNK_SIZE);
                         for start in (0..n).step_by(CHUNK_SIZE) {
                             let end = (start + CHUNK_SIZE).min(n);
-                            if preds.is_empty() {
+                            let Some((first, rest)) = preds.split_first() else {
                                 out.extend(start as u32..end as u32);
                                 continue;
-                            }
+                            };
                             // First predicate streams the contiguous chunk;
                             // the rest refine the selection vector.
-                            filter_chunk(&preds[0], cols[0], start, end, &mut sel);
-                            for (pr, col) in preds.iter().zip(&cols).skip(1) {
+                            filter_chunk(first, cols[0], start, end, &mut sel);
+                            for (pr, col) in rest.iter().zip(&cols[1..]) {
                                 refine_selection(pr, col, &mut sel);
                             }
                             out.extend_from_slice(&sel);
@@ -574,103 +1014,30 @@ impl<'a> Executor<'a> {
             .get(row as usize)
     }
 
+    /// Whether the match `(t, inner_row)` meets every condition but the key
+    /// edge; `slots` holds each edge's outer slot.
     fn check_extra_edges(
         &self,
         query: &Query,
-        outer: &RowSet,
-        outer_tuple: &[u32],
+        t: &[u32],
+        slots: &[usize],
         inner_rel: usize,
         inner_row: u32,
         edges: &[JoinEdge],
     ) -> bool {
-        edges.iter().skip(1).all(|e| {
-            let lv = self.value(
-                query,
-                e.left,
-                e.left_column,
-                outer_tuple[outer.slot_of(e.left)],
-            );
-            let rv = self.value(query, inner_rel, e.right_column, inner_row);
-            lv == rv
+        edges.iter().zip(slots).skip(1).all(|(e, &slot)| {
+            self.value(query, e.left, e.left_column, t[slot])
+                == self.value(query, inner_rel, e.right_column, inner_row)
         })
     }
 
-    /// Hoisted column slices for the non-key join conditions:
-    /// `(outer slot, outer column, inner column)` per extra edge.
-    fn extra_edge_columns(
-        &self,
-        query: &Query,
-        outer: &RowSet,
-        inner_rel: usize,
-        edges: &[JoinEdge],
-    ) -> EdgeCols<'a> {
-        edges
-            .iter()
-            .skip(1)
-            .map(|e| {
-                (
-                    outer.slot_of(e.left),
-                    self.column_slice(query, e.left, e.left_column),
-                    self.column_slice(query, inner_rel, e.right_column),
-                )
-            })
-            .collect()
-    }
-
-    /// `outer` as the probe side of the chunked join kernels
-    /// ([`crate::probe`]), keyed by `edges[0]`.
-    fn probe_side<'o>(
-        &self,
-        query: &Query,
-        outer: &'o RowSet,
-        inner_rel: usize,
-        edges: &[JoinEdge],
-    ) -> crate::probe::Outer<'o>
-    where
-        'a: 'o,
-    {
-        let key = edges[0];
-        crate::probe::Outer {
-            data: &outer.data,
-            stride: outer.stride(),
-            key_slot: outer.slot_of(key.left),
-            key_col: self.column_slice(query, key.left, key.left_column),
-            extra: self.extra_edge_columns(query, outer, inner_rel, edges),
-        }
-    }
-
-    fn hash_join<S: Sink>(
-        &self,
-        query: &Query,
-        step: &JoinStep<'_>,
-        meter: &mut WorkMeter,
-        sink: &mut S,
-    ) -> Result<()> {
-        let p = self.cost.params;
-        let JoinStep {
-            edges,
-            outer,
-            inner_rel,
-            inner,
-            ..
-        } = step;
-        // Build on inner.
-        meter.charge(inner.len() as f64 * p.hash_build)?;
-        match self.mode {
-            ExecMode::Scalar => self.hash_probe_scalar(query, step, meter, sink),
-            ExecMode::Chunked => crate::probe::hash_join(
-                &self.probe_side(query, outer, *inner_rel, edges),
-                inner,
-                self.column_slice(query, *inner_rel, edges[0].right_column),
-                &p,
-                meter,
-                sink,
-            ),
-        }
+    /// The outer slot each join edge reads.
+    fn edge_slots(outer: &RowSet, edges: &[JoinEdge]) -> Result<Vec<usize>> {
+        edges.iter().map(|e| slot_of(&outer.rels, e.left)).collect()
     }
 
     /// Row-at-a-time reference build + probe.
-    fn hash_probe_scalar<S: Sink>(
+    fn hash_scalar<S: Sink>(
         &self,
         query: &Query,
         step: &JoinStep<'_>,
@@ -683,29 +1050,29 @@ impl<'a> Executor<'a> {
             outer,
             inner_rel,
             inner,
-            ..
         } = step;
         let inner_rel = *inner_rel;
         let key = edges[0];
-        let mut table: foss_common::FxHashMap<i64, Vec<u32>> = foss_common::FxHashMap::default();
+        meter.charge(inner.len() as f64 * p.hash_build)?;
+        let mut table: FxHashMap<i64, Vec<u32>> = FxHashMap::default();
         for &row in inner {
             table
                 .entry(self.value(query, inner_rel, key.right_column, row))
                 .or_default()
                 .push(row);
         }
+        let slots = Self::edge_slots(outer, edges)?;
         let mut emits = BatchCharge::new(p.output_tuple);
-        let lslot = outer.slot_of(key.left);
         let n = outer.len();
         for start in (0..n).step_by(CHUNK_SIZE) {
             let end = (start + CHUNK_SIZE).min(n);
             meter.charge((end - start) as f64 * p.hash_probe)?;
             for i in start..end {
                 let t = outer.tuple(i);
-                let lv = self.value(query, key.left, key.left_column, t[lslot]);
+                let lv = self.value(query, key.left, key.left_column, t[slots[0]]);
                 if let Some(cands) = table.get(&lv) {
                     for &row in cands {
-                        if self.check_extra_edges(query, outer, t, inner_rel, row, edges) {
+                        if self.check_extra_edges(query, t, &slots, inner_rel, row, edges) {
                             sink.push(t, row);
                             emits.emitted(meter)?;
                         }
@@ -717,7 +1084,7 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    fn merge_join<S: Sink>(
+    fn merge_scalar<S: Sink>(
         &self,
         query: &Query,
         step: &JoinStep<'_>,
@@ -730,64 +1097,25 @@ impl<'a> Executor<'a> {
             outer,
             inner_rel,
             inner,
-            ..
         } = step;
         let inner_rel = *inner_rel;
         let key = edges[0];
         meter.charge(self.cost.sort(outer.len() as f64) + self.cost.sort(inner.len() as f64))?;
-        let stride = outer.stride();
-        let lslot = outer.slot_of(key.left);
+        let slots = Self::edge_slots(outer, edges)?;
+        let okey =
+            |i: usize| self.value(query, key.left, key.left_column, outer.tuple(i)[slots[0]]);
+        let ikey = |row: u32| self.value(query, inner_rel, key.right_column, row);
         // Sort outer tuple indexes and inner rows by (key value, position):
         // the positional tie-break keeps equal-key orders identical across
         // engines (unstable sorts would otherwise be free to differ).
         let mut oidx: Vec<usize> = (0..outer.len()).collect();
         let mut irows: Vec<u32> = inner.clone();
-        let (okeys, ikeys): (Vec<i64>, Vec<i64>) = match self.mode {
-            ExecMode::Scalar => {
-                oidx.sort_unstable_by_key(|&i| {
-                    (
-                        self.value(query, key.left, key.left_column, outer.tuple(i)[lslot]),
-                        i,
-                    )
-                });
-                irows.sort_unstable_by_key(|&row| {
-                    (self.value(query, inner_rel, key.right_column, row), row)
-                });
-                (
-                    oidx.iter()
-                        .map(|&i| {
-                            self.value(query, key.left, key.left_column, outer.tuple(i)[lslot])
-                        })
-                        .collect(),
-                    irows
-                        .iter()
-                        .map(|&row| self.value(query, inner_rel, key.right_column, row))
-                        .collect(),
-                )
-            }
-            ExecMode::Chunked => {
-                // Gather each side's keys once, sort ids by (key, position),
-                // then realign the gathered keys with the sorted order.
-                let lcol = self.column_slice(query, key.left, key.left_column);
-                let icol = self.column_slice(query, inner_rel, key.right_column);
-                oidx.sort_unstable_by_key(|&i| (lcol[outer.data[i * stride + lslot] as usize], i));
-                irows.sort_unstable_by_key(|&row| (icol[row as usize], row));
-                (
-                    oidx.iter()
-                        .map(|&i| lcol[outer.data[i * stride + lslot] as usize])
-                        .collect(),
-                    irows.iter().map(|&row| icol[row as usize]).collect(),
-                )
-            }
-        };
+        oidx.sort_unstable_by_key(|&i| (okey(i), i));
+        irows.sort_unstable_by_key(|&row| (ikey(row), row));
+        let okeys: Vec<i64> = oidx.iter().map(|&i| okey(i)).collect();
+        let ikeys: Vec<i64> = irows.iter().map(|&row| ikey(row)).collect();
 
         meter.charge((outer.len() + inner.len()) as f64 * p.merge_step)?;
-        let extra = match self.mode {
-            ExecMode::Scalar => Vec::new(),
-            ExecMode::Chunked => self.extra_edge_columns(query, outer, inner_rel, edges),
-        };
-        // Chunked, key edge only: every pair of an equal group matches.
-        let whole_groups = self.mode == ExecMode::Chunked && extra.is_empty();
         let mut emits = BatchCharge::new(p.output_tuple);
         let (mut i, mut j) = (0usize, 0usize);
         while i < oidx.len() && j < irows.len() {
@@ -807,20 +1135,8 @@ impl<'a> Executor<'a> {
                 while i < oidx.len() && okeys[i] == ov {
                     let t = outer.tuple(oidx[i]);
                     i += 1;
-                    if whole_groups {
-                        sink.push_all_charged(t, &irows[jstart..jend], &mut emits, meter)?;
-                        continue;
-                    }
                     for &row in &irows[jstart..jend] {
-                        let matched = match self.mode {
-                            ExecMode::Scalar => {
-                                self.check_extra_edges(query, outer, t, inner_rel, row, edges)
-                            }
-                            ExecMode::Chunked => extra
-                                .iter()
-                                .all(|&(slot, lc, rc)| lc[t[slot] as usize] == rc[row as usize]),
-                        };
-                        if matched {
+                        if self.check_extra_edges(query, t, &slots, inner_rel, row, edges) {
                             sink.push(t, row);
                             emits.emitted(meter)?;
                         }
@@ -832,7 +1148,7 @@ impl<'a> Executor<'a> {
         emits.flush(meter)
     }
 
-    fn nl_join<S: Sink>(
+    fn nl_scalar<S: Sink>(
         &self,
         query: &Query,
         step: &JoinStep<'_>,
@@ -845,94 +1161,27 @@ impl<'a> Executor<'a> {
             outer,
             inner_rel,
             inner,
-            ..
         } = step;
-        let inner_rel = *inner_rel;
-        let stride = outer.stride();
+        let slots = Self::edge_slots(outer, edges)?;
         let n = outer.len();
-        // Chunked engine: per-edge hoisted outer columns plus inner key
-        // values gathered once, aligned with `inner`.
-        type NlHoisted<'c> = (Vec<(usize, &'c [i64])>, Vec<Vec<i64>>);
-        let hoisted: Option<NlHoisted<'_>> = match self.mode {
-            ExecMode::Scalar => None,
-            ExecMode::Chunked => {
-                let lcols: Vec<(usize, &[i64])> = edges
-                    .iter()
-                    .map(|e| {
-                        (
-                            outer.slot_of(e.left),
-                            self.column_slice(query, e.left, e.left_column),
-                        )
-                    })
-                    .collect();
-                let ivals: Vec<Vec<i64>> = edges
-                    .iter()
-                    .map(|e| {
-                        let icol = self.column_slice(query, inner_rel, e.right_column);
-                        inner.iter().map(|&row| icol[row as usize]).collect()
-                    })
-                    .collect();
-                Some((lcols, ivals))
-            }
-        };
         let mut emits = BatchCharge::new(p.output_tuple);
         for start in (0..n).step_by(CHUNK_SIZE) {
             let end = (start + CHUNK_SIZE).min(n);
             // Charge a whole inner pass per chunk of outer rows so
             // catastrophic loops hit the budget after the first chunk.
             meter.charge((end - start) as f64 * inner.len() as f64 * p.nl_pair)?;
-            match &hoisted {
-                None => {
-                    for i in start..end {
-                        let t = outer.tuple(i);
-                        'inner: for &row in inner {
-                            for e in edges.iter() {
-                                let lv = self.value(
-                                    query,
-                                    e.left,
-                                    e.left_column,
-                                    t[outer.slot_of(e.left)],
-                                );
-                                let rv = self.value(query, inner_rel, e.right_column, row);
-                                if lv != rv {
-                                    continue 'inner;
-                                }
-                            }
-                            sink.push(t, row);
-                            emits.emitted(meter)?;
+            for i in start..end {
+                let t = outer.tuple(i);
+                'inner: for &row in inner {
+                    for (e, &slot) in edges.iter().zip(&slots) {
+                        let lv = self.value(query, e.left, e.left_column, t[slot]);
+                        let rv = self.value(query, *inner_rel, e.right_column, row);
+                        if lv != rv {
+                            continue 'inner;
                         }
                     }
-                }
-                Some((lcols, ivals)) => {
-                    for i in start..end {
-                        let t = &outer.data[i * stride..(i + 1) * stride];
-                        match &ivals[..] {
-                            // Single equi-join edge: stream the gathered
-                            // inner keys (the common case).
-                            [only] => {
-                                let (slot, lcol) = lcols[0];
-                                let lv = lcol[t[slot] as usize];
-                                for (j, &rv) in only.iter().enumerate() {
-                                    if rv == lv {
-                                        sink.push(t, inner[j]);
-                                        emits.emitted(meter)?;
-                                    }
-                                }
-                            }
-                            _ => {
-                                let lvs: Vec<i64> = lcols
-                                    .iter()
-                                    .map(|&(slot, lc)| lc[t[slot] as usize])
-                                    .collect();
-                                for (j, &row) in inner.iter().enumerate() {
-                                    if ivals.iter().zip(&lvs).all(|(iv, &lv)| iv[j] == lv) {
-                                        sink.push(t, row);
-                                        emits.emitted(meter)?;
-                                    }
-                                }
-                            }
-                        }
-                    }
+                    sink.push(t, row);
+                    emits.emitted(meter)?;
                 }
             }
             emits.flush(meter)?;
@@ -957,7 +1206,7 @@ impl<'a> Executor<'a> {
         Ok((table, index, descent))
     }
 
-    fn index_nl_join<S: Sink>(
+    fn index_nl_scalar<S: Sink>(
         &self,
         query: &Query,
         step: &JoinStep<'_>,
@@ -977,72 +1226,33 @@ impl<'a> Executor<'a> {
         })?;
         let (table, index, descent) = self.index_nl_inner(query, inner_rel, key.right_column)?;
         let preds = &query.relations[inner_rel].predicates;
-        match self.mode {
-            ExecMode::Chunked => crate::probe::index_nl_join(
-                &self.probe_side(query, outer, inner_rel, edges),
-                table,
-                index,
-                preds,
-                descent,
-                &p,
-                meter,
-                sink,
-            ),
-            ExecMode::Scalar => {
-                let lslot = outer.slot_of(key.left);
-                let n = outer.len();
-                let mut fetches =
-                    BatchCharge::new(p.index_fetch + p.pred_eval * preds.len() as f64);
-                let mut emits = BatchCharge::new(p.output_tuple);
-                for start in (0..n).step_by(CHUNK_SIZE) {
-                    let end = (start + CHUNK_SIZE).min(n);
-                    meter.charge((end - start) as f64 * descent)?;
-                    for i in start..end {
-                        let t = outer.tuple(i);
-                        let lv = self.value(query, key.left, key.left_column, t[lslot]);
-                        let fetched = index.lookup(lv);
-                        fetches.add(fetched.len(), meter)?;
-                        'fetch: for &row in fetched {
-                            for pr in preds {
-                                if !pr.matches(table.column(pr.column()).get(row as usize)) {
-                                    continue 'fetch;
-                                }
-                            }
-                            if !self.check_extra_edges(query, outer, t, inner_rel, row, edges) {
-                                continue;
-                            }
-                            sink.push(t, row);
-                            emits.emitted(meter)?;
-                        }
-                    }
-                    fetches.flush(meter)?;
-                    emits.flush(meter)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn cross_join<S: Sink>(
-        &self,
-        step: &JoinStep<'_>,
-        meter: &mut WorkMeter,
-        sink: &mut S,
-    ) -> Result<()> {
-        let p = self.cost.params;
-        let JoinStep { outer, inner, .. } = step;
+        let slots = Self::edge_slots(outer, edges)?;
         let n = outer.len();
+        let mut fetches = BatchCharge::new(p.index_fetch + p.pred_eval * preds.len() as f64);
+        let mut emits = BatchCharge::new(p.output_tuple);
         for start in (0..n).step_by(CHUNK_SIZE) {
             let end = (start + CHUNK_SIZE).min(n);
-            let pairs = (end - start) as f64 * inner.len() as f64;
-            // A cross join's output size is known up front, so the whole
-            // chunk is charged *before* emitting anything: a catastrophic
-            // product aborts without allocating its tuples.
-            meter.charge(pairs * p.nl_pair)?;
-            meter.charge(pairs * p.output_tuple)?;
+            meter.charge((end - start) as f64 * descent)?;
             for i in start..end {
-                sink.push_all(outer.tuple(i), inner);
+                let t = outer.tuple(i);
+                let lv = self.value(query, key.left, key.left_column, t[slots[0]]);
+                let fetched = index.lookup(lv);
+                fetches.add(fetched.len(), meter)?;
+                'fetch: for &row in fetched {
+                    for pr in preds {
+                        if !pr.matches(table.column(pr.column()).get(row as usize)) {
+                            continue 'fetch;
+                        }
+                    }
+                    if !self.check_extra_edges(query, t, &slots, inner_rel, row, edges) {
+                        continue;
+                    }
+                    sink.push(t, row);
+                    emits.emitted(meter)?;
+                }
             }
+            fetches.flush(meter)?;
+            emits.flush(meter)?;
         }
         Ok(())
     }
@@ -1266,6 +1476,103 @@ mod tests {
             let rows = chunked.execute_rows(&q, &plan, budget).map(|(out, _)| out);
             assert_eq!(count, format!("{rows:?}"));
             assert_eq!(count, format!("{:?}", scalar.execute(&q, &plan, budget)));
+        }
+    }
+
+    /// A four-relation chain over one table `t (id, fk)` with
+    /// `fk = id % (rows / 2)`: relation `i` joins relation `i + 1` on
+    /// `id = fk`, so each join keeps about `rows` tuples, several chunks.
+    fn chain_setup(rows: i64) -> (Database, TraditionalOptimizer, Query) {
+        let mut schema = Schema::new();
+        schema
+            .add_table(TableDef {
+                name: "t".into(),
+                columns: vec![ColumnDef::indexed("id"), ColumnDef::indexed("fk")],
+            })
+            .unwrap();
+        let schema = Arc::new(schema);
+        let t = Table::new(
+            "t",
+            vec![
+                ("id".into(), Column::new((0..rows).collect())),
+                (
+                    "fk".into(),
+                    Column::new((0..rows).map(|i| i % (rows / 2)).collect()),
+                ),
+            ],
+        )
+        .unwrap();
+        let db = Database::new(schema.clone(), vec![t], 8).unwrap();
+        let opt = TraditionalOptimizer::new(
+            schema.clone(),
+            CardinalityEstimator::new(db.stats_vec()),
+            CostModel::default(),
+        );
+        let mut qb = QueryBuilder::new(QueryId::new(4), 1);
+        let table = schema.table_id("t").unwrap();
+        let rels: Vec<usize> = (0..4)
+            .map(|i| qb.relation(table, format!("t{i}")))
+            .collect();
+        for pair in rels.windows(2) {
+            qb.join(pair[0], 0, pair[1], 1);
+        }
+        let q = qb.build(&schema).unwrap();
+        (db, opt, q)
+    }
+
+    /// Under budgets that first cross in the bottom join, in a middle join
+    /// and in the root — on an all-hash chain, and on one with a merge join
+    /// (the pipeline breaker) in the middle — the pipeline stops with the
+    /// scalar engine's `Timeout { spent, budget }` exactly.
+    #[test]
+    fn stop_rule_matches_scalar_wherever_the_budget_crosses() {
+        let (db, opt, q) = chain_setup(6000);
+        let chunked = Executor::new(&db, *opt.cost_model());
+        let scalar = Executor::with_mode(&db, *opt.cost_model(), ExecMode::Scalar);
+        let (hash, merge) = (JoinMethod::Hash, JoinMethod::Merge);
+        for methods in [vec![hash, hash, hash], vec![hash, merge, hash]] {
+            let icp = Icp::new(vec![0, 1, 2, 3], methods.clone()).unwrap();
+            let plan = opt.optimize_with_hint(&q, &icp).unwrap();
+            // The scalar latency through the scan and through each join:
+            // the latency of the plan's left spine cut at that node.
+            let mut through = Vec::new();
+            let mut node = &plan.root;
+            loop {
+                let cut = PhysicalPlan { root: node.clone() };
+                through.push(scalar.execute(&q, &cut, None).unwrap().latency);
+                match node {
+                    PlanNode::Join { left, .. } => node = left,
+                    PlanNode::Scan { .. } => break,
+                }
+            }
+            through.reverse();
+            assert_eq!(through.len(), 4, "a scan and three joins");
+            for join in 1..through.len() {
+                let budget = (through[join - 1] + through[join]) / 2.0;
+                match (
+                    chunked.execute(&q, &plan, Some(budget)),
+                    scalar.execute(&q, &plan, Some(budget)),
+                ) {
+                    (
+                        Err(FossError::Timeout { spent, budget: b }),
+                        Err(FossError::Timeout {
+                            spent: scalar_spent,
+                            budget: scalar_b,
+                        }),
+                    ) => {
+                        assert_eq!(
+                            (spent, b),
+                            (scalar_spent, scalar_b),
+                            "{methods:?} join {join}"
+                        );
+                        // The crossing charge is join `join`'s.
+                        assert!(spent as f64 > through[join - 1] && spent as f64 <= through[join]);
+                    }
+                    other => {
+                        panic!("{methods:?} join {join}: expected twin timeouts, got {other:?}")
+                    }
+                }
+            }
         }
     }
 

@@ -8,9 +8,15 @@
 //! * Narrowing reaches the intermediates, not only the root: on the
 //!   heaviest `skewstress` expert plan count mode peaks below
 //!   `execute_rows`.
+//! * No intermediate is ever materialised: on the `skewstress` instance
+//!   whose intermediates are the largest, count mode peaks at a bound that
+//!   does not grow with them — unbudgeted, and budgeted into a timeout,
+//!   whose accounting still equals the scalar reference's bit for bit.
 
-use foss_repro::executor::Executor;
+use foss_repro::executor::{ExecMode, Executor};
 use foss_repro::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -149,4 +155,73 @@ fn count_mode_peaks_below_execute_rows_on_the_heaviest_skewstress_plan() {
         interp_peak < rows_peak,
         "count mode ({interp_peak} B) must undercut execute_rows ({rows_peak} B)"
     );
+}
+
+/// The instance of the `serve_skew` benchmark pool (`skewstress` at scale
+/// 1.0; templates round-robin, constants from `StdRng::seed_from_u64(42)`)
+/// whose expert plan completes under the pool's 3e7-unit cap with the
+/// largest intermediates: a five-way index-nested-loop chain whose
+/// materialised intermediate held 25.2 MB (count mode, join by join). Found
+/// by measuring every pool instance this way; the pool is deterministic.
+const WIDEST_INTERMEDIATE: usize = 1940;
+
+fn widest_intermediate_case(wl: &Workload) -> (Query, PhysicalPlan) {
+    let templates = skewstress::templates();
+    let mut constants = StdRng::seed_from_u64(42);
+    let query = (0..=WIDEST_INTERMEDIATE)
+        .map(|i| {
+            templates[i % templates.len()]
+                .instantiate(wl.db.schema(), QueryId::new(1_000_000 + i), &mut constants)
+                .unwrap()
+        })
+        .last()
+        .unwrap();
+    let plan = wl.optimizer.optimize(&query).unwrap();
+    (query, plan)
+}
+
+#[test]
+fn count_mode_holds_no_intermediate_on_the_widest_skewstress_chain() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap();
+    const BOUND: usize = 2 << 20;
+    let wl = Workload::by_name("skewstress", WorkloadSpec::seeded(42)).unwrap();
+    let (query, plan) = widest_intermediate_case(&wl);
+    assert_eq!(
+        query.relation_count(),
+        5,
+        "fixture must be the five-way chain"
+    );
+    let cost = *wl.optimizer.cost_model();
+    let exec = Executor::new(&wl.db, cost);
+    let scalar = Executor::with_mode(&wl.db, cost, ExecMode::Scalar);
+
+    let (full, peak) = peak_during(|| exec.execute(&query, &plan, None).unwrap());
+    let (reference, scalar_peak) = peak_during(|| scalar.execute(&query, &plan, None).unwrap());
+    assert_eq!(full, reference);
+    eprintln!(
+        "widest skewstress chain ({} rows): execute {peak} B, scalar reference {scalar_peak} B",
+        full.rows
+    );
+    assert!(
+        scalar_peak > 8 * BOUND,
+        "the fixture's intermediates must dwarf the bound, got {scalar_peak} B"
+    );
+    assert!(peak <= BOUND, "count mode peaked at {peak} B");
+
+    // Half its latency: the run times out, still within the bound, and
+    // reports the scalar engine's spent work and budget exactly.
+    let budget = Some(full.latency * 0.5);
+    let (timeout, peak) = peak_during(|| exec.execute(&query, &plan, budget));
+    eprintln!("at half its latency: execute {peak} B, {timeout:?}");
+    assert!(peak <= BOUND, "budgeted count mode peaked at {peak} B");
+    match (timeout, scalar.execute(&query, &plan, budget)) {
+        (
+            Err(FossError::Timeout { spent, budget }),
+            Err(FossError::Timeout {
+                spent: scalar_spent,
+                budget: scalar_budget,
+            }),
+        ) => assert_eq!((spent, budget), (scalar_spent, scalar_budget)),
+        other => panic!("expected twin timeouts, got {other:?}"),
+    }
 }
