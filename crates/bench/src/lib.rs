@@ -473,19 +473,8 @@ fn hash_join_skewed_case(wl: &foss_workloads::Workload) -> (Query, PhysicalPlan)
 /// instances that finish under the benchmark's work cap, the one with the
 /// largest intermediate results.
 fn inl_chain_skewed_case(wl: &foss_workloads::Workload) -> (Query, PhysicalPlan) {
-    const INSTANCE: usize = 1940;
-    let templates = skewstress::templates();
-    let mut constants = StdRng::seed_from_u64(42);
-    let mut query = None;
-    for i in 0..=INSTANCE {
-        let template = &templates[i % templates.len()];
-        query = Some(
-            template
-                .instantiate(wl.db.schema(), QueryId::new(1_000_000 + i), &mut constants)
-                .expect("skewstress templates instantiate"),
-        );
-    }
-    let query = query.expect("the pool is not empty");
+    let query = skewstress::fresh_instance(wl.db.schema(), 42, 1940)
+        .expect("skewstress templates instantiate");
     let plan = wl.optimizer.optimize(&query).expect("expert plan");
     (query, plan)
 }

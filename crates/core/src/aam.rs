@@ -12,6 +12,7 @@
 //! skew toward score-0 samples (most mutations make plans worse) does not
 //! drown out the rare score-2 "much better plan" examples.
 
+use foss_common::sync::Mutex;
 use foss_nn::{Adam, Embedding, GradStore, Graph, Linear, Matrix, ParamSet, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -229,35 +230,34 @@ impl AdvantageModel {
     /// Forward + backward one minibatch, sharded across a scoped-thread
     /// worker pool via [`foss_common::run_sharded`]. Each worker runs its
     /// shard's batched tape against the shared parameters and accumulates
-    /// into a private [`GradStore`]; results come back in shard order, so
-    /// the merge is independent of thread scheduling. Returns the minibatch
-    /// loss and the per-shard gradient stores in shard order.
+    /// into its own store of `stores`, zeroed first; the losses come back in
+    /// shard order, so the merge is independent of thread scheduling.
+    /// Returns the minibatch loss and the number of shards, whose stores
+    /// now hold the shards' gradients.
     fn sharded_grads(
         &self,
         pairs: &[(&EncodedPlan, &EncodedPlan)],
         targets: &[usize],
-    ) -> (f32, Vec<GradStore>) {
+        stores: &mut [GradStore],
+    ) -> (f32, usize) {
         let b = pairs.len();
         let shard = b.div_ceil(GRAD_SHARDS).max(1);
         let nshards = b.div_ceil(shard);
-        let results = foss_common::run_sharded(nshards, |si| {
+        let stores: Vec<Mutex<&mut GradStore>> = stores.iter_mut().map(Mutex::new).collect();
+        let losses = foss_common::run_sharded(nshards, |si| {
             let pc = &pairs[si * shard..((si + 1) * shard).min(b)];
             let tc = &targets[si * shard..((si + 1) * shard).min(b)];
             let mut g = Graph::new();
             let logits = self.forward_pairs(&mut g, pc);
             let loss = self.loss(&mut g, logits, tc, b);
             let lv = g.value(loss).get(0, 0);
-            let mut grads = GradStore::zeros_like(&self.set);
-            g.backward_into(loss, &mut grads);
-            (lv, grads)
+            let mut grads = stores[si].lock();
+            grads.zero();
+            g.backward_into(loss, &mut **grads);
+            lv
         });
-        let mut loss_total = 0.0;
-        let mut stores = Vec::with_capacity(results.len());
-        for (lv, grads) in results {
-            loss_total += lv;
-            stores.push(grads);
-        }
-        (loss_total, stores)
+        let loss = losses.into_iter().fold(0.0, |total, lv| total + lv);
+        (loss, nshards)
     }
 
     /// One supervised epoch over `samples`; returns the mean minibatch loss.
@@ -275,17 +275,22 @@ impl AdvantageModel {
         order.shuffle(rng);
         let mut total = 0.0;
         let mut batches = 0;
+        // One gradient store per shard for the whole epoch: a fresh set per
+        // minibatch was allocated and faulted in again every time.
+        let mut stores: Vec<GradStore> = (0..GRAD_SHARDS)
+            .map(|_| GradStore::zeros_like(&self.set))
+            .collect();
         for chunk in order.chunks(self.batch.max(1)) {
             let pairs: Vec<(&EncodedPlan, &EncodedPlan)> = chunk
                 .iter()
                 .map(|&i| (&samples[i].0, &samples[i].1))
                 .collect();
             let targets: Vec<usize> = chunk.iter().map(|&i| samples[i].2).collect();
-            let (loss, stores) = self.sharded_grads(&pairs, &targets);
+            let (loss, shards) = self.sharded_grads(&pairs, &targets, &mut stores);
             total += loss;
             batches += 1;
             self.set.zero_grad();
-            for store in &stores {
+            for store in &stores[..shards] {
                 store.add_into(&mut self.set);
             }
             let norm = self.set.grad_norm();

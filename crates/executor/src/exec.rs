@@ -8,13 +8,15 @@
 //!   ids, a chunk at a time, into the bottom join; every join runs its kernel
 //!   (`crate::probe`) over one chunk and writes each match, narrowed to the
 //!   slots a later join reads, into the next join's input, which runs as soon
-//!   as a full chunk has gathered. A hash join builds its table once, before
-//!   the first chunk arrives; a merge join is the one pipeline breaker and
-//!   gathers its whole outer input before it runs. [`Executor::execute`]
-//!   runs in *count mode* — the root join counts its matches — so it holds
-//!   the joins' inner sides plus at most a chunk per join, and never a
-//!   whole intermediate. [`Executor::execute_rows`] is the same pipeline
-//!   with every slot kept and the root's matches stored.
+//!   as a full chunk has gathered. A join sets itself up — scans its inner
+//!   side, and a hash join builds its table — when its first input arrives;
+//!   a merge join is the one pipeline breaker and gathers its whole outer
+//!   input before it runs. [`Executor::execute`] runs in *count mode* — the
+//!   root join counts its matches — so it holds the joins' inner sides, at
+//!   most a chunk per join and each stage's charge log (see below), and
+//!   never a whole intermediate.
+//!   [`Executor::execute_rows`] is the same pipeline with every slot kept and
+//!   the root's matches stored.
 //! * **Scalar** — the reference row-at-a-time interpreter, kept for
 //!   differential testing (see the chunked-vs-scalar property tests) and
 //!   reachable only through [`Executor::with_mode`]. It runs the joins one
@@ -35,25 +37,32 @@
 //!
 //! The scalar engine charges one join's work after the previous join's, and
 //! that order defines a plan's latency (an IEEE sum depends on its order).
-//! The pipeline interleaves the joins' work instead, so each of its
-//! *stages* — the leftmost scan, or one join with its inner scan — logs its
-//! charges, and the run replays the logs into the [`WorkMeter`] stage by
-//! stage once the input is exhausted. A stage re-chunks its input at the
-//! 1024-tuple boundaries the materialised intermediate had, so its log is
-//! exactly the scalar engine's charges for that join. The leftmost scan's
-//! single charge is the run's first and goes to the meter directly.
+//! The pipeline interleaves the joins' work instead. Each of its *stages* —
+//! one join with its inner scan — re-chunks its input at the 1024-tuple
+//! boundaries the materialised intermediate had, so its charges are exactly
+//! the scalar engine's for that join; only their order differs. The lowest
+//! stage still running charges the `WorkMeter` directly (at first the
+//! bottom join, right after the leftmost scan's charge). Every stage above
+//! it logs its charges in a `StageLog`, one `f64` per charge, so a log
+//! grows with its stage's work (8 bytes per chunk-sized charge). Once the
+//! stages below a stage are done, its log is replayed into the meter and it
+//! charges the meter directly from then on. The meter thus sees the scalar
+//! engine's charge sequence, and a crossing of the budget there is exact.
 //!
-//! Under a budget a stage stops early: once the sum of every charge logged
-//! through it (the earlier stages' logs, then its own) exceeds the budget,
-//! the replay is certain to cross the budget by the end of the stage's log,
-//! so neither it nor any stage above it does more work. That sum is a lower
-//! bound on where the replay stands at the same point: every charge is
-//! non-negative and IEEE addition is monotone, so a sum over a subsequence
-//! of the charges, in order, never exceeds the sum over all of them, and
-//! [`StageLog`] discounts the rounding its own regrouping of the terms may
-//! add. The stages below a stopped one run on until their input is
-//! exhausted, and the replay then finds the exact charge that crosses the
-//! budget, so `Timeout { spent, budget }` is the scalar engine's too.
+//! Under a budget a logging stage also stops early: once the sum of every
+//! charge logged through it (the stages below, then its own) exceeds the
+//! budget, the replay is certain to cross the budget by the end of the
+//! stage's log, so neither it nor any stage above it does more work. That
+//! sum is a lower bound on where the replay stands at the same point: every
+//! charge is non-negative and IEEE addition is monotone, so a sum over a
+//! subsequence of the charges, in order, never exceeds the sum over all of
+//! them, and `StageLog` discounts the rounding its own regrouping of the
+//! terms may add. The stages below a stopped one run on until their input
+//! is exhausted or the meter crosses, and the replay then finds the exact
+//! charge that crosses the budget, so `Timeout { spent, budget }` is the
+//! scalar engine's too. A stage that stopped early has done work the scalar
+//! engine never reaches: over the `serve_skew` pool's timeouts the
+//! pipeline logs at most 1.6× the scalar engine's `spent` (median 1.0×).
 
 use std::cell::Cell;
 
@@ -146,29 +155,27 @@ pub struct Executor<'a> {
 }
 
 /// One join of a left-deep plan, as the plan states it.
+#[derive(Clone, Copy)]
 struct JoinSpec<'p> {
     method: JoinMethod,
     index_nl: bool,
     edges: &'p [JoinEdge],
-    inner: &'p PlanNode,
+    /// The inner side: a scan of this relation through this access path.
+    inner_rel: usize,
+    access: &'p AccessPath,
 }
 
-impl<'p> JoinSpec<'p> {
-    /// The inner side's relation and access path.
-    fn inner_scan(&self) -> Result<(usize, &'p AccessPath)> {
-        match self.inner {
-            PlanNode::Scan {
-                relation, access, ..
-            } => Ok((*relation, access)),
-            PlanNode::Join { .. } => Err(FossError::InvalidPlan(
-                "plans are left-deep: a join's inner side must be a scan".into(),
-            )),
-        }
+impl JoinSpec<'_> {
+    /// Whether the join needs its whole outer input at once: a keyed merge
+    /// join, the pipeline breaker.
+    fn breaks(&self) -> bool {
+        !self.index_nl && self.method == JoinMethod::Merge && !self.edges.is_empty()
     }
 }
 
 /// `plan`'s leftmost scan (relation, access path) and its joins, bottom-up.
-fn spine(plan: &PhysicalPlan) -> ((usize, &AccessPath), Vec<JoinSpec<'_>>) {
+/// Fails on a join whose inner side is not a scan: plans are left-deep.
+fn spine(plan: &PhysicalPlan) -> Result<((usize, &AccessPath), Vec<JoinSpec<'_>>)> {
     let mut joins = Vec::new();
     let mut node = &plan.root;
     loop {
@@ -177,7 +184,7 @@ fn spine(plan: &PhysicalPlan) -> ((usize, &AccessPath), Vec<JoinSpec<'_>>) {
                 relation, access, ..
             } => {
                 joins.reverse();
-                return ((*relation, access), joins);
+                return Ok(((*relation, access), joins));
             }
             PlanNode::Join {
                 method,
@@ -187,11 +194,20 @@ fn spine(plan: &PhysicalPlan) -> ((usize, &AccessPath), Vec<JoinSpec<'_>>) {
                 index_nl,
                 ..
             } => {
+                let PlanNode::Scan {
+                    relation, access, ..
+                } = &**right
+                else {
+                    return Err(FossError::InvalidPlan(
+                        "plans are left-deep: a join's inner side must be a scan".into(),
+                    ));
+                };
                 joins.push(JoinSpec {
                     method: *method,
                     index_nl: *index_nl,
                     edges,
-                    inner: right,
+                    inner_rel: *relation,
+                    access,
                 });
                 node = left;
             }
@@ -248,28 +264,35 @@ impl Meter for WorkMeter {
     }
 }
 
-/// One pipeline stage's charges, logged in order for the replay, and the
-/// rule that stops the stage under a budget. The stage's kernel charges it
-/// while its forwarding sink reads its running sum for the stage above, so
-/// both hold it shared and its fields are cells.
+/// One pipeline stage's charges and the rule that stops the stage under a
+/// budget. The lowest stage still running charges *directly*: it continues
+/// the meter's own sum, in the meter's order, so its verdict is exact. Every
+/// stage above it logs its charges in order for the replay. The stage's
+/// kernel charges it while its forwarding sink reads its running sum for the
+/// stage above, so both hold it shared and its fields are cells.
 struct StageLog {
-    /// The charges, except zeros: once the leftmost scan has charged the
-    /// meter, adding zero changes neither its sum nor its verdict.
+    /// The logged charges not yet replayed, except zeros: once the leftmost
+    /// scan has charged the meter, adding zero changes neither its sum nor
+    /// its verdict.
     charges: Cell<Vec<f64>>,
+    /// Whether the stage charges directly (see [`StageLog::promote`]).
+    direct: Cell<bool>,
     /// Sum and count of every charge logged below this stage, as of the
     /// call the stage is running.
     below: Cell<(f64, usize)>,
-    /// Sum and count of this stage's own charges.
+    /// Sum and count of this stage's own charges; when direct, the meter's
+    /// running sum.
     own: Cell<(f64, usize)>,
     budget: f64,
     stopped: Cell<bool>,
 }
 
 impl StageLog {
-    fn new(budget: f64, below: (f64, usize)) -> Self {
+    fn new(budget: f64) -> Self {
         Self {
             charges: Cell::default(),
-            below: Cell::new(below),
+            direct: Cell::new(false),
+            below: Cell::new((0.0, 0)),
             own: Cell::new((0.0, 0)),
             budget,
             stopped: Cell::new(false),
@@ -281,24 +304,47 @@ impl StageLog {
         let ((below, m), (own, n)) = (self.below.get(), self.own.get());
         (below + own, m + n + 1)
     }
+
+    /// Make this the stage that charges the meter directly, once every stage
+    /// below it is done: its log so far is the next stretch of the replay,
+    /// so replay it into `meter` (which fails at the exact crossing), then
+    /// go on from the meter's sum.
+    fn promote(&self, meter: &mut WorkMeter) -> Result<()> {
+        for amount in self.charges.take() {
+            meter.charge(amount)?;
+        }
+        self.direct.set(true);
+        self.below.set((0.0, 0));
+        self.own.set((meter.spent, 0));
+        Ok(())
+    }
 }
 
 impl Meter for &StageLog {
-    /// Log `amount`, and stop the stage once the charges logged through it
-    /// exceed the budget for certain. That sum groups its terms stage by
-    /// stage rather than in replay order; each of its `n` additions (and each
-    /// of the replay's) rounds by at most a factor `1 ± ε/2` on non-negative
-    /// terms, so discounting it by `2n·ε` leaves a lower bound on the replay.
+    /// Charge `amount`. A direct stage adds it to the meter's sum and stops
+    /// exactly where the meter would. A logging stage logs it, and stops once
+    /// the charges logged through it exceed the budget for certain. That sum
+    /// groups its terms stage by stage rather than in replay order; each of
+    /// its `n` additions (and each of the replay's) rounds by at most a
+    /// factor `1 ± ε/2` on non-negative terms, so discounting it by `2n·ε`
+    /// leaves a lower bound on the replay.
     fn charge(&mut self, amount: f64) -> Result<()> {
-        if amount != 0.0 {
-            let mut charges = self.charges.take();
-            charges.push(amount);
-            self.charges.set(charges);
-        }
         let (own, n) = self.own.get();
-        self.own.set((own + amount, n + 1));
-        let (sum, n) = self.through();
-        if sum * (1.0 - 2.0 * n as f64 * f64::EPSILON) > self.budget {
+        let (sum, bound) = if self.direct.get() {
+            let spent = own + amount;
+            self.own.set((spent, n));
+            (spent, spent)
+        } else {
+            if amount != 0.0 {
+                let mut charges = self.charges.take();
+                charges.push(amount);
+                self.charges.set(charges);
+            }
+            self.own.set((own + amount, n + 1));
+            let (sum, n) = self.through();
+            (sum, sum * (1.0 - 2.0 * n as f64 * f64::EPSILON))
+        };
+        if bound > self.budget {
             self.stopped.set(true);
             return Err(FossError::Timeout {
                 spent: sum as u64,
@@ -309,9 +355,22 @@ impl Meter for &StageLog {
     }
 }
 
+/// What a stage needs to set itself up: the executor and the query.
+struct RunCtx<'r, 'a> {
+    exec: &'r Executor<'a>,
+    query: &'r Query,
+}
+
 /// One join of the running pipeline.
-struct Stage<'a> {
-    kernel: Kernel<'a>,
+struct Stage<'p, 'a> {
+    join: JoinSpec<'p>,
+    /// The relations of its outer tuples' slots.
+    rels: Vec<usize>,
+    /// Set up when the stage's first input arrives; `None` before, or if
+    /// set-up stopped or failed the stage.
+    kernel: Option<Kernel<'a>>,
+    /// Why set-up failed, other than by the stop rule.
+    failed: Option<FossError>,
     log: StageLog,
     /// Slots per outer tuple.
     stride: usize,
@@ -324,21 +383,42 @@ struct Stage<'a> {
     hand_on: usize,
 }
 
+impl<'a> Stage<'_, 'a> {
+    /// Set the stage up if it is not yet: scan its inner side and build what
+    /// its kernel probes, charging its log. A failure other than a stop
+    /// ends the stage too, and is kept for the run to report.
+    fn set_up(&mut self, ctx: &RunCtx<'_, 'a>) {
+        if self.kernel.is_some() || self.log.stopped.get() {
+            return;
+        }
+        match ctx.exec.stage(ctx.query, &self.rels, &self.join, &self.log) {
+            Ok(kernel) => self.kernel = Some(kernel),
+            Err(e) => {
+                if !self.log.stopped.get() {
+                    self.log.stopped.set(true);
+                    self.failed = Some(e);
+                }
+            }
+        }
+    }
+}
+
 /// What the root stage's matches become.
 enum Output {
     Count(Count),
     Rows(Vec<u32>),
 }
 
-/// Run the outer tuples `chunk` through `stages[0]`, whose matches flow on
-/// into the stages above it. `below` is the sum and count of every charge
-/// logged below the stage. A kernel fails only through its stage's stop
-/// rule, so an error ends the stage — its log records the stop — and the
-/// stages above it get no more input.
-fn feed(
-    stages: &mut [Stage<'_>],
+/// Run the outer tuples `chunk` through `stages[0]`, setting it up first if
+/// this is its first input; its matches flow on into the stages above it.
+/// `below` is the sum and count of every charge logged below the stage. A
+/// kernel fails only through its stage's stop rule, so an error ends the
+/// stage — its log records the stop — and the stages above it get no more
+/// input.
+fn feed<'a>(
+    stages: &mut [Stage<'_, 'a>],
     root: &mut Output,
-    cost: &CostModel,
+    ctx: &RunCtx<'_, 'a>,
     below: (f64, usize),
     chunk: &[u32],
 ) {
@@ -349,15 +429,20 @@ fn feed(
         return;
     }
     stage.log.below.set(below);
+    stage.set_up(ctx);
     let Stage {
-        kernel,
+        kernel: Some(kernel),
         log,
         stride,
         layout,
         out,
         hand_on,
-    } = stage;
-    let (log, stride) = (&*log, *stride);
+        ..
+    } = stage
+    else {
+        return;
+    };
+    let (log, stride, cost) = (&*log, *stride, &ctx.exec.cost);
     let _stopped = match (next.is_empty(), root) {
         (false, root) => {
             let mut sink = Forward {
@@ -367,7 +452,7 @@ fn feed(
                 hand_on: *hand_on,
                 next,
                 root,
-                cost,
+                ctx,
             };
             kernel.run(chunk, stride, cost, &mut &*log, &mut sink)
         }
@@ -381,17 +466,17 @@ fn feed(
 
 /// The sink of every stage below the root: it narrows each match into the
 /// stage's output buffer and runs the stages above on every full chunk.
-struct Forward<'s, 'a> {
+struct Forward<'s, 'p, 'a> {
     log: &'s StageLog,
     layout: &'s Layout,
     out: &'s mut Vec<u32>,
     hand_on: usize,
-    next: &'s mut [Stage<'a>],
+    next: &'s mut [Stage<'p, 'a>],
     root: &'s mut Output,
-    cost: &'s CostModel,
+    ctx: &'s RunCtx<'s, 'a>,
 }
 
-impl Sink for Forward<'_, '_> {
+impl Sink for Forward<'_, '_, '_> {
     #[inline]
     fn push(&mut self, t: &[u32], row: u32) {
         self.layout.write(t, row, self.out);
@@ -401,19 +486,13 @@ impl Sink for Forward<'_, '_> {
     }
 }
 
-impl Forward<'_, '_> {
+impl Forward<'_, '_, '_> {
     /// Run the stages above on the full chunk in `out`. Out of line: it
     /// closes the recursion `push` → [`feed`] → kernel → `push`, which would
     /// otherwise keep `push` from being inlined into the kernels' loops.
     #[inline(never)]
     fn hand_on(&mut self) {
-        feed(
-            self.next,
-            self.root,
-            self.cost,
-            self.log.through(),
-            self.out,
-        );
+        feed(self.next, self.root, self.ctx, self.log.through(), self.out);
         self.out.clear();
     }
 }
@@ -613,7 +692,7 @@ impl<'a> Executor<'a> {
         want_rows: bool,
         meter: &mut WorkMeter,
     ) -> Result<(u64, Option<RowSet>)> {
-        let ((first, access), joins) = spine(plan);
+        let ((first, access), joins) = spine(plan)?;
         let ids = self.exec_scan(query, first, access, meter)?;
         let mut rels = vec![first];
         if joins.is_empty() {
@@ -629,49 +708,38 @@ impl<'a> Executor<'a> {
             Liveness::of(relations, joins.iter().map(|j| j.edges))
         };
 
-        // Set the joins up bottom-up, up to the first whose set-up stops it
-        // (`cut`) or fails. What set-up charges is its stage's first log
-        // entries.
-        let mut stages: Vec<Stage<'a>> = Vec::with_capacity(joins.len());
-        let (mut cut, mut failed) = (None, None);
-        for (pos, join) in joins.iter().enumerate() {
-            let below = stages.last().map_or((meter.spent, 1), |s| s.log.through());
-            let log = StageLog::new(meter.budget, below);
-            match self.stage(query, &rels, join, &log) {
-                Ok((kernel, inner_rel)) => {
-                    if let Some(below) = stages.last_mut() {
-                        below.hand_on = if kernel.breaks() {
-                            usize::MAX
-                        } else {
-                            CHUNK_SIZE * rels.len()
-                        };
-                    }
-                    let layout = Layout::narrow(&rels, inner_rel, &live, pos);
-                    let stride = rels.len();
-                    layout.apply(&mut rels, inner_rel);
-                    stages.push(Stage {
-                        kernel,
-                        log,
-                        stride,
-                        layout,
-                        out: Vec::new(),
-                        hand_on: usize::MAX,
-                    });
-                }
-                Err(_) if log.stopped.get() => {
-                    cut = Some(log);
-                    break;
-                }
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
+        // Lay the stages out bottom-up; each sets itself up (and charges for
+        // it) only when its first input arrives.
+        let mut stages: Vec<Stage<'_, 'a>> = Vec::with_capacity(joins.len());
+        for (pos, join) in joins.into_iter().enumerate() {
+            if let Some(below) = stages.last_mut() {
+                below.hand_on = if join.breaks() {
+                    usize::MAX
+                } else {
+                    CHUNK_SIZE * rels.len()
+                };
             }
+            let layout = Layout::narrow(&rels, join.inner_rel, &live, pos);
+            let stage_rels = rels.clone();
+            layout.apply(&mut rels, join.inner_rel);
+            stages.push(Stage {
+                join,
+                stride: stage_rels.len(),
+                rels: stage_rels,
+                kernel: None,
+                failed: None,
+                log: StageLog::new(meter.budget),
+                layout,
+                out: Vec::new(),
+                hand_on: usize::MAX,
+            });
         }
 
         // Stream: the leftmost scan's ids into the bottom join, then,
         // bottom-up, what each stage has not handed on yet into the next,
-        // once the stages below it are done.
+        // once the stages below it are done. The stage being drained is the
+        // lowest still running, so it charges the meter directly.
+        let ctx = RunCtx { exec: self, query };
         let mut root = if want_rows {
             Output::Rows(Vec::new())
         } else {
@@ -679,40 +747,33 @@ impl<'a> Executor<'a> {
         };
         let mut input = ids;
         for k in 0..stages.len() {
-            if stages[k].log.stopped.get() {
-                break;
-            }
-            let below = match k {
-                0 => (meter.spent, 1),
-                _ => stages[k - 1].log.through(),
-            };
-            if stages[k].kernel.breaks() {
-                feed(&mut stages[k..], &mut root, &self.cost, below, &input);
+            stages[k].log.promote(meter)?;
+            stages[k].set_up(&ctx);
+            if stages[k].join.breaks() {
+                feed(&mut stages[k..], &mut root, &ctx, (0.0, 0), &input);
             } else {
                 for chunk in input.chunks(CHUNK_SIZE * stages[k].stride) {
-                    feed(&mut stages[k..], &mut root, &self.cost, below, chunk);
+                    if stages[k].log.stopped.get() {
+                        break;
+                    }
+                    feed(&mut stages[k..], &mut root, &ctx, (0.0, 0), chunk);
                 }
             }
-            input = std::mem::take(&mut stages[k].out);
-        }
-
-        // Replay the logs, bottom-up: the scalar engine's charge sequence.
-        for log in stages.iter().map(|s| &s.log).chain(&cut) {
-            for amount in log.charges.take() {
-                meter.charge(amount)?;
+            let stage = &mut stages[k];
+            meter.spent = stage.log.own.get().0;
+            if let Some(e) = stage.failed.take() {
+                return Err(e);
             }
-        }
-        if let Some(e) = failed {
-            return Err(e);
-        }
-        if cut.is_some() || stages.iter().any(|s| s.log.stopped.get()) {
-            // A stop's bound lies below the replayed sum, so the replay has
-            // crossed the budget already; this only keeps a stopped run from
-            // ever passing for a complete one.
-            return Err(FossError::Timeout {
-                spent: meter.spent as u64,
-                budget: meter.budget as u64,
-            });
+            if stage.log.stopped.get() {
+                // A direct stage stops at the meter's exact crossing. One
+                // that stopped while logging crossed in `promote` already;
+                // this only keeps it from ever passing for a complete run.
+                return Err(FossError::Timeout {
+                    spent: meter.spent as u64,
+                    budget: meter.budget as u64,
+                });
+            }
+            input = std::mem::take(&mut stage.out);
         }
         Ok(match root {
             Output::Count(Count(n)) => (n, None),
@@ -725,17 +786,15 @@ impl<'a> Executor<'a> {
 
     /// Set up `join` over outer tuples laid out as `rels`: scan its inner
     /// side (an index nested loop probes the inner's index in place) and
-    /// build what its kernel probes, charging `log`. Returns the kernel and
-    /// the inner relation.
+    /// build what its kernel probes, charging `log`.
     fn stage(
         &self,
         query: &Query,
         rels: &[usize],
         join: &JoinSpec<'_>,
         mut log: &StageLog,
-    ) -> Result<(Kernel<'a>, usize)> {
-        let (inner_rel, access) = join.inner_scan()?;
-        let edges = join.edges;
+    ) -> Result<Kernel<'a>> {
+        let (inner_rel, edges) = (join.inner_rel, join.edges);
         if join.index_nl {
             let key = edges.first().ok_or_else(|| {
                 FossError::InvalidPlan("index nested loop requires a join edge".into())
@@ -747,17 +806,16 @@ impl<'a> Executor<'a> {
                 .iter()
                 .map(|pr| table.column(pr.column()).values())
                 .collect();
-            let kernel = Kernel::IndexNl {
+            return Ok(Kernel::IndexNl {
                 outer: self.outer(query, rels, inner_rel, edges)?,
                 index,
                 preds,
                 pred_cols,
                 descent,
-            };
-            return Ok((kernel, inner_rel));
+            });
         }
-        let inner = self.exec_scan(query, inner_rel, access, &mut log)?;
-        let kernel = match (join.method, edges.first()) {
+        let inner = self.exec_scan(query, inner_rel, join.access, &mut log)?;
+        Ok(match (join.method, edges.first()) {
             (JoinMethod::Hash | JoinMethod::Merge, None) => Kernel::Cross(inner),
             (JoinMethod::Hash, Some(key)) => {
                 log.charge(inner.len() as f64 * self.cost.params.hash_build)?;
@@ -793,8 +851,7 @@ impl<'a> Executor<'a> {
                     ivals,
                 }
             }
-        };
-        Ok((kernel, inner_rel))
+        })
     }
 
     /// Where `edges` read outer tuples laid out as `rels`: the first edge is
@@ -833,18 +890,18 @@ impl<'a> Executor<'a> {
         plan: &PhysicalPlan,
         meter: &mut WorkMeter,
     ) -> Result<RowSet> {
-        let ((first, access), joins) = spine(plan);
+        let ((first, access), joins) = spine(plan)?;
         let mut outer = RowSet {
             rels: vec![first],
             data: self.exec_scan(query, first, access, meter)?,
         };
         let live = Liveness::all(query.relation_count());
         for (pos, join) in joins.iter().enumerate() {
-            let (inner_rel, access) = join.inner_scan()?;
+            let inner_rel = join.inner_rel;
             let inner = if join.index_nl {
                 Vec::new()
             } else {
-                self.exec_scan(query, inner_rel, access, meter)?
+                self.exec_scan(query, inner_rel, join.access, meter)?
             };
             let layout = Layout::narrow(&outer.rels, inner_rel, &live, pos);
             let mut data = Vec::new();
@@ -1574,6 +1631,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A join that fails as it sets up — here the middle join's edge reads a
+    /// relation no join below it supplies — fails the run only after the
+    /// charges before it: the pipeline reports the scalar engine's error
+    /// under a budget the failure comes first, and its `Timeout` under one
+    /// that crosses first.
+    #[test]
+    fn set_up_failure_matches_scalar_under_any_budget() {
+        let (db, opt, q) = chain_setup(6000);
+        let chunked = Executor::new(&db, *opt.cost_model());
+        let scalar = Executor::with_mode(&db, *opt.cost_model(), ExecMode::Scalar);
+        let icp = Icp::new(vec![0, 1, 2, 3], vec![JoinMethod::Hash; 3]).unwrap();
+        let mut plan = opt.optimize_with_hint(&q, &icp).unwrap();
+        let PlanNode::Join { left, .. } = &mut plan.root else {
+            panic!("the root is a join")
+        };
+        let PlanNode::Join { edges, .. } = &mut **left else {
+            panic!("the middle is a join")
+        };
+        edges[0].left = 3;
+        let (mut invalid, mut timeouts) = (0, 0);
+        for budget in [None]
+            .into_iter()
+            .chain((0..24).map(|k| Some(10f64.powf(k as f64 / 4.0))))
+        {
+            let got = chunked.execute(&q, &plan, budget);
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{:?}", scalar.execute(&q, &plan, budget)),
+                "budget {budget:?}"
+            );
+            match got {
+                Err(FossError::InvalidPlan(_)) => invalid += 1,
+                Err(FossError::Timeout { .. }) => timeouts += 1,
+                other => panic!("budget {budget:?}: {other:?}"),
+            }
+        }
+        assert!(invalid > 0 && timeouts > 0, "{invalid} / {timeouts}");
     }
 
     #[test]

@@ -269,11 +269,6 @@ pub(crate) enum Kernel<'a> {
 }
 
 impl Kernel<'_> {
-    /// Whether the kernel needs its whole outer input in one call.
-    pub(crate) fn breaks(&self) -> bool {
-        matches!(self, Kernel::Merge(..))
-    }
-
     /// Join the outer tuples `data` (`stride` slots each) with the inner
     /// side: a chunk of at most [`crate::CHUNK_SIZE`] tuples, or a merge join's
     /// whole input.
@@ -351,10 +346,16 @@ fn hash_probe<M: Meter, S: Sink>(
 }
 
 /// Fetched runs at least this long are filtered predicate at a time rather
-/// than row at a time. A hot key's run is scanned again for every outer
-/// tuple that carries it; row at a time, its predicate outcomes are
-/// branches that the other stages of the pipeline, running in between,
-/// keep the predictor from learning.
+/// than row at a time; both give the same rows in the same order, charged
+/// alike. A hot key's run is scanned again for every outer tuple that
+/// carries it, and row at a time its predicate outcomes are branches that
+/// the other stages of the pipeline, running in between, keep the predictor
+/// from learning. Short runs pay more for setting up a selection than they
+/// save. Timed over 2 000 fresh expert plans of each workload (best of 5,
+/// four rounds in alternating order, 2-core VM): at 16, `joblite` ran in
+/// 59–68 ms and `skewstress` in 561–606 ms; predicate at a time throughout,
+/// 77–123 and 621–693 ms; row at a time throughout, 60–67 and 917–965 ms.
+/// Every minimum from 2 to 64 timed within noise of 16.
 const RUN_FILTER_MIN: usize = 16;
 
 /// Descend into `index` once per tuple of one chunk and filter each fetched

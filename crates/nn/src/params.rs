@@ -204,6 +204,13 @@ impl GradStore {
         }
     }
 
+    /// Zero every buffered gradient in place, keeping the buffers.
+    pub fn zero(&mut self) {
+        for g in &mut self.grads {
+            g.data.fill(0.0);
+        }
+    }
+
     /// Gradient buffer for `id`.
     pub fn grad(&self, id: ParamId) -> &Matrix {
         &self.grads[id.0]

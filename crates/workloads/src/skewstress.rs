@@ -13,9 +13,12 @@
 //! 10 templates around a single `hub` table, 8 queries each, 6 train /
 //! 2 test per template.
 
-use foss_common::Result;
-
+use foss_catalog::Schema;
+use foss_common::{QueryId, Result};
+use foss_query::Query;
 use foss_storage::Distribution as D;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use crate::builder::{template_split, Col, DbBuilder};
 use crate::template::{PredSpec, Template, TemplateRel};
@@ -185,6 +188,26 @@ pub fn templates() -> Vec<Template> {
         out.push(Template { id, rels, joins });
     }
     out
+}
+
+/// Instance `i` of a fresh pool over these templates, drawn as the
+/// benchmark's `serve_skew` pool is: templates round-robin, constants from
+/// `StdRng::seed_from_u64(seed)` (the benchmark's seed is 42), query ids
+/// from 1 000 000 up, clear of the workload's own.
+pub fn fresh_instance(schema: &Schema, seed: u64, i: usize) -> Result<Query> {
+    let templates = templates();
+    let mut constants = StdRng::seed_from_u64(seed);
+    let mut instance = |k: usize| {
+        templates[k % templates.len()].instantiate(
+            schema,
+            QueryId::new(1_000_000 + k),
+            &mut constants,
+        )
+    };
+    for k in 0..i {
+        instance(k)?;
+    }
+    instance(i)
 }
 
 /// Materialise skew-stress: 8 queries per template, 6/2 split.

@@ -15,8 +15,6 @@
 
 use foss_repro::executor::{ExecMode, Executor};
 use foss_repro::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -166,16 +164,7 @@ fn count_mode_peaks_below_execute_rows_on_the_heaviest_skewstress_plan() {
 const WIDEST_INTERMEDIATE: usize = 1940;
 
 fn widest_intermediate_case(wl: &Workload) -> (Query, PhysicalPlan) {
-    let templates = skewstress::templates();
-    let mut constants = StdRng::seed_from_u64(42);
-    let query = (0..=WIDEST_INTERMEDIATE)
-        .map(|i| {
-            templates[i % templates.len()]
-                .instantiate(wl.db.schema(), QueryId::new(1_000_000 + i), &mut constants)
-                .unwrap()
-        })
-        .last()
-        .unwrap();
+    let query = skewstress::fresh_instance(wl.db.schema(), 42, WIDEST_INTERMEDIATE).unwrap();
     let plan = wl.optimizer.optimize(&query).unwrap();
     (query, plan)
 }
